@@ -8,8 +8,10 @@ lex-leader breaking clauses together with a proof that the checker in
   introduces prefix-equality variables $a_i and prefix-comparison
   variables $d_i.  Per symmetry we introduce a small reified circuit over
   the support (variables s_j, t_j), derive ``t_k >= 1`` by dominance and
-  turn it into clauses.  The fragment size scales with the support, not
-  with the total variable count.
+  turn it into clauses.  The first generator's fragment scales with its
+  support, not with the total variable count n; a later one also rewrites
+  the order's chain from its first support position p on, so it costs
+  O(n - p).
 
 * the *aggregate* method ("old"): a one-constraint order with exponential
   coefficients sum 2^(n-i) (v_i + ~u_i) >= 2^n - 1.  Dominance introduces
@@ -20,7 +22,12 @@ The chain method's dominance subproofs come in two flavours: hint-free
 reverse unit propagation lemmas (default) or explicit cutting planes
 derivations (``cp_variant=True``, supported when the symmetry's support
 is contiguous under the loaded variable order).
+
+Proofs are built as the step dicts :func:`parsing.parse_proof` returns and
+printed by :func:`parsing.render_step`; this module writes no proof text.
 """
+
+import functools
 
 from . import constraints as pb
 from . import orders
@@ -129,11 +136,18 @@ def parse_symmetries(text):
 
 
 def verify_symmetry(formula, sym):
-    """The substituted formula must equal the formula as a multiset."""
+    """The substituted formula must equal the formula as a multiset.
+
+    A constraint over unmoved variables is its own image, and the image of
+    one over moved variables is again over moved variables, so only those
+    are compared.
+    """
+    moved = [c for c in formula
+             if any(pb.var_of(l) in sym.mapping for l in c.terms)]
     want = {}
-    for c in formula:
+    for c in moved:
         want[c.key()] = want.get(c.key(), 0) + 1
-    for c in formula:
+    for c in moved:
         k = sym.apply(c).key()
         if not want.get(k):
             raise BreakError(
@@ -153,11 +167,63 @@ def choose_binding(variables, syms):
     return head + [v for v in variables if v in supp]
 
 
+# ------------------------------------------------------------ proof steps
+
+def _clause(*lits):
+    """The clause over `lits`, whose variables are distinct; falsum when
+    there are none."""
+    return pb.Constraint(dict.fromkeys(lits, 1), 1)
+
+
+def _rup(*lits):
+    """Hint-free rup step for :func:`_clause` of `lits`."""
+    return parsing.rup_step(_clause(*lits), None, None)
+
+
+def _tautology():
+    """rup step for a constraint that holds trivially, such as ~x + x >= 1:
+    a placeholder that keeps the constraint IDs of the fragment layout."""
+    return parsing.rup_step(pb.Constraint({}, 0), None, None)
+
+
+def _pol(*tokens):
+    return parsing.pol_step([str(t) for t in tokens], None)
+
+
+def _refute(key, steps):
+    """A proofgoal block whose steps end in a contradiction at ID -1."""
+    return [parsing.goal_block(key, steps, -1, None)]
+
+
+def _def_order_step(order, name, fresh_aux, transitivity, reflexivity):
+    """def_order step for `order`: `transitivity` lists the steps of the
+    transitivity proof's one goal, `reflexivity` the reflexivity proof's
+    goal blocks."""
+    return {"kind": "def_order", "line": None, "name": name,
+            "left": order.u_vars, "right": order.v_vars, "aux": order.aux_vars,
+            "spec": order.spec, "def": order.order_constraints,
+            "transitivity": {"fresh_right": ["w%d" % i
+                                             for i in range(1, order.n + 1)],
+                             "fresh_aux_1": fresh_aux[0],
+                             "fresh_aux_2": fresh_aux[1],
+                             "goals": _refute("#1", transitivity)},
+            "reflexivity": {"goals": reflexivity}}
+
+
+def _step_text(step):
+    out = []
+    parsing.render_step(out, step)
+    return "\n".join(out)
+
+
+def _spec_ids(base, n):
+    """ID functions (level i, half 1 or 2) of the $a and $d rows of a lex
+    spec instance whose first row has ID `base`."""
+    return (lambda i, h: base + 2 * (i - 1) + h - 1,
+            lambda i, h: base + 2 * (n - 1) + 2 * (i - 1) + h - 1)
+
+
 # -------------------------------------------------- lexicographic order
-
-def _fmt(terms, degree):
-    return " ".join("+%d %s" % (a, l) for a, l in terms) + " >= %d" % degree
-
 
 def _a_pair(cur, prev, u, v):
     """Reification cur <-> (prev and u >= v); prev None at the top level."""
@@ -183,25 +249,10 @@ def _d_pair(cur, prevd, preva, u, v):
     return one, two
 
 
-def _lex_rows(n, aname, dname, u, v):
-    """All 4n-2 specification rows: (terms, degree, reified var, value)."""
-    rows = []
-    prev = None
-    for i in range(1, n):
-        cur = aname(i)
-        one, two = _a_pair(cur, prev, u(i), v(i))
-        rows.append(one + (cur, 0))
-        rows.append(two + (cur, 1))
-        prev = cur
-    prevd = None
-    for i in range(1, n + 1):
-        cur = dname(i)
-        one, two = _d_pair(cur, prevd, aname(i - 1) if i > 1 else None,
-                           u(i), v(i))
-        rows.append(one + (cur, 0))
-        rows.append(two + (cur, 1))
-        prevd = cur
-    return rows
+def _reification(cur, pair):
+    """The two (constraint, witness) rows defining `cur` from a pair."""
+    return [(pb.normalize(*half), {cur: value})
+            for value, half in enumerate(pair)]
 
 
 def lex_order_name(n):
@@ -209,14 +260,21 @@ def lex_order_name(n):
 
 
 def build_lex_order(n):
-    """The lexicographic OrderDefinition over n variables (not validated)."""
+    """The lexicographic OrderDefinition over n variables (not validated);
+    its 4n-2 specification rows reify $a_i and $d_i."""
     u = lambda i: "u%d" % i
     v = lambda i: "v%d" % i
     a = lambda i: "$a%d" % i
     d = lambda i: "$d%d" % i
+    spec = []
+    for i in range(1, n):
+        spec += _reification(a(i), _a_pair(a(i), a(i - 1) if i > 1 else None,
+                                            u(i), v(i)))
+    for i in range(1, n + 1):
+        spec += _reification(d(i), _d_pair(d(i), d(i - 1) if i > 1 else None,
+                                            a(i - 1) if i > 1 else None,
+                                            u(i), v(i)))
     aux = [a(i) for i in range(1, n)] + [d(i) for i in range(1, n + 1)]
-    spec = [(pb.normalize(terms, deg), {wv: val})
-            for terms, deg, wv, val in _lex_rows(n, a, d, u, v)]
     order = [pb.normalize([(1, d(n))], 1)]
     return orders.OrderDefinition(lex_order_name(n),
                                   [u(i) for i in range(1, n + 1)],
@@ -224,46 +282,38 @@ def build_lex_order(n):
                                   aux, spec, order)
 
 
-def _lex_transitivity_lines(n):
-    """Subproof of O(u,w) from the three chained spec instances.
+def _lex_transitivity_steps(n):
+    """Steps of goal #1 of the transitivity proof: O(u,w) from the three
+    chained spec instances.
 
     Constraint IDs inside the obligation frame: spec S(u,v) occupies
     1..4n-2, S(v,w) and S(u,w) the next two blocks, then O(u,v), O(v,w)
-    and the negated goal.  Returns the lines between ``proof`` and
-    ``qed proof;``.
+    and the negated goal.
     """
     S = 4 * n - 2
-
-    def a_id(block, i, half):
-        return block * S + 2 * (i - 1) + half
-
-    def d_id(block, i, half):
-        return block * S + 2 * (n - 1) + 2 * (i - 1) + half
-
+    a_id, d_id = zip(*(_spec_ids(block * S + 1, n) for block in range(3)))
     o_uv, o_vw, neg_goal = 3 * S + 1, 3 * S + 2, 3 * S + 3
-    cur = [neg_goal]
-    lines = ["proofgoal #1"]
+    steps = []
 
-    def emit(text):
-        cur[0] += 1
-        lines.append(text)
-        return cur[0]
+    def emit(step):
+        steps.append(step)
+        return neg_goal + len(steps)
 
     def chain(o_id, block, dn):
         """Derive ~x1 + y1 from O(x,y) by peeling the d-chain; returns the
         final ID plus the IDs of the weakened per-level constraints."""
         weak = {}
         if n == 1:
-            return emit("pol %d %d +;" % (o_id, d_id(block, 1, 1))), weak
-        emit("pol %d 4 * %d +;" % (o_id, d_id(block, n, 1)))
+            return emit(_pol(o_id, d_id[block](1, 1), "+")), weak
+        emit(_pol(o_id, 4, "*", d_id[block](n, 1), "+"))
         final = None
         for j in range(n - 1, 0, -1):
-            emit("rup +1 %s%d >= 1 : -1;" % (dn, j))
-            weak[j] = emit("pol -2 %s%d w;" % (dn, j))
+            emit(parsing.rup_step(_clause("%s%d" % (dn, j)), [-1], None))
+            weak[j] = emit(_pol(-2, "%s%d" % (dn, j), "w"))
             if j >= 2:
-                emit("pol -2 4 * %d +;" % d_id(block, j, 1))
+                emit(_pol(-2, 4, "*", d_id[block](j, 1), "+"))
             else:
-                final = emit("pol -2 %d +;" % d_id(block, 1, 1))
+                final = emit(_pol(-2, d_id[block](1, 1), "+"))
         return final, weak
 
     uv_final, aweak = chain(o_uv, 0, "$d")
@@ -271,74 +321,42 @@ def _lex_transitivity_lines(n):
 
     ca, cb = {}, {}
     if n >= 2:
-        ca[1] = emit("pol %d %d + -1 + s;" % (a_id(0, 1, 2), a_id(2, 1, 1)))
-        cb[1] = emit("pol %d %d + %d + s;" % (a_id(1, 1, 2), a_id(2, 1, 1),
-                                              uv_final))
+        ca[1] = emit(_pol(a_id[0](1, 2), a_id[2](1, 1), "+", -1, "+", "s"))
+        cb[1] = emit(_pol(a_id[1](1, 2), a_id[2](1, 1), "+", uv_final, "+",
+                          "s"))
     for i in range(2, n):
-        head = a_id(2, i, 1)
-        emit("pol %d u%d w w%d w s;" % (head, i, i))
-        emit("pol -1 -3 +;")
-        emit("pol -2 -3 +;")
-        emit("pol %d $c%d w s;" % (head, i - 1))
-        ca[i] = emit("pol -2 %d + -1 + -3 2 * + %d + s;"
-                     % (bweak[i - 1], a_id(0, i, 2)))
-        cb[i] = emit("pol -4 %d + -2 + -3 2 * + %d + s;"
-                     % (aweak[i - 1], a_id(1, i, 2)))
+        head = a_id[2](i, 1)
+        emit(_pol(head, "u%d" % i, "w", "w%d" % i, "w", "s"))
+        emit(_pol(-1, -3, "+"))
+        emit(_pol(-2, -3, "+"))
+        emit(_pol(head, "$c%d" % (i - 1), "w", "s"))
+        ca[i] = emit(_pol(-2, bweak[i - 1], "+", -1, "+", -3, 2, "*", "+",
+                          a_id[0](i, 2), "+", "s"))
+        cb[i] = emit(_pol(-4, aweak[i - 1], "+", -2, "+", -3, 2, "*", "+",
+                          a_id[1](i, 2), "+", "s"))
 
-    emit("pol %d %d +;" % (uv_final, vw_final))
-    emit("pol -1 %d + s;" % d_id(2, 1, 2))
+    emit(_pol(uv_final, vw_final, "+"))
+    emit(_pol(-1, d_id[2](1, 2), "+", "s"))
     for i in range(2, n + 1):
-        emit("pol %d %d + %d + %d + s -1 3 * +;"
-             % (aweak[i - 1], bweak[i - 1], ca[i - 1], cb[i - 1]))
-        emit("pol -1 %d + s;" % d_id(2, i, 2))
-    emit("pol -1 %d +;" % neg_goal)
-    lines.append("qed #1 : -1;")
-    return lines
+        emit(_pol(aweak[i - 1], bweak[i - 1], "+", ca[i - 1], "+",
+                  cb[i - 1], "+", "s", -1, 3, "*", "+"))
+        emit(_pol(-1, d_id[2](i, 2), "+", "s"))
+    emit(_pol(-1, neg_goal, "+"))
+    return steps
+
+
+def _lex_order_step(n, name):
+    order = build_lex_order(n)
+    fresh = ([s.replace("$a", "$b").replace("$d", "$e") for s in order.aux_vars],
+             [s.replace("$a", "$c").replace("$d", "$f") for s in order.aux_vars])
+    return _def_order_step(order, name or order.name, fresh,
+                           _lex_transitivity_steps(n),
+                           _refute("#1", [_rup()]))
 
 
 def lex_order_definition(n, name=None):
-    """Full def_order text (without trailing newline handling) for lex(n)."""
-    name = name or lex_order_name(n)
-    a = lambda i: "$a%d" % i
-    d = lambda i: "$d%d" % i
-    u = lambda i: "u%d" % i
-    v = lambda i: "v%d" % i
-    rng = range(1, n + 1)
-    aux = [a(i) for i in range(1, n)] + [d(i) for i in rng]
-    fresh1 = [s.replace("$a", "$b").replace("$d", "$e") for s in aux]
-    fresh2 = [s.replace("$a", "$c").replace("$d", "$f") for s in aux]
-    L = ["def_order %s" % name,
-         "vars",
-         "left %s;" % " ".join(u(i) for i in rng),
-         "right %s;" % " ".join(v(i) for i in rng),
-         "aux %s;" % " ".join(aux),
-         "end vars;",
-         "spec"]
-    for terms, deg, wv, val in _lex_rows(n, a, d, u, v):
-        L.append("red %s : %s -> %d;" % (_fmt(terms, deg), wv, val))
-    L.extend(["end spec;",
-              "def",
-              "+1 %s >= 1;" % d(n),
-              "end def;",
-              "transitivity",
-              "vars",
-              "fresh_right %s;" % " ".join("w%d" % i for i in rng),
-              "fresh_aux_1 %s;" % " ".join(fresh1),
-              "fresh_aux_2 %s;" % " ".join(fresh2),
-              "end vars;",
-              "proof"])
-    L.extend(_lex_transitivity_lines(n))
-    L.extend(["qed proof;",
-              "end transitivity;",
-              "reflexivity",
-              "proof",
-              "proofgoal #1",
-              "rup >= 1;",
-              "qed #1 : -1;",
-              "qed proof;",
-              "end reflexivity;",
-              "end def_order;"])
-    return "\n".join(L)
+    """def_order text for lex(n), without a trailing newline."""
+    return _step_text(_lex_order_step(n, name))
 
 
 # -------------------------------------------------- aggregate (old) order
@@ -359,51 +377,40 @@ def build_big_order(n):
                                   [], [], order)
 
 
+def _big_order_step(n, name):
+    order = build_big_order(n)
+    # transitivity premises: O(u,v) = 1, O(v,w) = 2; their sum dominates
+    # O(u,w).  O(u,u) normalizes to a tautology, so reflexivity needs no goal.
+    return _def_order_step(order, name or order.name, ([], []),
+                           [_pol(1, 2, "+"), _pol(-1, 3, "+")], [])
+
+
 def big_order_definition(n, name=None):
-    name = name or big_order_name(n)
-    rng = range(1, n + 1)
-    terms = []
-    for i in rng:
-        terms.append((2 ** (n - i), "v%d" % i))
-        terms.append((2 ** (n - i), "~u%d" % i))
-    return "\n".join([
-        "def_order %s" % name,
-        "vars",
-        "left %s;" % " ".join("u%d" % i for i in rng),
-        "right %s;" % " ".join("v%d" % i for i in rng),
-        "aux;",
-        "end vars;",
-        "spec",
-        "end spec;",
-        "def",
-        "%s;" % _fmt(terms, 2 ** n - 1),
-        "end def;",
-        "transitivity",
-        "vars",
-        "fresh_right %s;" % " ".join("w%d" % i for i in rng),
-        "fresh_aux_1;",
-        "fresh_aux_2;",
-        "end vars;",
-        "proof",
-        "proofgoal #1",
-        # premises: O(u,v) = 1, O(v,w) = 2; their sum dominates O(u,w)
-        "pol 1 2 +;",
-        "pol -1 3 +;",
-        "qed #1 : -1;",
-        "qed proof;",
-        "end transitivity;",
-        "reflexivity",
-        "proof",
-        # O(u,u) normalizes to a tautology; nothing to prove
-        "qed proof;",
-        "end reflexivity;",
-        "end def_order;"])
+    """def_order text for biglex(n), without a trailing newline."""
+    return _step_text(_big_order_step(n, name))
 
 
 # ------------------------------------------------------------ the builder
 
+class _Fragment:
+    """One symmetry's support in binding order, and the IDs and names its
+    proof fragment refers to."""
+
+    def __init__(self, binding, sym):
+        self.witness = sym.mapping
+        self.pos = [i + 1 for i, z in enumerate(binding) if z in sym.mapping]
+        self.xs = [binding[p - 1] for p in self.pos]
+        self.imgs = [sym.mapping[x] for x in self.xs]
+        self.k = len(self.pos)
+        self.q = self.pos[0] - 1        # binding positions before the support
+        self.snames, self.s_ids, self.t_ids = {}, {}, {}
+        self.neg_c = None               # ID of the negated dom constraint
+        self.steps = []                 # top-level steps, in proof order
+
+
 class ProofBuilder:
-    """Emits the proof document, mirroring the checker's ID assignment.
+    """Builds the proof document as step dicts, mirroring the checker's ID
+    assignment, and prints each with :func:`parsing.render_step`.
 
     Root-level constraint IDs continue the formula numbering; dominance
     subproof locals (negated dom constraint, spec instances, goal steps)
@@ -414,13 +421,12 @@ class ProofBuilder:
     def __init__(self, formula, variables, method="new", cp_variant=False):
         if method not in ("new", "old"):
             raise BreakError("unknown method %r" % method)
-        self.formula = list(formula)
         self.variables = list(variables)
         self.method = method
         self.cp = cp_variant
         self.n = len(self.variables)
         self.lines = [parsing.HEADER]
-        self.next_id = len(self.formula) + 1
+        self.next_id = len(formula) + 1
         self.s_count = 0
         self.binding = None
         self.kept = []          # derived breaking clauses, in proof order
@@ -429,16 +435,25 @@ class ProofBuilder:
 
     # -- low-level helpers
 
-    def line(self, text):
-        self.lines.append(text)
-
-    def step(self, text, content=None):
-        """Emit a step that allocates one constraint ID."""
-        self.lines.append(text)
+    def skip(self, count):
+        """Allocate `count` IDs that no printed step derives (premises the
+        checker adds itself); returns the first."""
         cid = self.next_id
+        self.next_id += count
+        return cid
+
+    def derive(self, steps, step):
+        """Append a step that derives one constraint to `steps`; returns its
+        ID."""
+        steps.append(step)
         self.next_id += 1
-        if content is not None:
-            self.content[cid] = content
+        return self.next_id - 1
+
+    def derive_known(self, steps, step, content):
+        """:meth:`derive`, and let the pol programs of kept clauses see
+        `content` under the new ID."""
+        cid = self.derive(steps, step)
+        self.content[cid] = content
         return cid
 
     def text(self):
@@ -449,289 +464,66 @@ class ProofBuilder:
     def begin(self, syms):
         self.binding = choose_binding(self.variables, syms)
         if self.method == "new":
-            name = lex_order_name(self.n)
-            self.line(lex_order_definition(self.n, name))
+            order = _lex_order_step(self.n, None)
         else:
-            name = big_order_name(self.n)
-            self.line(big_order_definition(self.n, name))
-        self.line("load_order %s %s;" % (name, " ".join(self.binding)))
+            order = _big_order_step(self.n, None)
+        parsing.render_step(self.lines, order)
+        parsing.render_step(self.lines,
+                            parsing.load_order_step(order["name"], self.binding,
+                                                    None))
 
     def break_symmetry(self, sym):
         if sym.is_identity():
             self.stats.append({"support": 0, "chars": 0})
             return
         mark = len(self.lines)
-        pos = [i + 1 for i, z in enumerate(self.binding) if z in sym.mapping]
-        xs = [self.binding[p - 1] for p in pos]
-        imgs = [sym.mapping[x] for x in xs]
+        fr = _Fragment(self.binding, sym)
         if self.method == "new":
-            self._break_new(sym, pos, xs, imgs)
+            self._break_new(fr)
         else:
-            self._break_old(sym, pos, xs, imgs)
+            self._break_old(fr)
+        for step in fr.steps:
+            parsing.render_step(self.lines, step)
         chars = sum(len(l) + 1 for l in self.lines[mark:])
-        self.stats.append({"support": len(pos), "chars": chars})
+        self.stats.append({"support": fr.k, "chars": chars})
 
-    # -- chain method
-
-    def _emit_circuit(self, xs, imgs, with_t=True):
-        """Reify the support comparison chain; returns (snames, s_ids, t_ids)."""
-        k = len(xs)
-        snames, s_ids, t_ids = {}, {}, {}
+    def _emit_circuit(self, fr, with_t=True):
+        """Reify the support comparison chain: s_j (prefix equal up to j)
+        and, with `with_t`, t_j (prefix lex-smaller up to j)."""
         prev = None
-        for j in range(1, k):
+        for j in range(1, fr.k):
             self.s_count += 1
             cur = "s%d" % self.s_count
-            snames[j] = cur
-            one, two = _a_pair(cur, prev, xs[j - 1], imgs[j - 1])
-            s_ids[j] = (
-                self.step("red %s : %s -> 0;" % (_fmt(*one), cur),
-                          pb.normalize(*one)),
-                self.step("red %s : %s -> 1;" % (_fmt(*two), cur),
-                          pb.normalize(*two)))
+            fr.snames[j] = cur
+            fr.s_ids[j] = self._reify(fr, cur, _a_pair(
+                cur, prev, fr.xs[j - 1], fr.imgs[j - 1]))
             prev = cur
-        if with_t:
-            prevt = None
-            for j in range(1, k + 1):
-                cur = "t%d" % j
-                one, two = _d_pair(cur, prevt, snames.get(j - 1),
-                                   xs[j - 1], imgs[j - 1])
-                t_ids[j] = (
-                    self.step("red %s : %s -> 0;" % (_fmt(*one), cur),
-                              pb.normalize(*one)),
-                    self.step("red %s : %s -> 1;" % (_fmt(*two), cur),
-                              pb.normalize(*two)))
-                prevt = cur
-        return snames, s_ids, t_ids
-
-    def _break_new(self, sym, pos, xs, imgs):
-        n, k = self.n, len(pos)
-        q = pos[0] - 1
-        frag_start = self.next_id
-        snames, s_ids, t_ids = self._emit_circuit(xs, imgs)
-
-        self.line("dom +1 t%d >= 1 : %s : subproof" % (k, sym.witness_text()))
-        neg_c = self.next_id
-        self.next_id += 1
-        S = 4 * n - 2
-
-        # spec instance IDs inside the leq frame
-        base = self.next_id
-        self.next_id += S
-        A = lambda i, h: base + 2 * (i - 1) + (h - 1)
-        D = lambda i, h: base + 2 * (n - 1) + 2 * (i - 1) + (h - 1)
-
-        self.line("scope leq")
-        self.line("proofgoal #1")
-        self.next_id += 1  # negated order goal ~$dn
-        self._leq_steps(pos, xs, imgs, snames, s_ids, t_ids, A, D, q)
-        self.line("qed #1 : -1;")
-        self.line("end scope;")
-
-        self.line("scope geq")
-        gbase = self.next_id
-        self.next_id += S
-        GA = lambda i, h: gbase + 2 * (i - 1) + (h - 1)
-        GD = lambda i, h: gbase + 2 * (n - 1) + 2 * (i - 1) + (h - 1)
-        o_id = self.next_id
-        self.next_id += 1
-        self.line("proofgoal #2")
-        self._geq_steps(pos, xs, imgs, snames, s_ids, t_ids, GA, GD, q,
-                        o_id, neg_c)
-        self.line("qed #2 : -1;")
-        self.line("end scope;")
-        self.line("qed dom;")
-        result = self.next_id
-        self.next_id += 1
-        self.content[result] = pb.normalize([(1, "t%d" % k)], 1)
-
-        self._cleanup_new(pos, xs, imgs, snames, s_ids, t_ids,
-                          frag_start, neg_c, result)
-
-    def _leq_steps(self, pos, xs, imgs, snames, s_ids, t_ids, A, D, q):
-        """Derive falsum from S(sigma z, z), ~(sigma z >= z) and ~t_k."""
-        n, k = self.n, len(pos)
-        emit = self.step
-        f = q + 1
-
-        emit("rup +1 ~$d%d >= 1;" % n)
-        aq_id = emit("rup +1 $a%d >= 1;" % q) if q else emit("rup >= 0;")
-
-        # rewrite the $a chain above the untouched prefix
-        a_taut = {}
-        a_first = {}
-        if f <= n - 1:
-            if q:
-                a_first[1] = emit("pol %d ~$a%d 2 * + s;" % (A(f, 1), q))
-                a_first[2] = emit("pol %d -2 2 * +;" % A(f, 2))
-            else:
-                a_first[1] = emit("pol %d;" % A(1, 1))
-                a_first[2] = emit("pol %d;" % A(1, 2))
-            for lv in range(f + 1, n):
-                t1 = emit("rup +1 ~$a%d +1 $a%d >= 1;" % (lv - 1, lv - 1))
-                t2 = emit("rup +1 $a%d +1 ~$a%d >= 1;" % (lv - 1, lv - 1))
-                a_taut[lv - 1] = (t1, t2)
-                emit("pol %d -2 2 * +;" % A(lv, 1))
-                emit("pol %d -2 2 * +;" % A(lv, 2))
-            t1 = emit("rup +1 ~$a%d +1 $a%d >= 1;" % (n - 1, n - 1))
-            t2 = emit("rup +1 $a%d +1 ~$a%d >= 1;" % (n - 1, n - 1))
-            a_taut[n - 1] = (t1, t2)
-
-        # rewrite the $d chain likewise
-        if q:
-            emit("rup +1 $d%d >= 1;" % q)
-            emit("pol %d ~$d%d 3 * + %d + s;" % (D(f, 1), q, aq_id))
-            b2rew = emit("pol %d -2 3 * + ~$a%d +;" % (D(f, 2), q))
-        else:
-            emit("rup >= 0;")
-            emit("pol %d;" % D(1, 1))
-            b2rew = emit("pol %d;" % D(1, 2))
-        for lv in range(f + 1, n + 1):
-            emit("rup +1 ~$d%d +1 $d%d >= 1;" % (lv - 1, lv - 1))
-            emit("rup +1 $d%d +1 ~$d%d >= 1;" % (lv - 1, lv - 1))
-            ref = a_taut[lv - 1]
-            emit("pol %d -2 3 * + %d +;" % (D(lv, 1), ref[1] - self.next_id))
-            emit("pol %d -2 3 * + %d +;" % (D(lv, 2), ref[0] - self.next_id))
-
-        if self.cp:
-            self._leq_cp(pos, xs, imgs, snames, s_ids, t_ids, A, D, q,
-                         a_first, b2rew)
+        if not with_t:
             return
+        for j in range(1, fr.k + 1):
+            cur = "t%d" % j
+            fr.t_ids[j] = self._reify(fr, cur, _d_pair(
+                cur, "t%d" % (j - 1) if j > 1 else None, fr.snames.get(j - 1),
+                fr.xs[j - 1], fr.imgs[j - 1]))
 
-        # bridge lemmas between the circuit and the order's chain
-        for j in range(1, k):
-            emit("rup +1 $d%d +1 ~%s >= 1;" % (pos[j - 1], snames[j]))
-        for j in range(1, k):
-            emit("rup +1 t%d +1 ~$a%d >= 1;" % (j, pos[j - 1]))
-        for j in range(1, k):
-            emit("rup +1 t%d +1 ~t%d +1 $d%d >= 1;" % (j + 1, j, pos[j - 1]))
-        for j in range(1, k):
-            emit("rup +1 $d%d +1 ~$d%d +1 t%d >= 1;" % (pos[j], pos[j - 1], j))
-        for m in range(1, k + 1):
-            for j in (m - 1, m, m + 1):
-                if 1 <= j <= k:
-                    emit("rup +1 $d%d +1 t%d >= 1;" % (pos[m - 1], j))
-        emit("rup >= 1;")
+    def _reify(self, fr, cur, pair):
+        """Derive the two red steps defining `cur`; returns their IDs."""
+        return tuple(self.derive_known(fr.steps, parsing.red_step(con, w, None),
+                                       con)
+                     for con, w in _reification(cur, pair))
 
-    def _leq_cp(self, pos, xs, imgs, snames, s_ids, t_ids, A, D, q,
-                a_first, b2rew):
-        """Cutting planes replacement for the leq bridge/chain/grid lemmas."""
-        n, k = self.n, len(pos)
-        if pos != list(range(q + 1, q + k + 1)) or pos[-1] != n:
-            raise BreakError("cutting planes variant needs the support "
-                             "contiguous at the end of the variable order")
-        emit = self.step
-        avar = lambda j: "$a%d" % pos[j - 1]
+    def _s_clauses(self, fr):
+        """pol programs of the clauses s_j -> x_j and s_j -> ~sigma(x_j)."""
+        return ([_pol(fr.s_ids[j][1], fr.xs[j - 1], "+", "s")
+                 for j in range(1, fr.k)]
+                + [_pol(fr.s_ids[j][1], pb.neg(fr.imgs[j - 1]), "+", "s")
+                   for j in range(1, fr.k)])
 
-        sd, at = {}, {}
-        if k >= 2:
-            sd[1] = emit("pol %d %d + s;" % (b2rew, s_ids[1][0]))
-            at[1] = emit("pol %d %d + s;" % (t_ids[1][1], a_first[1]))
-        for j in range(1, k - 1):
-            sd[j + 1] = emit(
-                "pol %d %d %s w + %d 3 * + 2 * %d + %s w %s w s;"
-                % (s_ids[j + 1][0], D(pos[j], 2), avar(j), sd[j],
-                   s_ids[j + 1][0], xs[j], pb.var_of(imgs[j])))
-            at[j + 1] = emit(
-                "pol %d %d %s w + %d 3 * + 2 * %d + %s w %s w s;"
-                % (A(pos[j], 1), t_ids[j + 1][1], snames[j], at[j],
-                   A(pos[j], 1), pb.var_of(imgs[j]), xs[j]))
-        tchain, dchain = {}, {}
-        for j in range(1, k):
-            tchain[j] = emit("pol %d %d + %s w %s w s;"
-                             % (t_ids[j + 1][1], sd[j],
-                                xs[j], pb.var_of(imgs[j])))
-            dchain[j] = emit("pol %d %d + %s w %s w s;"
-                             % (D(pos[j], 2), at[j],
-                                pb.var_of(imgs[j]), xs[j]))
-        grid = {1: emit("pol %d %d + s 2 d;" % (b2rew, t_ids[1][1]))}
-        e2, e3 = {}, {}
-        for j in range(1, k):
-            e2[j] = emit("pol %d %d + s;" % (grid[j], tchain[j]))
-            e3[j] = emit("pol %d %d + s;" % (grid[j], dchain[j]))
-            grid[j + 1] = emit("pol %d %s w %d %s w + %d 3 * + %d 3 * + s 2 d;"
-                               % (t_ids[j + 1][1], snames[j],
-                                  D(pos[j], 2), avar(j),
-                                  e2[j], e3[j]))
-        emit("rup >= 1;")
-
-    def _geq_steps(self, pos, xs, imgs, snames, s_ids, t_ids, GA, GD, q,
-                   o_id, neg_c):
-        """Derive falsum from S(z, sigma z), sigma z >= z and ~t_k."""
-        n, k = self.n, len(pos)
-        emit = self.step
-        if self.cp:
-            self._geq_cp(pos, xs, imgs, snames, s_ids, t_ids, GA, GD, q,
-                         o_id, neg_c)
-            return
-        for i in range(n - 1, q, -1):
-            emit("rup +1 $d%d >= 1;" % i)
-        for j in range(1, k):
-            emit("rup +1 ~%s +1 $a%d >= 1;" % (snames[j], pos[j - 1]))
-        for j in range(1, k):
-            emit("rup +1 t%d >= 1;" % j)
-        emit("rup >= 1;")
-
-    def _geq_cp(self, pos, xs, imgs, snames, s_ids, t_ids, GA, GD, q,
-                o_id, neg_c):
-        n, k = self.n, len(pos)
-        if pos != list(range(q + 1, q + k + 1)) or pos[-1] != n:
-            raise BreakError("cutting planes variant needs the support "
-                             "contiguous at the end of the variable order")
-        emit = self.step
-        dlem = {n: o_id}
-        for i in range(n - 1, q, -1):
-            dlem[i] = emit("rup +1 $d%d >= 1;" % i)
-
-        if q:
-            aq_id = emit("rup +1 $a%d >= 1;" % q)
-            arew = emit("pol %d -1 2 * +;" % GA(q + 1, 2))
-            drew = emit("pol %d ~$d%d 3 * + %d + s;" % (GD(q + 1, 1), q, aq_id))
-        else:
-            arew = emit("pol %d;" % GA(1, 2))
-            drew = emit("pol %d;" % GD(1, 1))
-
-        asu = {}
-        if k >= 2:
-            asu[1] = emit("pol %d %d + s;" % (arew, s_ids[1][0]))
-        for j in range(1, k - 1):
-            asu[j + 1] = emit("pol %d %d + %d 2 * + s;"
-                              % (GA(pos[j], 2), s_ids[j + 1][0], asu[j]))
-        tl = {1: emit("pol %d %d + %d + s;" % (t_ids[1][1], drew, dlem[pos[0]]))}
-        for j in range(1, k):
-            tl[j + 1] = emit("pol %d %d + %d + %d 4 * + %d 3 * + $d%d w s;"
-                             % (GD(pos[j], 1), t_ids[j + 1][1], asu[j],
-                                dlem[pos[j]], tl[j], pos[j - 1]))
-        emit("pol %d %d +;" % (tl[k], neg_c))
-
-    def _cleanup_new(self, pos, xs, imgs, snames, s_ids, t_ids,
-                     frag_start, neg_c, result):
-        """Turn t_k >= 1 into the breaking clauses and drop the scaffolding."""
-        k = len(pos)
-        tlem = {k: result}
-        for j in range(k - 1, 0, -1):
-            tlem[j] = self.step("rup +1 t%d >= 1 : -1 %d;" % (j, t_ids[j + 1][0]),
-                                pb.normalize([(1, "t%d" % j)], 1))
-        clause_pols = []
-        for j in range(1, k):
-            clause_pols.append("pol %d %s + s;" % (s_ids[j][1], xs[j - 1]))
-        for j in range(1, k):
-            clause_pols.append("pol %d %s + s;" % (s_ids[j][1],
-                                                   pb.neg(imgs[j - 1])))
-        clause_pols.append("pol %d %d + s;" % (t_ids[1][0], tlem[1]))
-        for j in range(1, k):
-            clause_pols.append("pol %d ~t%d 3 * + %d 4 * + s;"
-                               % (t_ids[j + 1][0], j, tlem[j + 1]))
-        self._emit_clauses(clause_pols)
-        self.line("del range %d %d;" % (frag_start, neg_c + 2))
-        self.line("del range %d %d;" % (result, result + k))
-
-    def _emit_clauses(self, clause_pols):
+    def _emit_clauses(self, fr, pols):
         """Emit clause-producing pol steps, recording their evaluated content."""
-        for text in clause_pols:
-            tokens = text[len("pol "):-1].split()
-            cid = self.next_id
-            con = pb.evaluate_polish(tokens, self._resolve(cid))
-            self.step(text, con)
+        for step in pols:
+            con = pb.evaluate_polish(step["tokens"], self._resolve(self.next_id))
+            self.derive_known(fr.steps, step, con)
             self.kept.append(con)
 
     def _resolve(self, cid):
@@ -743,74 +535,246 @@ class ProofBuilder:
                 raise BreakError("pol cites untracked constraint %d" % key)
         return lookup
 
+    # -- chain method
+
+    def _break_new(self, fr):
+        n, k = self.n, fr.k
+        if self.cp and fr.pos != list(range(fr.q + 1, n + 1)):
+            raise BreakError("cutting planes variant needs the support "
+                             "contiguous at the end of the variable order")
+        S = 4 * n - 2
+        frag_start = self.next_id
+        self._emit_circuit(fr)
+        fr.neg_c = self.skip(1)
+
+        leq_spec = _spec_ids(self.skip(S), n)
+        self.skip(1)  # negated order goal ~$dn
+        leq = []
+        a_first, b2rew = self._leq_rewrite(fr, leq, *leq_spec)
+        if self.cp:
+            self._leq_cp(fr, leq, *leq_spec, a_first, b2rew)
+        else:
+            self._leq_lemmas(fr, leq)
+
+        geq_spec = _spec_ids(self.skip(S), n)
+        o_id = self.skip(1)
+        geq = []
+        if self.cp:
+            self._geq_cp(fr, geq, *geq_spec, o_id)
+        else:
+            self._geq_lemmas(fr, geq)
+
+        goal = _clause("t%d" % k)
+        result = self.derive_known(fr.steps, parsing.dom_step(
+            goal, fr.witness, _refute("#1", leq), _refute("#2", geq), None),
+            goal)
+        self._cleanup_new(fr, frag_start, result)
+
+    def _leq_rewrite(self, fr, steps, A, D):
+        """Start of the refutation of S(sigma z, z), ~(sigma z >= z) and
+        ~t_k: rewrite the $a and $d chains above the untouched prefix.
+        Returns the rewritten first $a rows (by half) and $d_f half 2."""
+        n, q = self.n, fr.q
+        emit = functools.partial(self.derive, steps)
+        f = q + 1
+
+        emit(_rup("~$d%d" % n))
+        aq_id = emit(_rup("$a%d" % q) if q else _tautology())
+
+        # each level's rewrite adds the two tautologies ~$a + $a >= 1
+        a_taut = {}
+        a_first = {}
+        if f <= n - 1:
+            if q:
+                a_first[1] = emit(_pol(A(f, 1), "~$a%d" % q, 2, "*", "+", "s"))
+                a_first[2] = emit(_pol(A(f, 2), -2, 2, "*", "+"))
+            else:
+                a_first[1] = emit(_pol(A(1, 1)))
+                a_first[2] = emit(_pol(A(1, 2)))
+            for lv in range(f + 1, n):
+                a_taut[lv - 1] = (emit(_tautology()), emit(_tautology()))
+                emit(_pol(A(lv, 1), -2, 2, "*", "+"))
+                emit(_pol(A(lv, 2), -2, 2, "*", "+"))
+            a_taut[n - 1] = (emit(_tautology()), emit(_tautology()))
+
+        if q:
+            emit(_rup("$d%d" % q))
+            emit(_pol(D(f, 1), "~$d%d" % q, 3, "*", "+", aq_id, "+", "s"))
+            b2rew = emit(_pol(D(f, 2), -2, 3, "*", "+", "~$a%d" % q, "+"))
+        else:
+            emit(_tautology())
+            emit(_pol(D(1, 1)))
+            b2rew = emit(_pol(D(1, 2)))
+        for lv in range(f + 1, n + 1):
+            emit(_tautology())
+            emit(_tautology())
+            ref = a_taut[lv - 1]
+            emit(_pol(D(lv, 1), -2, 3, "*", "+", ref[1] - self.next_id, "+"))
+            emit(_pol(D(lv, 2), -2, 3, "*", "+", ref[0] - self.next_id, "+"))
+        return a_first, b2rew
+
+    def _leq_lemmas(self, fr, steps):
+        """Bridge lemmas between the circuit and the order's chain, then
+        falsum by hint-free RUP."""
+        k, pos, sn = fr.k, fr.pos, fr.snames
+        emit = functools.partial(self.derive, steps)
+        for j in range(1, k):
+            emit(_rup("$d%d" % pos[j - 1], pb.neg(sn[j])))
+        for j in range(1, k):
+            emit(_rup("t%d" % j, "~$a%d" % pos[j - 1]))
+        for j in range(1, k):
+            emit(_rup("t%d" % (j + 1), "~t%d" % j, "$d%d" % pos[j - 1]))
+        for j in range(1, k):
+            emit(_rup("$d%d" % pos[j], "~$d%d" % pos[j - 1], "t%d" % j))
+        for m in range(1, k + 1):
+            for j in (m - 1, m, m + 1):
+                if 1 <= j <= k:
+                    emit(_rup("$d%d" % pos[m - 1], "t%d" % j))
+        emit(_rup())
+
+    def _leq_cp(self, fr, steps, A, D, a_first, b2rew):
+        """Cutting planes replacement for the leq bridge/chain/grid lemmas."""
+        k, pos, xs, sn = fr.k, fr.pos, fr.xs, fr.snames
+        s_ids, t_ids = fr.s_ids, fr.t_ids
+        img_var = [pb.var_of(img) for img in fr.imgs]
+        emit = functools.partial(self.derive, steps)
+        avar = lambda j: "$a%d" % pos[j - 1]
+
+        sd, at = {}, {}
+        if k >= 2:
+            sd[1] = emit(_pol(b2rew, s_ids[1][0], "+", "s"))
+            at[1] = emit(_pol(t_ids[1][1], a_first[1], "+", "s"))
+        for j in range(1, k - 1):
+            sd[j + 1] = emit(_pol(
+                s_ids[j + 1][0], D(pos[j], 2), avar(j), "w", "+", sd[j], 3,
+                "*", "+", 2, "*", s_ids[j + 1][0], "+", xs[j], "w",
+                img_var[j], "w", "s"))
+            at[j + 1] = emit(_pol(
+                A(pos[j], 1), t_ids[j + 1][1], sn[j], "w", "+", at[j], 3,
+                "*", "+", 2, "*", A(pos[j], 1), "+", img_var[j], "w",
+                xs[j], "w", "s"))
+        tchain, dchain = {}, {}
+        for j in range(1, k):
+            tchain[j] = emit(_pol(t_ids[j + 1][1], sd[j], "+", xs[j], "w",
+                                  img_var[j], "w", "s"))
+            dchain[j] = emit(_pol(D(pos[j], 2), at[j], "+", img_var[j], "w",
+                                  xs[j], "w", "s"))
+        grid = {1: emit(_pol(b2rew, t_ids[1][1], "+", "s", 2, "d"))}
+        for j in range(1, k):
+            e2 = emit(_pol(grid[j], tchain[j], "+", "s"))
+            e3 = emit(_pol(grid[j], dchain[j], "+", "s"))
+            grid[j + 1] = emit(_pol(
+                t_ids[j + 1][1], sn[j], "w", D(pos[j], 2), avar(j), "w", "+",
+                e2, 3, "*", "+", e3, 3, "*", "+", "s", 2, "d"))
+        emit(_rup())
+
+    def _geq_lemmas(self, fr, steps):
+        """Derive falsum from S(z, sigma z), sigma z >= z and ~t_k."""
+        emit = functools.partial(self.derive, steps)
+        for i in range(self.n - 1, fr.q, -1):
+            emit(_rup("$d%d" % i))
+        for j in range(1, fr.k):
+            emit(_rup(pb.neg(fr.snames[j]), "$a%d" % fr.pos[j - 1]))
+        for j in range(1, fr.k):
+            emit(_rup("t%d" % j))
+        emit(_rup())
+
+    def _geq_cp(self, fr, steps, A, D, o_id):
+        n, k, q, pos = self.n, fr.k, fr.q, fr.pos
+        s_ids, t_ids = fr.s_ids, fr.t_ids
+        emit = functools.partial(self.derive, steps)
+        dlem = {n: o_id}
+        for i in range(n - 1, q, -1):
+            dlem[i] = emit(_rup("$d%d" % i))
+
+        if q:
+            aq_id = emit(_rup("$a%d" % q))
+            arew = emit(_pol(A(q + 1, 2), -1, 2, "*", "+"))
+            drew = emit(_pol(D(q + 1, 1), "~$d%d" % q, 3, "*", "+", aq_id,
+                             "+", "s"))
+        else:
+            arew = emit(_pol(A(1, 2)))
+            drew = emit(_pol(D(1, 1)))
+
+        asu = {}
+        if k >= 2:
+            asu[1] = emit(_pol(arew, s_ids[1][0], "+", "s"))
+        for j in range(1, k - 1):
+            asu[j + 1] = emit(_pol(A(pos[j], 2), s_ids[j + 1][0], "+", asu[j],
+                                   2, "*", "+", "s"))
+        tl = {1: emit(_pol(t_ids[1][1], drew, "+", dlem[pos[0]], "+", "s"))}
+        for j in range(1, k):
+            tl[j + 1] = emit(_pol(D(pos[j], 1), t_ids[j + 1][1], "+", asu[j],
+                                  "+", dlem[pos[j]], 4, "*", "+", tl[j], 3,
+                                  "*", "+", "$d%d" % pos[j - 1], "w", "s"))
+        emit(_pol(tl[k], fr.neg_c, "+"))
+
+    def _cleanup_new(self, fr, frag_start, result):
+        """Turn t_k >= 1 into the breaking clauses and drop the scaffolding."""
+        k = fr.k
+        tlem = {k: result}
+        for j in range(k - 1, 0, -1):
+            con = _clause("t%d" % j)
+            tlem[j] = self.derive_known(fr.steps, parsing.rup_step(
+                con, [-1, fr.t_ids[j + 1][0]], None), con)
+        pols = self._s_clauses(fr)
+        pols.append(_pol(fr.t_ids[1][0], tlem[1], "+", "s"))
+        for j in range(1, k):
+            pols.append(_pol(fr.t_ids[j + 1][0], "~t%d" % j, 3, "*", "+",
+                             tlem[j + 1], 4, "*", "+", "s"))
+        self._emit_clauses(fr, pols)
+        fr.steps.append(parsing.del_range_step(frag_start, fr.neg_c + 2, None))
+        fr.steps.append(parsing.del_range_step(result, result + k, None))
+
     # -- aggregate method
 
-    def _break_old(self, sym, pos, xs, imgs):
-        n, k = self.n, len(pos)
+    def _break_old(self, fr):
         frag_start = self.next_id
-        snames, s_ids, _ = self._emit_circuit(xs, imgs, with_t=False)
+        self._emit_circuit(fr, with_t=False)
 
-        order = build_big_order(n)
-        left = [sym.mapping.get(z, z) for z in self.binding]
-        big = orders.order_instance(order, self.binding, left)[0]
-        self.line("dom %s : %s : subproof" % (pb.render(big),
-                                              sym.witness_text()))
-        neg_c = self.next_id
-        self.next_id += 1
-        self.line("scope leq")
-        self.line("proofgoal #1")
-        neg_goal = self.next_id
-        self.next_id += 1
-        self.step("pol %d %d +;" % (neg_c, neg_goal))
-        self.line("qed #1 : -1;")
-        self.line("end scope;")
-        self.line("scope geq")
-        o_id = self.next_id
-        self.next_id += 1
-        self.line("proofgoal #2")
-        self.step("pol %d %d +;" % (neg_c, o_id))
-        self.line("qed #2 : -1;")
-        self.line("end scope;")
-        self.line("qed dom;")
-        big_id = self.next_id
-        self.next_id += 1
-        self.content[big_id] = big
+        left = [fr.witness.get(z, z) for z in self.binding]
+        big = orders.order_instance(build_big_order(self.n), self.binding,
+                                    left)[0]
+        # each scope adds neg_c to the premise after it: the negated order
+        # goal in leq, the order constraint O(z, sigma z) in geq
+        neg_c = self.skip(1)
+        leq = []
+        self.derive(leq, _pol(neg_c, self.skip(1), "+"))
+        geq = []
+        self.derive(geq, _pol(neg_c, self.skip(1), "+"))
+        big_id = self.derive_known(fr.steps, parsing.dom_step(
+            big, fr.witness, _refute("#1", leq), _refute("#2", geq), None), big)
 
         # chain lemmas: under s_{j-1}, every earlier support level is >=
         lemma = {}
-        for j in range(2, k + 1):
+        for j in range(2, fr.k + 1):
             for m in range(1, j):
-                lemma[j, m] = self.step(
-                    "rup +1 ~%s +1 %s +1 %s >= 1;"
-                    % (snames[j - 1], xs[m - 1], pb.neg(imgs[m - 1])),
-                    pb.normalize([(1, pb.neg(snames[j - 1])), (1, xs[m - 1]),
-                                  (1, pb.neg(imgs[m - 1]))], 1))
+                # a negation symmetry maps x to ~x: normalize merges the terms
+                con = pb.normalize([(1, pb.neg(fr.snames[j - 1])),
+                                    (1, fr.xs[m - 1]),
+                                    (1, pb.neg(fr.imgs[m - 1]))], 1)
+                lemma[j, m] = self.derive_known(
+                    fr.steps, parsing.rup_step(con, None, None), con)
 
-        clause_pols = []
-        for j in range(1, k):
-            clause_pols.append("pol %d %s + s;" % (s_ids[j][1], xs[j - 1]))
-        for j in range(1, k):
-            clause_pols.append("pol %d %s + s;" % (s_ids[j][1],
-                                                   pb.neg(imgs[j - 1])))
-        for j in range(1, k + 1):
-            clause_pols.append(self._carve_clause(
-                big, big_id, pos, xs, imgs, snames, lemma, j))
+        pols = self._s_clauses(fr)
+        for j in range(1, fr.k + 1):
+            pols.append(self._carve_clause(big, big_id, fr, lemma, j))
         first_clause = self.next_id
-        self._emit_clauses(clause_pols)
-        self.line("del range %d %d;" % (frag_start, first_clause))
+        self._emit_clauses(fr, pols)
+        fr.steps.append(parsing.del_range_step(frag_start, first_clause, None))
 
-    def _carve_clause(self, big, big_id, pos, xs, imgs, snames, lemma, j):
-        """pol program extracting breaking clause j from the big constraint."""
-        n = self.n
-        tokens = [str(big_id)]
+    def _carve_clause(self, big, big_id, fr, lemma, j):
+        """pol step extracting breaking clause j from the big constraint."""
+        xs, imgs = fr.xs, fr.imgs
+        tokens = [big_id]
         cur = big
         for m in range(1, j):
-            coef = 2 ** (n - pos[m - 1])
-            tokens += [str(lemma[j, m]), str(coef), "*", "+"]
+            coef = 2 ** (self.n - fr.pos[m - 1])
+            tokens += [lemma[j, m], coef, "*", "+"]
             cur = pb.add(cur, pb.multiply(self.content[lemma[j, m]], coef))
         wanted = {pb.var_of(xs[j - 1]), pb.var_of(imgs[j - 1])}
         if j > 1:
-            wanted.add(snames[j - 1])
+            wanted.add(fr.snames[j - 1])
         for var in [pb.var_of(l) for l in cur.terms]:
             if var not in wanted:
                 tokens += [var, "w"]
@@ -821,26 +785,31 @@ class ProofBuilder:
         if delta < 1:
             raise BreakError("aggregate clause %d degenerated to a tautology" % j)
         if delta > 1:
-            tokens += [str(delta), "d"]
+            tokens += [delta, "d"]
             cur = pb.divide(cur, delta)
         want_terms = [(1, pb.neg(xs[j - 1])), (1, imgs[j - 1])]
         if j > 1:
-            want_terms.insert(0, (1, pb.neg(snames[j - 1])))
-        if cur != pb.normalize(want_terms, 1):
+            want_terms.insert(0, (1, pb.neg(fr.snames[j - 1])))
+        if cur != pb.saturate(pb.normalize(want_terms, 1)):
             raise BreakError("aggregate clause %d came out as %s"
                              % (j, pb.render(cur)))
-        return "pol %s;" % " ".join(tokens)
+        return _pol(*tokens)
 
 
 def break_symmetries(formula, variables, syms, method="new", cp_variant=False):
     """Emit breaking clauses plus proof for every symmetry, in order.
 
-    Returns the :class:`ProofBuilder`; use ``.text()`` for the document,
-    ``.kept`` for the derived clauses and ``.binding`` for the variable
-    order used by the lexicographic comparison.
+    Every generator is checked with :func:`verify_symmetry` first; a failure
+    names the generator.  Returns the :class:`ProofBuilder`; use ``.text()``
+    for the document, ``.kept`` for the derived clauses and ``.binding`` for
+    the variable order used by the lexicographic comparison.
     """
-    for sym in syms:
-        verify_symmetry(formula, sym)
+    for i, sym in enumerate(syms, start=1):
+        try:
+            verify_symmetry(formula, sym)
+        except BreakError as e:
+            raise BreakError("generator %d (%s): %s"
+                             % (i, sym.witness_text(), e))
     builder = ProofBuilder(formula, variables, method=method,
                            cp_variant=cp_variant)
     active = [s for s in syms if not s.is_identity()]

@@ -124,26 +124,36 @@ def _run_rup(state, frame, goal, hints, line):
     return pb.rup_check(db, goal)
 
 
+def _frame_pol(state, frame, step):
+    line = step["line"]
+    try:
+        con = pb.evaluate_polish(step["tokens"],
+                                 lambda cid: frame.get_rel(cid, line))
+    except pb.ConstraintError as e:
+        raise CheckError(str(e), line=line, reason="bad-polish")
+    frame.add(con)
+
+
+def _frame_rup(state, frame, step):
+    if not _run_rup(state, frame, step["constraint"], step["hints"],
+                    step["line"]):
+        raise CheckError("RUP did not reach a conflict for %s"
+                         % pb.render(step["constraint"]),
+                         line=step["line"], reason="rup-failed")
+    frame.add(step["constraint"])
+
+
+_SUBPROOF_STEPS = {"pol": _frame_pol, "rup": _frame_rup}
+
+
 def _run_simple_steps(state, frame, steps):
     for step in steps:
-        kind = step["kind"]
-        line = step["line"]
-        if kind == "pol":
-            try:
-                con = pb.evaluate_polish(
-                    step["tokens"], lambda cid: frame.get_rel(cid, line))
-            except pb.ConstraintError as e:
-                raise CheckError(str(e), line=line, reason="bad-polish")
-            frame.add(con)
-        elif kind == "rup":
-            if not _run_rup(state, frame, step["constraint"], step["hints"], line):
-                raise CheckError("RUP did not reach a conflict for %s"
-                                 % pb.render(step["constraint"]),
-                                 line=line, reason="rup-failed")
-            frame.add(step["constraint"])
-        else:
-            raise CheckError("step %r not allowed inside a subproof" % kind,
-                             line=line, reason="invalid-step")
+        handler = _SUBPROOF_STEPS.get(step["kind"])
+        if handler is None:
+            raise CheckError("step %r not allowed inside a subproof"
+                             % step["kind"], line=step["line"],
+                             reason="invalid-step")
+        handler(state, frame, step)
 
 
 def _qed(state, frame, qed_hint, line, goal_key):
@@ -157,6 +167,16 @@ def _qed(state, frame, qed_hint, line, goal_key):
         if not _run_rup(state, frame, pb.FALSUM, None, line):
             raise CheckError("no contradiction at qed", line=line,
                              goal=goal_key, reason="qed-failed")
+
+
+def _prove_goal(state, parent, goalcon, block):
+    """Run one proofgoal block: its negated goal (none for falsum) and its
+    steps in a fresh frame, then the qed."""
+    g = Frame(parent=parent)
+    if not _is_falsum(goalcon):
+        g.add(pb.negate(goalcon))
+    _run_simple_steps(state, g, block["steps"])
+    _qed(state, g, block["qed_hint"], block["line"], block["key"])
 
 
 def run_obligation(premises, goals, blocks, label):
@@ -183,11 +203,7 @@ def run_obligation(premises, goals, blocks, label):
                 continue
             raise CheckError("missing proofgoal %s in %s" % (key, label),
                              goal=key, reason="unproven-goal")
-        g = Frame(parent=frame)
-        if not _is_falsum(goalcon):
-            g.add(pb.negate(goalcon))
-        _run_simple_steps(None, g, b["steps"])
-        _qed(None, g, b["qed_hint"], b["line"], key)
+        _prove_goal(None, frame, goalcon, b)
     if by_key:
         raise CheckError("unmatched proofgoal keys %s in %s"
                          % (sorted(by_key), label), reason="unknown-goal")
@@ -239,21 +255,10 @@ class Checker:
     # ---------------------------------------------------------------- steps
 
     def step_pol(self, step):
-        try:
-            con = pb.evaluate_polish(
-                step["tokens"],
-                lambda cid: self.root.get_rel(cid, step["line"]))
-        except pb.ConstraintError as e:
-            raise CheckError(str(e), line=step["line"], reason="bad-polish")
-        self.root.add(con)
+        _frame_pol(self, self.root, step)
 
     def step_rup(self, step):
-        if not _run_rup(self, self.root, step["constraint"], step["hints"],
-                        step["line"]):
-            raise CheckError("RUP did not reach a conflict for %s"
-                             % pb.render(step["constraint"]),
-                             line=step["line"], reason="rup-failed")
-        self.root.add(step["constraint"])
+        _frame_rup(self, self.root, step)
 
     def step_red(self, step):
         c, w, line = step["constraint"], step["witness"], step["line"]
@@ -332,48 +337,34 @@ class Checker:
         for fn in ordmod.spec_instance(self.loaded, left, self.z_binding):
             leqf.add_thunk(fn)
         ord_goals = ordmod.order_instance(self.loaded, left, self.z_binding)
+        # goals by key: "#k" for the order constraints, the ID for core ones
+        pending = {"#%d" % k: og for k, og in enumerate(ord_goals, 1)}
         core_keys = {self.root.get(cid).key() for cid in self.core_ids
                      if cid not in self.root.deleted}
-        pending_core = {}
         for cid in sorted(self.core_ids):
             goal = pb.substitute(self.root.get(cid), w)
             if goal.is_tautology() or goal.key() in core_keys:
                 self._note("core goal %d: auto" % cid)
             else:
-                pending_core[cid] = goal
-        pending_order = {"#%d" % k: og for k, og in enumerate(ord_goals, 1)}
+                pending[cid] = goal
 
         for block in step["leq"]:
-            key = block["key"]
-            if isinstance(key, int):
-                if key not in pending_core:
-                    raise CheckError("proofgoal %s is not pending" % key,
-                                     line=block["line"], goal=key,
-                                     reason="unknown-goal")
-                goalcon = pending_core.pop(key)
-            else:
-                if key not in pending_order:
-                    raise CheckError("proofgoal %s is not pending" % key,
-                                     line=block["line"], goal=key,
-                                     reason="unknown-goal")
-                goalcon = pending_order.pop(key)
-            g = Frame(parent=leqf)
-            if not _is_falsum(goalcon):
-                g.add(pb.negate(goalcon))
-            _run_simple_steps(self, g, block["steps"])
-            _qed(self, g, block["qed_hint"], block["line"], key)
+            if block["key"] not in pending:
+                raise CheckError("proofgoal %s is not pending" % block["key"],
+                                 line=block["line"], goal=block["key"],
+                                 reason="unknown-goal")
+            _prove_goal(self, leqf, pending.pop(block["key"]), block)
 
-        for key, goalcon in list(pending_order.items()):
-            if goalcon.is_tautology():
+        for key, goalcon in pending.items():
+            if isinstance(key, int) or goalcon.is_tautology():
                 continue
-            if _run_rup(self, leqf, goalcon, None, line):
-                continue
-            raise CheckError("order goal %s undischarged" % key, line=line,
-                             goal=key, reason="undischarged-goal")
-        if pending_core:
-            raise CheckError("core goals %s undischarged"
-                             % sorted(pending_core), line=line,
-                             goal=sorted(pending_core)[0],
+            if not _run_rup(self, leqf, goalcon, None, line):
+                raise CheckError("order goal %s undischarged" % key, line=line,
+                                 goal=key, reason="undischarged-goal")
+        core_left = sorted(key for key in pending if isinstance(key, int))
+        if core_left:
+            raise CheckError("core goals %s undischarged" % core_left,
+                             line=line, goal=core_left[0],
                              reason="undischarged-goal")
 
         # --- geq scope: S(z, z|w) and O(z, z|w) premises; single falsum goal
@@ -387,9 +378,7 @@ class Checker:
         if len(blocks) != 1 or blocks[0]["key"] != falsum_key:
             raise CheckError("geq scope must prove exactly goal %s" % falsum_key,
                              line=line, goal=falsum_key, reason="unknown-goal")
-        g = Frame(parent=geqf)
-        _run_simple_steps(self, g, blocks[0]["steps"])
-        _qed(self, g, blocks[0]["qed_hint"], blocks[0]["line"], falsum_key)
+        _prove_goal(self, geqf, pb.FALSUM, blocks[0])
 
         self.root.add(c)
 
@@ -430,6 +419,16 @@ class Checker:
             # IDs that were never assigned at top level (or are already
             # invisible) are skipped: visibility is a set.
 
+    def step_output(self, step):
+        """An output section carries no obligation."""
+
+    def step_conclusion(self, step):
+        claim = " ".join(step["value"]).upper()
+        if claim == "UNSAT" and self.conclude() != UNSAT:
+            raise CheckError("conclusion UNSAT but no contradiction "
+                             "was derived", line=step["line"],
+                             reason="bad-conclusion")
+
     def conclude(self):
         for cid, con in self.root.cons.items():
             if cid in self.root.deleted or isinstance(con, _Thunk):
@@ -440,34 +439,19 @@ class Checker:
 
     # ----------------------------------------------------------------- main
 
+    # step kind -> method name; looked up on the instance for every step
+    STEPS = {"pol": "step_pol", "rup": "step_rup", "red": "step_red",
+             "dom": "step_dom", "def_order": "step_def_order",
+             "load_order": "step_load_order", "del_range": "step_delete",
+             "output": "step_output", "conclusion": "step_conclusion"}
+
     def run(self, doc):
         for step in doc["steps"]:
-            kind = step["kind"]
-            if kind == "pol":
-                self.step_pol(step)
-            elif kind == "rup":
-                self.step_rup(step)
-            elif kind == "red":
-                self.step_red(step)
-            elif kind == "dom":
-                self.step_dom(step)
-            elif kind == "def_order":
-                self.step_def_order(step)
-            elif kind == "load_order":
-                self.step_load_order(step)
-            elif kind == "del_range":
-                self.step_delete(step)
-            elif kind == "output":
-                pass
-            elif kind == "conclusion":
-                claim = " ".join(step["value"]).upper()
-                if claim == "UNSAT" and self.conclude() != UNSAT:
-                    raise CheckError("conclusion UNSAT but no contradiction "
-                                     "was derived", line=step["line"],
-                                     reason="bad-conclusion")
-            else:
-                raise CheckError("unsupported step kind %r" % kind,
+            name = self.STEPS.get(step["kind"])
+            if name is None:
+                raise CheckError("unsupported step kind %r" % step["kind"],
                                  line=step.get("line"), reason="invalid-step")
+            getattr(self, name)(step)
         return self.conclude()
 
 

@@ -106,12 +106,6 @@ def cmd_break(args):
     formula, variables = _load_formula(args.formula)
     syms = breaker.parse_symmetries(_read(args.symmetries))
     try:
-        for i, sym in enumerate(syms, start=1):
-            try:
-                breaker.verify_symmetry(formula, sym)
-            except breaker.BreakError as e:
-                raise breaker.BreakError("generator %d (%s): %s"
-                                         % (i, sym.witness_text(), e))
         builder = breaker.break_symmetries(
             formula, variables, syms,
             method=args.method, cp_variant=args.cp_variant)

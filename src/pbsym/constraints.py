@@ -89,22 +89,17 @@ def normalize(raw_terms, raw_degree):
     same variable are merged, and the degree is clamped at >= 0.
     """
     acc = {}  # variable -> signed coefficient of the POSITIVE literal
-    order = []
     degree = raw_degree
     for coeff, lit in raw_terms:
-        v = var_of(lit)
-        if v not in acc:
-            acc[v] = 0
-            order.append(v)
-        if is_positive(lit):
-            acc[v] += coeff
-        else:
+        if lit.startswith("~"):
             # a * ~x = a - a * x
-            acc[v] -= coeff
+            v = lit[1:]
+            acc[v] = acc.get(v, 0) - coeff
             degree -= coeff
+        else:
+            acc[lit] = acc.get(lit, 0) + coeff
     terms = {}
-    for v in order:
-        a = acc[v]
+    for v, a in acc.items():
         if a > 0:
             terms[v] = a
         elif a < 0:
@@ -310,11 +305,8 @@ def rup_check(db, goal, hints=None):
 
 def render(c):
     """OPB-style text form: `+2 ~x1 +3 x2 >= 5`."""
-    parts = []
-    for lit, a in c.terms.items():
-        parts.append("+%d %s" % (a, lit))
-    parts.append(">= %d" % c.degree)
-    return " ".join(parts)
+    return " ".join([f"+{a} {lit}" for lit, a in c.terms.items()]
+                    + [f">= {c.degree}"])
 
 
 def satisfies(c, assignment):

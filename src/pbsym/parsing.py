@@ -65,12 +65,12 @@ def parse_cnf(text):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("bad problem line %r" % line, lineno)
-            nvars = int(parts[2])
+            nvars = _int(parts[2], lineno, "variable count")
             continue
         if nvars is None:
             raise ParseError("clause before 'p cnf' header", lineno)
         for tok in line.split():
-            lit = int(tok)
+            lit = _int(tok, lineno, "literal")
             if lit == 0:
                 cons.append(pb.normalize(
                     [(1, ("x%d" % lit2) if lit2 > 0 else ("~x%d" % -lit2))
@@ -82,7 +82,7 @@ def parse_cnf(text):
                                      % (lit, nvars), lineno)
                 clause.append(lit)
     if clause:
-        raise ParseError("last clause lacks terminating 0")
+        raise ParseError("last clause lacks terminating 0", lineno)
     return cons
 
 
@@ -101,6 +101,13 @@ def render_cnf(cons, nvars):
     return "\n".join(lines) + "\n"
 
 
+def _int(tok, lineno, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError("bad %s %r" % (what, tok), lineno)
+
+
 def _parse_terms(toks, lineno):
     """Parse `<coef> <lit> ... >= <int>` from a token list.
 
@@ -109,10 +116,7 @@ def _parse_terms(toks, lineno):
     terms = []
     i = 0
     while i < len(toks) and toks[i] != ">=":
-        try:
-            coef = int(toks[i])
-        except ValueError:
-            raise ParseError("expected coefficient, got %r" % toks[i], lineno)
+        coef = _int(toks[i], lineno, "coefficient")
         if i + 1 >= len(toks):
             raise ParseError("coefficient without literal", lineno)
         terms.append((coef, toks[i + 1]))
@@ -121,11 +125,44 @@ def _parse_terms(toks, lineno):
         raise ParseError("missing '>='", lineno)
     if i + 1 >= len(toks):
         raise ParseError("missing degree after '>='", lineno)
-    try:
-        degree = int(toks[i + 1])
-    except ValueError:
-        raise ParseError("bad degree %r" % toks[i + 1], lineno)
-    return terms, degree, toks[i + 2:]
+    return terms, _int(toks[i + 1], lineno, "degree"), toks[i + 2:]
+
+
+# ------------------------------------------------------------- proof steps
+# The step dicts parse_proof returns and serialize_proof prints.  `line` is
+# the source line; the breaker builds its proofs from the same constructors
+# with line None.
+
+def pol_step(tokens, line):
+    return {"kind": "pol", "line": line, "tokens": tokens}
+
+
+def rup_step(constraint, hints, line):
+    return {"kind": "rup", "line": line, "constraint": constraint,
+            "hints": hints}
+
+
+def red_step(constraint, witness, line):
+    return {"kind": "red", "line": line, "constraint": constraint,
+            "witness": witness}
+
+
+def goal_block(key, steps, qed_hint, line):
+    return {"key": key, "line": line, "steps": steps, "qed_hint": qed_hint}
+
+
+def dom_step(constraint, witness, leq, geq, line):
+    """`leq` and `geq` are lists of goal blocks."""
+    return {"kind": "dom", "line": line, "constraint": constraint,
+            "witness": witness, "leq": leq, "geq": geq}
+
+
+def load_order_step(name, zvars, line):
+    return {"kind": "load_order", "line": line, "name": name, "vars": zvars}
+
+
+def del_range_step(start, stop, line):
+    return {"kind": "del_range", "line": line, "start": start, "stop": stop}
 
 
 # ------------------------------------------------------------------ proofs
@@ -154,7 +191,14 @@ def _witness_put(w, var, img, lineno):
         raise ParseError("witness keys must be variables, got %r" % var, lineno)
     if var in w:
         raise ParseError("variable %s witnessed twice" % var, lineno)
-    w[var] = int(img) if img in ("0", "1") else img
+    if img in ("0", "1"):
+        w[var] = int(img)
+        return
+    img_var = pb.var_of(img)
+    if not img_var or img_var[0] in "+-0123456789":
+        raise ParseError("witness image %r is neither 0, 1 nor a literal"
+                         % img, lineno)
+    w[var] = img
 
 
 class _Lines:
@@ -171,17 +215,15 @@ class _Lines:
                 self.items.append((lineno, toks))
         self.pos = 0
 
-    def peek(self):
-        if self.pos >= len(self.items):
-            return None, None
-        return self.items[self.pos]
+    def done(self):
+        return self.pos >= len(self.items)
 
     def take(self):
-        lineno, toks = self.peek()
-        if toks is None:
-            raise ParseError("unexpected end of proof")
+        if self.done():
+            last = self.items[-1][0] if self.items else None
+            raise ParseError("unexpected end of proof", last)
         self.pos += 1
-        return lineno, toks
+        return self.items[self.pos - 1]
 
     def expect(self, *head):
         lineno, toks = self.take()
@@ -201,85 +243,87 @@ def _split_on_colons(toks):
     return parts
 
 
-def _parse_rup(toks, lineno):
-    parts = _split_on_colons(toks)
-    terms, degree, rest = _parse_terms(parts[0], lineno)
+def _parse_constraint(toks, lineno):
+    terms, degree, rest = _parse_terms(toks, lineno)
     if rest:
-        raise ParseError("trailing tokens in rup goal", lineno)
+        raise ParseError("trailing tokens %r after constraint" % rest, lineno)
+    return pb.normalize(terms, degree)
+
+
+def _parse_pol(lines, lineno, args):
+    return pol_step(args, lineno)
+
+
+def _parse_rup(lines, lineno, args):
+    parts = _split_on_colons(args)
+    if len(parts) > 2:
+        raise ParseError("too many ':' sections in rup", lineno)
     hints = None
     if len(parts) == 2:
-        hints = [int(t) for t in parts[1]]
-    elif len(parts) > 2:
-        raise ParseError("too many ':' sections in rup", lineno)
-    return {"kind": "rup", "line": lineno,
-            "constraint": pb.normalize(terms, degree), "hints": hints}
+        hints = [_int(t, lineno, "hint") for t in parts[1]]
+    return rup_step(_parse_constraint(parts[0], lineno), hints, lineno)
 
 
-def _parse_red(toks, lineno):
-    parts = _split_on_colons(toks)
+def _parse_red(lines, lineno, args):
+    parts = _split_on_colons(args)
     if len(parts) != 2:
         raise ParseError("red needs exactly one ':' before the witness", lineno)
-    terms, degree, rest = _parse_terms(parts[0], lineno)
-    if rest:
-        raise ParseError("trailing tokens in red constraint", lineno)
-    return {"kind": "red", "line": lineno,
-            "constraint": pb.normalize(terms, degree),
-            "witness": _parse_witness(parts[1], lineno)}
+    return red_step(_parse_constraint(parts[0], lineno),
+                    _parse_witness(parts[1], lineno), lineno)
 
 
 def _parse_goal_key(tok, lineno):
     if tok.startswith("#"):
-        try:
-            return "#%d" % int(tok[1:])
-        except ValueError:
-            raise ParseError("bad proofgoal key %r" % tok, lineno)
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError("bad proofgoal key %r" % tok, lineno)
+        return "#%d" % _int(tok[1:], lineno, "proofgoal key")
+    return _int(tok, lineno, "proofgoal key")
+
+
+def _parse_goal(lines, toks, lineno):
+    """One `proofgoal <key> ... qed <key> [: hint]` block, from its first
+    line `toks` on."""
+    if toks[0] != "proofgoal" or len(toks) < 2:
+        raise ParseError("expected 'proofgoal <key>', got %r" % " ".join(toks),
+                         lineno)
+    key = _parse_goal_key(toks[1], lineno)
+    steps = []
+    qlineno, qtoks = lines.take()
+    while qtoks[0] != "qed":
+        steps.append(_parse_step(lines, qlineno, qtoks, _SUBPROOF_PARSERS))
+        qlineno, qtoks = lines.take()
+    if len(qtoks) >= 2 and _parse_goal_key(qtoks[1], qlineno) != key:
+        raise ParseError("qed key mismatch for proofgoal %s" % key, qlineno)
+    qed_hint = None
+    if len(qtoks) == 4 and qtoks[2] == ":":
+        qed_hint = _int(qtoks[3], qlineno, "qed hint")
+    elif len(qtoks) > 2:
+        raise ParseError("malformed qed", qlineno)
+    return goal_block(key, steps, qed_hint, lineno)
+
+
+def _parse_until(lines, closer, parse_one):
+    """Parse items with `parse_one(toks, lineno)`, one per first line, up to
+    and including the line that starts with `closer`."""
+    items = []
+    while True:
+        lineno, toks = lines.take()
+        if tuple(toks[: len(closer)]) == closer:
+            return items
+        items.append(parse_one(toks, lineno))
 
 
 def _parse_proofgoals(lines, closer):
-    """Parse a sequence of `proofgoal <key> ... qed <key> [: hint]` blocks.
-
-    Stops (without consuming) at the token sequence `closer`.
-    """
-    goals = []
-    while True:
-        lineno, toks = lines.peek()
-        if toks is None:
-            raise ParseError("unterminated subproof, expected %r" % (closer,))
-        if tuple(toks[: len(closer)]) == closer:
-            return goals
-        lineno, toks = lines.expect("proofgoal")
-        key = _parse_goal_key(toks[1], lineno)
-        steps = []
-        qed_hint = None
-        while True:
-            qlineno, qtoks = lines.take()
-            if qtoks[0] == "qed":
-                if len(qtoks) >= 2 and _parse_goal_key(qtoks[1], qlineno) != key:
-                    raise ParseError("qed key mismatch for proofgoal %s" % key,
-                                     qlineno)
-                if len(qtoks) == 4 and qtoks[2] == ":":
-                    qed_hint = int(qtoks[3])
-                elif len(qtoks) > 2:
-                    raise ParseError("malformed qed", qlineno)
-                break
-            steps.append(_parse_simple_step(qtoks, qlineno))
-        goals.append({"key": key, "line": lineno, "steps": steps,
-                      "qed_hint": qed_hint})
+    return _parse_until(lines, closer, lambda toks, lineno:
+                        _parse_goal(lines, toks, lineno))
 
 
-def _parse_simple_step(toks, lineno):
-    head = toks[0]
-    if head == "pol":
-        return {"kind": "pol", "line": lineno, "tokens": toks[1:]}
-    if head == "rup":
-        return _parse_rup(toks[1:], lineno)
-    if head == "red":
-        return _parse_red(toks[1:], lineno)
-    raise ParseError("unknown step %r inside subproof" % head, lineno)
+def _parse_spec_row(toks, lineno):
+    if toks[0] != "red":
+        raise ParseError("spec entries must be red steps", lineno)
+    step = _parse_red(None, lineno, toks[1:])
+    return step["constraint"], step["witness"]
+
+
+_FRESH = ("fresh_right", "fresh_aux_1", "fresh_aux_2")
 
 
 def _parse_var_decls(lines, expected_heads):
@@ -291,76 +335,78 @@ def _parse_var_decls(lines, expected_heads):
     return decls
 
 
-def _parse_def_order(lines, lineno0, name):
+def _parse_def_order(lines, lineno0, args):
+    if len(args) != 1:
+        raise ParseError("def_order needs a name", lineno0)
     lines.expect("vars")
     decls = _parse_var_decls(lines, ("left", "right", "aux"))
     lines.expect("spec")
-    spec = []
-    while True:
-        lineno, toks = lines.peek()
-        if toks[:2] == ["end", "spec"]:
-            lines.take()
-            break
-        lineno, toks = lines.take()
-        if toks[0] != "red":
-            raise ParseError("spec entries must be red steps", lineno)
-        step = _parse_red(toks[1:], lineno)
-        spec.append((step["constraint"], step["witness"]))
+    spec = _parse_until(lines, ("end", "spec"), _parse_spec_row)
     lines.expect("def")
-    order_cons = []
-    while True:
-        lineno, toks = lines.peek()
-        if toks[:2] == ["end", "def"]:
-            lines.take()
-            break
-        lineno, toks = lines.take()
-        terms, degree, rest = _parse_terms(toks, lineno)
-        if rest:
-            raise ParseError("trailing tokens in order constraint", lineno)
-        order_cons.append(pb.normalize(terms, degree))
+    order_cons = _parse_until(lines, ("end", "def"), _parse_constraint)
     lines.expect("transitivity")
     lines.expect("vars")
-    fresh = _parse_var_decls(lines, ("fresh_right", "fresh_aux_1", "fresh_aux_2"))
+    transitivity = _parse_var_decls(lines, _FRESH)
     lines.expect("proof")
-    trans_goals = _parse_proofgoals(lines, ("qed", "proof"))
-    lines.expect("qed", "proof")
+    transitivity["goals"] = _parse_proofgoals(lines, ("qed", "proof"))
     lines.expect("end", "transitivity")
     lines.expect("reflexivity")
     lines.expect("proof")
     refl_goals = _parse_proofgoals(lines, ("qed", "proof"))
-    lines.expect("qed", "proof")
     lines.expect("end", "reflexivity")
     lines.expect("end", "def_order")
-    return {"kind": "def_order", "line": lineno0, "name": name,
+    return {"kind": "def_order", "line": lineno0, "name": args[0],
             "left": decls["left"], "right": decls["right"], "aux": decls["aux"],
-            "spec": spec, "def": order_cons,
-            "transitivity": {"fresh_right": fresh["fresh_right"],
-                             "fresh_aux_1": fresh["fresh_aux_1"],
-                             "fresh_aux_2": fresh["fresh_aux_2"],
-                             "goals": trans_goals},
+            "spec": spec, "def": order_cons, "transitivity": transitivity,
             "reflexivity": {"goals": refl_goals}}
 
 
-def _parse_dom(lines, toks, lineno):
-    parts = _split_on_colons(toks)
+def _parse_dom(lines, lineno, args):
+    parts = _split_on_colons(args)
     if len(parts) != 3 or parts[2] != ["subproof"]:
         raise ParseError("dom must end in ': subproof'", lineno)
-    terms, degree, rest = _parse_terms(parts[0], lineno)
-    if rest:
-        raise ParseError("trailing tokens in dom constraint", lineno)
+    constraint = _parse_constraint(parts[0], lineno)
     witness = _parse_witness(parts[1], lineno)
     scopes = {}
-    for expected in ("leq", "geq"):
-        slineno, stoks = lines.expect("scope")
-        if stoks[1] != expected:
-            raise ParseError("expected scope %s, got %s" % (expected, stoks[1]),
-                             slineno)
-        scopes[expected] = _parse_proofgoals(lines, ("end", "scope"))
-        lines.expect("end", "scope")
+    for scope in ("leq", "geq"):
+        lines.expect("scope", scope)
+        scopes[scope] = _parse_proofgoals(lines, ("end", "scope"))
     lines.expect("qed", "dom")
-    return {"kind": "dom", "line": lineno,
-            "constraint": pb.normalize(terms, degree),
-            "witness": witness, "leq": scopes["leq"], "geq": scopes["geq"]}
+    return dom_step(constraint, witness, scopes["leq"], scopes["geq"], lineno)
+
+
+def _parse_load_order(lines, lineno, args):
+    if not args:
+        raise ParseError("load_order needs an order name", lineno)
+    return load_order_step(args[0], args[1:], lineno)
+
+
+def _parse_del(lines, lineno, args):
+    if len(args) != 3 or args[0] != "range":
+        raise ParseError("only 'del range a b' is supported", lineno)
+    return del_range_step(_int(args[1], lineno, "ID"),
+                          _int(args[2], lineno, "ID"), lineno)
+
+
+def _value_parser(kind):
+    return lambda lines, lineno, args: {"kind": kind, "line": lineno,
+                                        "value": args}
+
+
+_SUBPROOF_PARSERS = {"pol": _parse_pol, "rup": _parse_rup, "red": _parse_red}
+_PARSERS = {"pol": _parse_pol, "rup": _parse_rup, "red": _parse_red,
+            "def_order": _parse_def_order, "load_order": _parse_load_order,
+            "dom": _parse_dom, "del": _parse_del,
+            "output": _value_parser("output"),
+            "conclusion": _value_parser("conclusion")}
+
+
+def _parse_step(lines, lineno, toks, parsers):
+    parse = parsers.get(toks[0])
+    if parse is None:
+        raise ParseError("unknown keyword %r%s" % (
+            toks[0], "" if parsers is _PARSERS else " inside subproof"), lineno)
+    return parse(lines, lineno, toks[1:])
 
 
 def parse_proof(text):
@@ -370,134 +416,114 @@ def parse_proof(text):
     if " ".join(toks) != HEADER:
         raise ParseError("missing proof header", lineno)
     steps = []
-    while True:
-        lineno, toks = lines.peek()
-        if toks is None:
-            break
-        lines.take()
-        head = toks[0]
-        if head == "def_order":
-            if len(toks) != 2:
-                raise ParseError("def_order needs a name", lineno)
-            steps.append(_parse_def_order(lines, lineno, toks[1]))
-        elif head == "load_order":
-            steps.append({"kind": "load_order", "line": lineno,
-                          "name": toks[1], "vars": toks[2:]})
-        elif head == "pol":
-            steps.append({"kind": "pol", "line": lineno, "tokens": toks[1:]})
-        elif head == "rup":
-            steps.append(_parse_rup(toks[1:], lineno))
-        elif head == "red":
-            steps.append(_parse_red(toks[1:], lineno))
-        elif head == "dom":
-            steps.append(_parse_dom(lines, toks[1:], lineno))
-        elif head == "del":
-            if len(toks) != 4 or toks[1] != "range":
-                raise ParseError("only 'del range a b' is supported", lineno)
-            steps.append({"kind": "del_range", "line": lineno,
-                          "start": int(toks[2]), "stop": int(toks[3])})
-        elif head == "output":
-            steps.append({"kind": "output", "line": lineno, "value": toks[1:]})
-        elif head == "conclusion":
-            steps.append({"kind": "conclusion", "line": lineno,
-                          "value": toks[1:]})
-        elif head == "end":
+    while not lines.done():
+        lineno, toks = lines.take()
+        if toks[0] == "end":
             # `end pseudo-Boolean proof` trailer
             break
-        else:
-            raise ParseError("unknown keyword %r" % head, lineno)
+        steps.append(_parse_step(lines, lineno, toks, _PARSERS))
     return {"header": HEADER, "steps": steps}
 
 
 # -------------------------------------------------------------- serializer
 
 def _render_witness(w):
-    out = []
-    for var, img in w.items():
-        out.append("%s -> %s" % (var, img))
-    return " ".join(out)
+    return " ".join([f"{var} -> {img}" for var, img in w.items()])
+
+
+def _decl(head, names):
+    """A declaration line; an empty list prints as `head;`."""
+    return " ".join([head] + list(names)) + ";"
+
+
+def _red_text(con, witness):
+    return "red %s : %s;" % (pb.render(con), _render_witness(witness))
 
 
 def _render_goals(out, goals):
     for g in goals:
-        key = g["key"] if isinstance(g["key"], int) else g["key"]
-        out.append("proofgoal %s" % key)
+        out.append("proofgoal %s" % g["key"])
         for s in g["steps"]:
-            _render_simple(out, s)
+            render_step(out, s)
         if g["qed_hint"] is not None:
-            out.append("qed %s : %d;" % (key, g["qed_hint"]))
+            out.append("qed %s : %d;" % (g["key"], g["qed_hint"]))
         else:
-            out.append("qed %s;" % key)
+            out.append("qed %s;" % g["key"])
 
 
-def _render_simple(out, s):
-    if s["kind"] == "pol":
-        out.append("pol %s;" % " ".join(s["tokens"]))
-    elif s["kind"] == "rup":
-        line = "rup %s" % pb.render(s["constraint"])
-        if s["hints"] is not None:
-            line += " : %s" % " ".join(str(h) for h in s["hints"])
-        out.append(line + ";")
-    elif s["kind"] == "red":
-        out.append("red %s : %s;" % (pb.render(s["constraint"]),
-                                     _render_witness(s["witness"])))
+def _render_pol(out, s):
+    out.append("pol " + " ".join(s["tokens"]) + ";")
+
+
+def _render_rup(out, s):
+    if s["hints"] is None:
+        out.append("rup " + pb.render(s["constraint"]) + ";")
     else:
-        raise ParseError("cannot serialize %r in subproof" % s["kind"])
+        out.append("rup %s : %s;" % (pb.render(s["constraint"]),
+                                     " ".join(map(str, s["hints"]))))
+
+
+def _render_red(out, s):
+    out.append(_red_text(s["constraint"], s["witness"]))
+
+
+def _render_dom(out, s):
+    out.append("dom %s : %s : subproof" % (pb.render(s["constraint"]),
+                                           _render_witness(s["witness"])))
+    for scope in ("leq", "geq"):
+        out.append("scope " + scope)
+        _render_goals(out, s[scope])
+        out.append("end scope;")
+    out.append("qed dom;")
+
+
+def _render_def_order(out, s):
+    trans = s["transitivity"]
+    out.extend(["def_order " + s["name"], "vars", _decl("left", s["left"]),
+                _decl("right", s["right"]), _decl("aux", s["aux"]),
+                "end vars;", "spec"])
+    out.extend(_red_text(con, w) for con, w in s["spec"])
+    out.extend(["end spec;", "def"])
+    out.extend(pb.render(con) + ";" for con in s["def"])
+    out.extend(["end def;", "transitivity", "vars"])
+    out.extend(_decl(head, trans[head]) for head in _FRESH)
+    out.extend(["end vars;", "proof"])
+    _render_goals(out, trans["goals"])
+    out.extend(["qed proof;", "end transitivity;", "reflexivity", "proof"])
+    _render_goals(out, s["reflexivity"]["goals"])
+    out.extend(["qed proof;", "end reflexivity;", "end def_order;"])
+
+
+def _render_load_order(out, s):
+    out.append(_decl("load_order " + s["name"], s["vars"]))
+
+
+def _render_del_range(out, s):
+    out.append("del range %d %d;" % (s["start"], s["stop"]))
+
+
+def _render_value(out, s):
+    out.append(_decl(s["kind"], s["value"]))
+
+
+_RENDERERS = {"pol": _render_pol, "rup": _render_rup, "red": _render_red,
+              "dom": _render_dom, "def_order": _render_def_order,
+              "load_order": _render_load_order, "del_range": _render_del_range,
+              "output": _render_value, "conclusion": _render_value}
+
+
+def render_step(out, step):
+    """Append the text lines of one proof step to the list `out`."""
+    render = _RENDERERS.get(step["kind"])
+    if render is None:
+        raise ParseError("cannot serialize step kind %r" % step["kind"])
+    render(out, step)
 
 
 def serialize_proof(doc):
     out = [doc["header"]]
     for s in doc["steps"]:
-        kind = s["kind"]
-        if kind in ("pol", "rup", "red"):
-            _render_simple(out, s)
-        elif kind == "load_order":
-            out.append("load_order %s %s;" % (s["name"], " ".join(s["vars"])))
-        elif kind == "del_range":
-            out.append("del range %d %d;" % (s["start"], s["stop"]))
-        elif kind == "dom":
-            out.append("dom %s : %s : subproof" % (pb.render(s["constraint"]),
-                                                   _render_witness(s["witness"])))
-            for scope in ("leq", "geq"):
-                out.append("scope %s" % scope)
-                _render_goals(out, s[scope])
-                out.append("end scope;")
-            out.append("qed dom;")
-        elif kind == "def_order":
-            out.append("def_order %s" % s["name"])
-            out.append("vars")
-            out.append("left %s;" % " ".join(s["left"]))
-            out.append("right %s;" % " ".join(s["right"]))
-            out.append("aux %s;" % " ".join(s["aux"]))
-            out.append("end vars;")
-            out.append("spec")
-            for con, w in s["spec"]:
-                out.append("red %s : %s;" % (pb.render(con), _render_witness(w)))
-            out.append("end spec;")
-            out.append("def")
-            for con in s["def"]:
-                out.append("%s;" % pb.render(con))
-            out.append("end def;")
-            out.append("transitivity")
-            out.append("vars")
-            out.append("fresh_right %s;" % " ".join(s["transitivity"]["fresh_right"]))
-            out.append("fresh_aux_1 %s;" % " ".join(s["transitivity"]["fresh_aux_1"]))
-            out.append("fresh_aux_2 %s;" % " ".join(s["transitivity"]["fresh_aux_2"]))
-            out.append("end vars;")
-            out.append("proof")
-            _render_goals(out, s["transitivity"]["goals"])
-            out.append("qed proof;")
-            out.append("end transitivity;")
-            out.append("reflexivity")
-            out.append("proof")
-            _render_goals(out, s["reflexivity"]["goals"])
-            out.append("qed proof;")
-            out.append("end reflexivity;")
-            out.append("end def_order;")
-        elif kind in ("output", "conclusion"):
-            out.append("%s %s;" % (kind, " ".join(s["value"])))
-        else:
-            raise ParseError("cannot serialize step kind %r" % kind)
+        render_step(out, s)
     return "\n".join(out) + "\n"
 
 

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from pbsym import bench
 from pbsym import breaker
 from pbsym import constraints as pb
 from pbsym import orders
@@ -219,6 +220,38 @@ def test_breaking_satisfiable_formula_is_sound():
     assert verdict == VERIFIED
     from oracle import satisfiable
     assert satisfiable(list(cons) + list(b.kept))
+
+
+def test_old_method_breaks_negation_symmetries():
+    # Tseitin's generator maps every x_i to ~x_i, so the wanted clauses
+    # repeat a variable and only match once saturated
+    inst = bench.generate("tseitin", (2,))
+    gens = bench.known_generators(inst)
+    b = breaker.break_symmetries(inst.constraints, inst.variables, gens,
+                                 method="old")
+    verdict, _ = checked(inst.constraints, b)
+    assert verdict == VERIFIED
+    assert len(b.kept) == sum(3 * len(g.support()) - 2 for g in gens) == 10
+    assert bench.oracle_equisat(inst.constraints, b.kept)
+
+
+ROUND_TRIP_INSTANCES = [("php", (n,)) for n in range(3, 7)] + [
+    ("tseitin", (2,)), ("count", (4, 3))]
+
+
+@pytest.mark.parametrize("method,cp_variant,first_only",
+                         [("new", False, False), ("old", False, False),
+                          ("new", True, True)])
+@pytest.mark.parametrize("family,params", ROUND_TRIP_INSTANCES)
+def test_breaker_output_is_a_serializer_fixed_point(family, params, method,
+                                                    cp_variant, first_only):
+    inst = bench.generate(family, params)
+    gens = bench.known_generators(inst)
+    b = breaker.break_symmetries(inst.constraints, inst.variables,
+                                 gens[:1] if first_only else gens,
+                                 method=method, cp_variant=cp_variant)
+    text = b.text()
+    assert parsing.serialize_proof(parsing.parse_proof(text)) == text
 
 
 def test_stats_track_support_and_size():

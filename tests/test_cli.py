@@ -1,6 +1,8 @@
 import json
 import pathlib
 
+import pytest
+
 from pbsym import cli
 from pbsym import parsing
 
@@ -59,6 +61,40 @@ def test_check_trace_goes_to_stderr(tmp_path, capsys):
     formula, proof = golden_pair(tmp_path)
     assert cli.main(["check", formula, proof, "--trace"]) == 0
     assert "trace:" in capsys.readouterr().err
+
+
+DOM_HEAD = "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\n"
+
+
+@pytest.mark.parametrize("formula,proof", [
+    pytest.param("php32.opb", "del range a b;\n", id="del-range-ids"),
+    pytest.param("php32.opb", "rup +1 x1 >= 1 : z;\n", id="rup-hint"),
+    pytest.param("php32.opb",
+                 DOM_HEAD + "scope leq\nproofgoal #1\nqed #1 : q;\n",
+                 id="qed-hint"),
+    pytest.param("php32.opb", DOM_HEAD + "scope\n", id="bare-scope"),
+    pytest.param("php32.opb", DOM_HEAD + "scope leq\nproofgoal\n",
+                 id="bare-proofgoal"),
+    pytest.param("php32.opb", "load_order;\n", id="bare-load-order"),
+    pytest.param("php32.opb",
+                 "def_order lex1\nvars\nleft u1;\nright v1;\naux $d1;\n"
+                 "end vars;\nspec\nred +1 ~$d1 +1 ~u1 +1 v1 >= 1 : $d1 -> 0;\n",
+                 id="def-order-cut-in-spec"),
+    pytest.param("php32.opb", "red +1 x1 >= 1 : x1 -> 2;\n",
+                 id="witness-image-2"),
+    pytest.param("bad_literal.cnf", "", id="cnf-literal"),
+    pytest.param("bad_header.cnf", "", id="cnf-header"),
+])
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, formula, proof):
+    (tmp_path / "bad_literal.cnf").write_text("p cnf 2 1\n1 a 0\n")
+    (tmp_path / "bad_header.cnf").write_text("p cnf x 1\n1 0\n")
+    (tmp_path / "php32.opb").write_text((DATA / "php32.opb").read_text())
+    pbp = tmp_path / "proof.pbp"
+    pbp.write_text(parsing.HEADER + "\n" + proof)
+    assert cli.main(["check", str(tmp_path / formula), str(pbp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ")
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- break
