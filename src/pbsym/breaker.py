@@ -29,6 +29,7 @@ printed by :func:`parsing.render_step`; this module writes no proof text.
 
 import functools
 
+from . import checker
 from . import constraints as pb
 from . import orders
 from . import parsing
@@ -126,12 +127,16 @@ def parse_symmetry(text):
 
 
 def parse_symmetries(text):
-    """One symmetry per non-empty, non-comment line."""
+    """One symmetry per non-empty, non-comment line; a line that is not a
+    symmetry raises :class:`parsing.ParseError` with its line number."""
     syms = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("*"):
-            syms.append(parse_symmetry(line))
+            try:
+                syms.append(parse_symmetry(line))
+            except BreakError as e:
+                raise parsing.ParseError(str(e), number)
     return syms
 
 
@@ -216,11 +221,17 @@ def _step_text(step):
     return "\n".join(out)
 
 
-def _spec_ids(base, n):
+def _spec_index(order):
+    """Position of each spec row of `order`, by the (aux variable, value)
+    its witness sets."""
+    return {next(iter(w.items())): i for i, (_c, w) in enumerate(order.spec)}
+
+
+def _spec_ids(index, base):
     """ID functions (level i, half 1 or 2) of the $a and $d rows of a lex
-    spec instance whose first row has ID `base`."""
-    return (lambda i, h: base + 2 * (i - 1) + h - 1,
-            lambda i, h: base + 2 * (n - 1) + 2 * (i - 1) + h - 1)
+    spec instance whose first row has ID `base`, from its `_spec_index`."""
+    return (lambda i, h: base + index["$a%d" % i, h - 1],
+            lambda i, h: base + index["$d%d" % i, h - 1])
 
 
 # -------------------------------------------------- lexicographic order
@@ -282,16 +293,16 @@ def build_lex_order(n):
                                   aux, spec, order)
 
 
-def _lex_transitivity_steps(n):
+def _lex_transitivity_steps(order):
     """Steps of goal #1 of the transitivity proof: O(u,w) from the three
     chained spec instances.
 
     Constraint IDs inside the obligation frame: spec S(u,v) occupies
-    1..4n-2, S(v,w) and S(u,w) the next two blocks, then O(u,v), O(v,w)
-    and the negated goal.
+    1..len(order.spec), S(v,w) and S(u,w) the next two blocks, then O(u,v),
+    O(v,w) and the negated goal.
     """
-    S = 4 * n - 2
-    a_id, d_id = zip(*(_spec_ids(block * S + 1, n) for block in range(3)))
+    n, S, index = order.n, len(order.spec), _spec_index(order)
+    a_id, d_id = zip(*(_spec_ids(index, block * S + 1) for block in range(3)))
     o_uv, o_vw, neg_goal = 3 * S + 1, 3 * S + 2, 3 * S + 3
     steps = []
 
@@ -345,18 +356,17 @@ def _lex_transitivity_steps(n):
     return steps
 
 
-def _lex_order_step(n, name):
-    order = build_lex_order(n)
+def _lex_order_step(order, name):
     fresh = ([s.replace("$a", "$b").replace("$d", "$e") for s in order.aux_vars],
              [s.replace("$a", "$c").replace("$d", "$f") for s in order.aux_vars])
     return _def_order_step(order, name or order.name, fresh,
-                           _lex_transitivity_steps(n),
+                           _lex_transitivity_steps(order),
                            _refute("#1", [_rup()]))
 
 
 def lex_order_definition(n, name=None):
     """def_order text for lex(n), without a trailing newline."""
-    return _step_text(_lex_order_step(n, name))
+    return _step_text(_lex_order_step(build_lex_order(n), name))
 
 
 # -------------------------------------------------- aggregate (old) order
@@ -377,8 +387,7 @@ def build_big_order(n):
                                   [], [], order)
 
 
-def _big_order_step(n, name):
-    order = build_big_order(n)
+def _big_order_step(order, name):
     # transitivity premises: O(u,v) = 1, O(v,w) = 2; their sum dominates
     # O(u,w).  O(u,u) normalizes to a tautology, so reflexivity needs no goal.
     return _def_order_step(order, name or order.name, ([], []),
@@ -387,7 +396,7 @@ def _big_order_step(n, name):
 
 def big_order_definition(n, name=None):
     """def_order text for biglex(n), without a trailing newline."""
-    return _step_text(_big_order_step(n, name))
+    return _step_text(_big_order_step(build_big_order(n), name))
 
 
 # ------------------------------------------------------------ the builder
@@ -409,13 +418,16 @@ class _Fragment:
 
 
 class ProofBuilder:
-    """Builds the proof document as step dicts, mirroring the checker's ID
-    assignment, and prints each with :func:`parsing.render_step`.
+    """Builds the proof document as step dicts and prints each with
+    :func:`parsing.render_step`.
 
-    Root-level constraint IDs continue the formula numbering; dominance
-    subproof locals (negated dom constraint, spec instances, goal steps)
-    consume IDs from the same counter even though they become invisible
-    once their scope closes.
+    IDs come from a :class:`checker.Frame` whose counter starts after the
+    formula, as the checker's root frame does: every step that derives a
+    constraint allocates one, and so does every premise the checker adds
+    itself (negated dom constraints, spec instances, order constraints),
+    even though dominance subproof locals become invisible once their scope
+    closes.  The frame holds the constraints that kept clauses' pol
+    programs cite, and the spec layout is read from :attr:`order`.
     """
 
     def __init__(self, formula, variables, method="new", cp_variant=False):
@@ -424,13 +436,13 @@ class ProofBuilder:
         self.variables = list(variables)
         self.method = method
         self.cp = cp_variant
-        self.n = len(self.variables)
         self.lines = [parsing.HEADER]
-        self.next_id = len(formula) + 1
+        self.frame = checker.Frame(counter=[len(formula) + 1])
         self.s_count = 0
         self.binding = None
+        self.order = None       # the loaded OrderDefinition, set by begin
+        self.spec_index = None  # its _spec_index
         self.kept = []          # derived breaking clauses, in proof order
-        self.content = {}       # id -> Constraint, for self-checked pols
         self.stats = []         # per-symmetry {"support": k, "chars": ...}
 
     # -- low-level helpers
@@ -438,23 +450,21 @@ class ProofBuilder:
     def skip(self, count):
         """Allocate `count` IDs that no printed step derives (premises the
         checker adds itself); returns the first."""
-        cid = self.next_id
-        self.next_id += count
+        cid = self.frame.counter[0]
+        self.frame.counter[0] += count
         return cid
 
     def derive(self, steps, step):
         """Append a step that derives one constraint to `steps`; returns its
         ID."""
         steps.append(step)
-        self.next_id += 1
-        return self.next_id - 1
+        return self.frame.alloc()
 
     def derive_known(self, steps, step, content):
         """:meth:`derive`, and let the pol programs of kept clauses see
         `content` under the new ID."""
-        cid = self.derive(steps, step)
-        self.content[cid] = content
-        return cid
+        steps.append(step)
+        return self.frame.add(content)
 
     def text(self):
         return "\n".join(self.lines) + "\n"
@@ -463,13 +473,17 @@ class ProofBuilder:
 
     def begin(self, syms):
         self.binding = choose_binding(self.variables, syms)
+        n = len(self.variables)
         if self.method == "new":
-            order = _lex_order_step(self.n, None)
+            self.order = build_lex_order(n)
+            step = _lex_order_step(self.order, None)
         else:
-            order = _big_order_step(self.n, None)
-        parsing.render_step(self.lines, order)
+            self.order = build_big_order(n)
+            step = _big_order_step(self.order, None)
+        self.spec_index = _spec_index(self.order)
+        parsing.render_step(self.lines, step)
         parsing.render_step(self.lines,
-                            parsing.load_order_step(order["name"], self.binding,
+                            parsing.load_order_step(step["name"], self.binding,
                                                     None))
 
     def break_symmetry(self, sym):
@@ -522,32 +536,30 @@ class ProofBuilder:
     def _emit_clauses(self, fr, pols):
         """Emit clause-producing pol steps, recording their evaluated content."""
         for step in pols:
-            con = pb.evaluate_polish(step["tokens"], self._resolve(self.next_id))
+            con = pb.evaluate_polish(step["tokens"], self.frame.get_rel)
             self.derive_known(fr.steps, step, con)
             self.kept.append(con)
 
-    def _resolve(self, cid):
-        def lookup(ref):
-            key = cid + ref if ref < 0 else ref
-            try:
-                return self.content[key]
-            except KeyError:
-                raise BreakError("pol cites untracked constraint %d" % key)
-        return lookup
-
     # -- chain method
 
+    def _restore(self, fr, lit):
+        """pol tokens that add `lit` back to a saturated rewrite of a row of
+        the first support level, which the cutting planes variant needs: a
+        negation x -> ~x there merges two literals of the row into one term
+        of coefficient 2, which saturation halves and the unrewritten rows
+        of an empty prefix keep."""
+        return [lit, "+"] if self.cp and fr.imgs[0] == pb.neg(fr.xs[0]) else []
+
     def _break_new(self, fr):
-        n, k = self.n, fr.k
+        n, k, S = self.order.n, fr.k, len(self.order.spec)
         if self.cp and fr.pos != list(range(fr.q + 1, n + 1)):
             raise BreakError("cutting planes variant needs the support "
                              "contiguous at the end of the variable order")
-        S = 4 * n - 2
-        frag_start = self.next_id
+        frag_start = self.frame.counter[0]
         self._emit_circuit(fr)
         fr.neg_c = self.skip(1)
 
-        leq_spec = _spec_ids(self.skip(S), n)
+        leq_spec = _spec_ids(self.spec_index, self.skip(S))
         self.skip(1)  # negated order goal ~$dn
         leq = []
         a_first, b2rew = self._leq_rewrite(fr, leq, *leq_spec)
@@ -556,7 +568,7 @@ class ProofBuilder:
         else:
             self._leq_lemmas(fr, leq)
 
-        geq_spec = _spec_ids(self.skip(S), n)
+        geq_spec = _spec_ids(self.spec_index, self.skip(S))
         o_id = self.skip(1)
         geq = []
         if self.cp:
@@ -574,7 +586,7 @@ class ProofBuilder:
         """Start of the refutation of S(sigma z, z), ~(sigma z >= z) and
         ~t_k: rewrite the $a and $d chains above the untouched prefix.
         Returns the rewritten first $a rows (by half) and $d_f half 2."""
-        n, q = self.n, fr.q
+        n, q = self.order.n, fr.q
         emit = functools.partial(self.derive, steps)
         f = q + 1
 
@@ -586,7 +598,8 @@ class ProofBuilder:
         a_first = {}
         if f <= n - 1:
             if q:
-                a_first[1] = emit(_pol(A(f, 1), "~$a%d" % q, 2, "*", "+", "s"))
+                a_first[1] = emit(_pol(A(f, 1), "~$a%d" % q, 2, "*", "+", "s",
+                                       *self._restore(fr, fr.imgs[0])))
                 a_first[2] = emit(_pol(A(f, 2), -2, 2, "*", "+"))
             else:
                 a_first[1] = emit(_pol(A(1, 1)))
@@ -599,7 +612,8 @@ class ProofBuilder:
 
         if q:
             emit(_rup("$d%d" % q))
-            emit(_pol(D(f, 1), "~$d%d" % q, 3, "*", "+", aq_id, "+", "s"))
+            emit(_pol(D(f, 1), "~$d%d" % q, 3, "*", "+", aq_id, "+", "s",
+                      *self._restore(fr, fr.xs[0])))
             b2rew = emit(_pol(D(f, 2), -2, 3, "*", "+", "~$a%d" % q, "+"))
         else:
             emit(_tautology())
@@ -609,8 +623,10 @@ class ProofBuilder:
             emit(_tautology())
             emit(_tautology())
             ref = a_taut[lv - 1]
-            emit(_pol(D(lv, 1), -2, 3, "*", "+", ref[1] - self.next_id, "+"))
-            emit(_pol(D(lv, 2), -2, 3, "*", "+", ref[0] - self.next_id, "+"))
+            emit(_pol(D(lv, 1), -2, 3, "*", "+",
+                      ref[1] - self.frame.counter[0], "+"))
+            emit(_pol(D(lv, 2), -2, 3, "*", "+",
+                      ref[0] - self.frame.counter[0], "+"))
         return a_first, b2rew
 
     def _leq_lemmas(self, fr, steps):
@@ -671,7 +687,7 @@ class ProofBuilder:
     def _geq_lemmas(self, fr, steps):
         """Derive falsum from S(z, sigma z), sigma z >= z and ~t_k."""
         emit = functools.partial(self.derive, steps)
-        for i in range(self.n - 1, fr.q, -1):
+        for i in range(self.order.n - 1, fr.q, -1):
             emit(_rup("$d%d" % i))
         for j in range(1, fr.k):
             emit(_rup(pb.neg(fr.snames[j]), "$a%d" % fr.pos[j - 1]))
@@ -680,7 +696,7 @@ class ProofBuilder:
         emit(_rup())
 
     def _geq_cp(self, fr, steps, A, D, o_id):
-        n, k, q, pos = self.n, fr.k, fr.q, fr.pos
+        n, k, q, pos = self.order.n, fr.k, fr.q, fr.pos
         s_ids, t_ids = fr.s_ids, fr.t_ids
         emit = functools.partial(self.derive, steps)
         dlem = {n: o_id}
@@ -691,7 +707,7 @@ class ProofBuilder:
             aq_id = emit(_rup("$a%d" % q))
             arew = emit(_pol(A(q + 1, 2), -1, 2, "*", "+"))
             drew = emit(_pol(D(q + 1, 1), "~$d%d" % q, 3, "*", "+", aq_id,
-                             "+", "s"))
+                             "+", "s", *self._restore(fr, fr.imgs[0])))
         else:
             arew = emit(_pol(A(1, 2)))
             drew = emit(_pol(D(1, 1)))
@@ -729,12 +745,11 @@ class ProofBuilder:
     # -- aggregate method
 
     def _break_old(self, fr):
-        frag_start = self.next_id
+        frag_start = self.frame.counter[0]
         self._emit_circuit(fr, with_t=False)
 
         left = [fr.witness.get(z, z) for z in self.binding]
-        big = orders.order_instance(build_big_order(self.n), self.binding,
-                                    left)[0]
+        big = orders.order_instance(self.order, self.binding, left)[0]
         # each scope adds neg_c to the premise after it: the negated order
         # goal in leq, the order constraint O(z, sigma z) in geq
         neg_c = self.skip(1)
@@ -759,7 +774,7 @@ class ProofBuilder:
         pols = self._s_clauses(fr)
         for j in range(1, fr.k + 1):
             pols.append(self._carve_clause(big, big_id, fr, lemma, j))
-        first_clause = self.next_id
+        first_clause = self.frame.counter[0]
         self._emit_clauses(fr, pols)
         fr.steps.append(parsing.del_range_step(frag_start, first_clause, None))
 
@@ -769,9 +784,9 @@ class ProofBuilder:
         tokens = [big_id]
         cur = big
         for m in range(1, j):
-            coef = 2 ** (self.n - fr.pos[m - 1])
+            coef = 2 ** (self.order.n - fr.pos[m - 1])
             tokens += [lemma[j, m], coef, "*", "+"]
-            cur = pb.add(cur, pb.multiply(self.content[lemma[j, m]], coef))
+            cur = pb.add(cur, pb.multiply(self.frame.get(lemma[j, m]), coef))
         wanted = {pb.var_of(xs[j - 1]), pb.var_of(imgs[j - 1])}
         if j > 1:
             wanted.add(fr.snames[j - 1])

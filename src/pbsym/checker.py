@@ -7,6 +7,8 @@ removes visibility.  Subproof scopes get their own frame whose local
 constraints become invisible once the scope is closed.
 """
 
+import itertools
+
 from . import constraints as pb
 from . import orders as ordmod
 
@@ -49,17 +51,11 @@ class Frame:
     restart at 1)."""
 
     def __init__(self, state=None, parent=None, counter=None):
-        self.state = state if state is not None else (
-            parent.state if parent else None)
+        self.state = state or (parent.state if parent else None)
         self.parent = parent
         self.cons = {}
         self.deleted = set()
-        if counter is not None:
-            self.counter = counter
-        elif parent is not None:
-            self.counter = parent.counter
-        else:
-            self.counter = [1]
+        self.counter = counter or (parent.counter if parent else [1])
 
     def alloc(self):
         cid = self.counter[0]
@@ -69,11 +65,6 @@ class Frame:
     def add(self, con):
         cid = self.alloc()
         self.cons[cid] = con
-        return cid
-
-    def add_thunk(self, fn):
-        cid = self.alloc()
-        self.cons[cid] = _Thunk(fn)
         return cid
 
     def get(self, cid, line=None):
@@ -163,50 +154,48 @@ def _qed(state, frame, qed_hint, line, goal_key):
             raise CheckError("cited constraint %s is not contradictory"
                              % pb.render(con), line=line, goal=goal_key,
                              reason="qed-not-contradiction")
-    else:
-        if not _run_rup(state, frame, pb.FALSUM, None, line):
-            raise CheckError("no contradiction at qed", line=line,
-                             goal=goal_key, reason="qed-failed")
+    elif not _run_rup(state, frame, pb.FALSUM, None, line):
+        raise CheckError("no contradiction at qed", line=line,
+                         goal=goal_key, reason="qed-failed")
 
 
-def _prove_goal(state, parent, goalcon, block):
-    """Run one proofgoal block: its negated goal (none for falsum) and its
-    steps in a fresh frame, then the qed."""
-    g = Frame(parent=parent)
-    if not _is_falsum(goalcon):
-        g.add(pb.negate(goalcon))
-    _run_simple_steps(state, g, block["steps"])
-    _qed(state, g, block["qed_hint"], block["line"], block["key"])
+def _prove_goals(state, frame, goals, blocks, label, line, auto=None):
+    """Prove `goals` (key -> constraint) in subframes of `frame`: each
+    proofgoal block, in textual order, adds the negation of the pending
+    goal of its key (none for falsum), runs its steps and ends in the qed;
+    a goal left without a block must be a tautology or pass `auto(key,
+    goal)`.  `line` is cited for a goal left undischarged."""
+    pending = dict(goals)
+    for block in blocks:
+        key = block["key"]
+        if key not in pending:
+            raise CheckError("proofgoal %s is not pending in %s" % (key, label),
+                             line=block["line"], goal=key,
+                             reason="unknown-goal")
+        g = Frame(parent=frame)
+        goalcon = pending.pop(key)
+        if not _is_falsum(goalcon):
+            g.add(pb.negate(goalcon))
+        _run_simple_steps(state, g, block["steps"])
+        _qed(state, g, block["qed_hint"], block["line"], key)
+    for key, goalcon in pending.items():
+        if not (goalcon.is_tautology() or (auto and auto(key, goalcon))):
+            raise CheckError("goal %s undischarged in %s" % (key, label),
+                             line=line, goal=key, reason="undischarged-goal")
 
 
 def run_obligation(premises, goals, blocks, label):
     """Run the proofgoal blocks of a reflexivity/transitivity subproof.
 
-    Premises get IDs 1..len(premises); each goal #k appends its negation
-    (unless the goal is falsum) and must reach a contradiction.
+    Premises get IDs 1..len(premises) in a frame of their own; goal #k is
+    proved by the block of that key with :func:`_prove_goals`, the runner
+    dominance scopes use, and needs none if it is a tautology.
     """
-    frame = Frame(counter=[1])
+    frame = Frame()
     for p in premises:
         frame.add(p)
-    by_key = {}
-    for b in blocks:
-        key = b["key"]
-        if key in by_key:
-            raise CheckError("proofgoal %s given twice in %s" % (key, label),
-                             line=b["line"], goal=key, reason="duplicate-goal")
-        by_key[key] = b
-    for k, goalcon in enumerate(goals, start=1):
-        key = "#%d" % k
-        b = by_key.pop(key, None)
-        if b is None:
-            if goalcon.is_tautology():
-                continue
-            raise CheckError("missing proofgoal %s in %s" % (key, label),
-                             goal=key, reason="unproven-goal")
-        _prove_goal(None, frame, goalcon, b)
-    if by_key:
-        raise CheckError("unmatched proofgoal keys %s in %s"
-                         % (sorted(by_key), label), reason="unknown-goal")
+    _prove_goals(None, frame, {"#%d" % k: g for k, g in enumerate(goals, 1)},
+                 blocks, label, None)
 
 
 class Checker:
@@ -267,54 +256,40 @@ class Checker:
         negc = pb.negate(c)
         premise_keys = {con.key() for con in visible.values()}
         premise_keys.add(negc.key())
-        domw = set(w)
-        touches = bool(domw & set(self.z_binding))
-
-        spec_cache = []
-        if touches:
-            left = self._witness_images(w)
-        else:
+        left, order_goals = None, []
+        if set(w).isdisjoint(self.z_binding):
             self.counters["implicit_reflexivity_skips"] += 1
+        else:
+            left = self._witness_images(w)
+            order_goals = [("#%d" % k, og) for k, og in enumerate(
+                ordmod.order_instance(self.loaded, left, self.z_binding), 1)]
+        db = {}
 
         def rup_db():
-            # spec premises of the order goal, materialized on first use
-            if touches and not spec_cache:
-                for fn in ordmod.spec_instance(self.loaded, left,
-                                               self.z_binding):
-                    self.counters["spec_materializations"] += 1
-                    spec_cache.append(fn())
-            db = dict(visible)
-            db["neg-c"] = negc
-            for i, s in enumerate(spec_cache):
-                db[("spec", i)] = s
+            # built on the first RUP, which materializes the spec premises
+            # of the order goals
+            if not db:
+                db.update(visible)
+                db["neg-c"] = negc
+                if left is not None:
+                    for i, fn in enumerate(ordmod.spec_instance(
+                            self.loaded, left, self.z_binding)):
+                        db[("spec", i)] = _Thunk(fn).force(self)
             return db
 
-        def discharge(goal_key, goal):
-            if goal.is_tautology():
-                self._note("goal %s: tautology" % goal_key)
-                return
-            if goal.key() in premise_keys:
-                self._note("goal %s: syntactic premise" % goal_key)
-                return
-            self.counters["rup_calls"] += 1
-            if pb.rup_check(rup_db(), goal):
-                self._note("goal %s: rup" % goal_key)
-                return
-            raise CheckError("goal %s not derivable" % pb.render(goal),
-                             line=line, goal=goal_key, reason="undischarged-goal")
-
-        for gid, G in visible.items():
-            if not (G.variables() & domw):
-                self._note("goal %s: untouched by witness" % gid)
-                continue
-            discharge(gid, pb.substitute(G, w))
-        discharge("self", pb.substitute(c, w))
-
-        if touches and self.loaded.n > 0:
-            left = self._witness_images(w)
-            for k, og in enumerate(ordmod.order_instance(
-                    self.loaded, left, self.z_binding), start=1):
-                discharge("#%d" % k, og)
+        for key, goal in itertools.chain(pb.redundance_goals(visible, c, w),
+                                         order_goals):
+            if goal is None:
+                how = "untouched by witness"
+            else:
+                how = pb.discharge(goal, premise_keys, rup_db)
+                if how in ("rup", None):
+                    self.counters["rup_calls"] += 1
+                if how is None:
+                    raise CheckError("goal %s not derivable" % pb.render(goal),
+                                     line=line, goal=key,
+                                     reason="undischarged-goal")
+            self._note("goal %s: %s" % (key, how))
 
         self.root.add(c)
 
@@ -335,10 +310,12 @@ class Checker:
         # --- leq scope: S(z|w, z) premises; goals C|w plus each order constraint
         leqf = Frame(parent=sub)
         for fn in ordmod.spec_instance(self.loaded, left, self.z_binding):
-            leqf.add_thunk(fn)
-        ord_goals = ordmod.order_instance(self.loaded, left, self.z_binding)
-        # goals by key: "#k" for the order constraints, the ID for core ones
-        pending = {"#%d" % k: og for k, og in enumerate(ord_goals, 1)}
+            leqf.add(_Thunk(fn))
+        # goals by key: "#k" for the order constraints, the ID for core ones;
+        # an order goal without a block may be discharged by hint-free RUP
+        pending = {"#%d" % k: og for k, og in enumerate(
+            ordmod.order_instance(self.loaded, left, self.z_binding), 1)}
+        falsum_key = "#%d" % (len(pending) + 1)
         core_keys = {self.root.get(cid).key() for cid in self.core_ids
                      if cid not in self.root.deleted}
         for cid in sorted(self.core_ids):
@@ -347,38 +324,18 @@ class Checker:
                 self._note("core goal %d: auto" % cid)
             else:
                 pending[cid] = goal
-
-        for block in step["leq"]:
-            if block["key"] not in pending:
-                raise CheckError("proofgoal %s is not pending" % block["key"],
-                                 line=block["line"], goal=block["key"],
-                                 reason="unknown-goal")
-            _prove_goal(self, leqf, pending.pop(block["key"]), block)
-
-        for key, goalcon in pending.items():
-            if isinstance(key, int) or goalcon.is_tautology():
-                continue
-            if not _run_rup(self, leqf, goalcon, None, line):
-                raise CheckError("order goal %s undischarged" % key, line=line,
-                                 goal=key, reason="undischarged-goal")
-        core_left = sorted(key for key in pending if isinstance(key, int))
-        if core_left:
-            raise CheckError("core goals %s undischarged" % core_left,
-                             line=line, goal=core_left[0],
-                             reason="undischarged-goal")
+        _prove_goals(self, leqf, pending, step["leq"], "leq scope", line,
+                     lambda key, goal: isinstance(key, str)
+                     and _run_rup(self, leqf, goal, None, line))
 
         # --- geq scope: S(z, z|w) and O(z, z|w) premises; single falsum goal
         geqf = Frame(parent=sub)
         for fn in ordmod.spec_instance(self.loaded, self.z_binding, left):
-            geqf.add_thunk(fn)
+            geqf.add(_Thunk(fn))
         for og in ordmod.order_instance(self.loaded, self.z_binding, left):
             geqf.add(og)
-        falsum_key = "#%d" % (len(ord_goals) + 1)
-        blocks = step["geq"]
-        if len(blocks) != 1 or blocks[0]["key"] != falsum_key:
-            raise CheckError("geq scope must prove exactly goal %s" % falsum_key,
-                             line=line, goal=falsum_key, reason="unknown-goal")
-        _prove_goal(self, geqf, pb.FALSUM, blocks[0])
+        _prove_goals(self, geqf, {falsum_key: pb.FALSUM}, step["geq"],
+                     "geq scope", line)
 
         self.root.add(c)
 

@@ -303,6 +303,33 @@ def rup_check(db, goal, hints=None):
     return propagate(premises) == CONFLICT
 
 
+def redundance_goals(premises, c, witness):
+    """Goals of the redundance rule for deriving `c` under `witness` from
+    `premises` (ID -> constraint): (ID, G|w) for each premise over a
+    witness variable, (ID, None) for every other one, which is its own
+    image, then ("self", c|w)."""
+    domain = set(witness)
+    for cid, g in premises.items():
+        if domain.isdisjoint(g.variables()):
+            yield cid, None
+        else:
+            yield cid, substitute(g, witness)
+    yield "self", substitute(c, witness)
+
+
+def discharge(goal, premise_keys, rup_db):
+    """How a redundance goal holds: "tautology", "syntactic premise" (its
+    key is in `premise_keys`), "rup" (RUP over the database `rup_db()`
+    returns), or None when it does not."""
+    if goal.is_tautology():
+        return "tautology"
+    if goal.key() in premise_keys:
+        return "syntactic premise"
+    if rup_check(rup_db(), goal):
+        return "rup"
+    return None
+
+
 def render(c):
     """OPB-style text form: `+2 ~x1 +3 x2 >= 5`."""
     return " ".join([f"+{a} {lit}" for lit, a in c.terms.items()]

@@ -44,31 +44,29 @@ TRIVIAL.validated = True
 def verify_specification(spec, aux_vars):
     """Check the redundance obligations of a specification, in list order.
 
-    Entry i must satisfy {C_1..C_{i-1}, neg(C_i)} |- {C_1..C_i} under its
-    witness; goals are discharged by syntactic identity with a premise,
-    substituted tautology, or hint-free RUP.
+    Entry i is derived by the redundance rule from C_1..C_{i-1}, the rule
+    ``red`` applies: the goals of :func:`pb.redundance_goals` are
+    discharged by :func:`pb.discharge` against the premises and neg(C_i).
+    Earlier entries the witness does not touch are their own images, so
+    they are not substituted.
     """
     aux = set(aux_vars)
-    premises = []
+    premises = {}
+    keys = set()
     for i, (con, wit) in enumerate(spec, start=1):
         bad = set(wit) - aux
         if bad:
             raise OrderError(
                 "spec entry %d witnesses non-aux variables %s" % (i, sorted(bad)))
-        context = premises + [pb.negate(con)]
-        keys = {p.key() for p in context}
-        db = dict(enumerate(context))
-        for G in premises + [con]:
-            goal = pb.substitute(G, wit)
-            if goal.is_tautology():
-                continue
-            if goal.key() in keys:
-                continue
-            if pb.rup_check(db, goal):
-                continue
-            raise OrderError(
-                "spec entry %d: goal %s not derivable" % (i, pb.render(goal)))
-        premises.append(con)
+        negc = pb.negate(con)
+        context = keys | {negc.key()}
+        for _key, goal in pb.redundance_goals(premises, con, wit):
+            if goal is not None and pb.discharge(
+                    goal, context, lambda: {**premises, "neg-c": negc}) is None:
+                raise OrderError("spec entry %d: goal %s not derivable"
+                                 % (i, pb.render(goal)))
+        premises[i] = con
+        keys.add(con.key())
     return True
 
 

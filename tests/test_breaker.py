@@ -235,6 +235,19 @@ def test_old_method_breaks_negation_symmetries():
     assert bench.oracle_equisat(inst.constraints, b.kept)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cp_variant_breaks_negation_symmetries(n):
+    # from Tseitin(3) on the support x -> ~x sits after a nonempty prefix,
+    # so the first support level's rows are rewritten and saturated
+    inst = bench.generate("tseitin", (n,))
+    for gen in bench.known_generators(inst)[:4]:
+        b = breaker.break_symmetries(inst.constraints, inst.variables, [gen],
+                                     cp_variant=True)
+        verdict, _ = checked(inst.constraints, b)
+        assert verdict == VERIFIED
+        assert len(b.kept) == 3 * len(gen.support()) - 2
+
+
 ROUND_TRIP_INSTANCES = [("php", (n,)) for n in range(3, 7)] + [
     ("tseitin", (2,)), ("count", (4, 3))]
 

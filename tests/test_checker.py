@@ -214,3 +214,54 @@ def test_diagnostics_cite_source_line():
         check(php32(), text)
     assert e.value.line == 3
     assert str(e.value).startswith("line:3")
+
+
+REFLEXIVITY_BLOCK = "proofgoal #1\nrup >= 1;\nqed #1 : -1;\nqed proof;\nend reflexivity;"
+GEQ_HEAD = "scope geq\nproofgoal #2\n"
+
+
+def _drop_reflexivity_block(text):
+    return text.replace(REFLEXIVITY_BLOCK, "qed proof;\nend reflexivity;")
+
+
+def _repeat_reflexivity_block(text):
+    block = "proofgoal #1\nrup >= 1;\nqed #1 : -1;\n"
+    return text.replace(REFLEXIVITY_BLOCK, block + REFLEXIVITY_BLOCK)
+
+
+def _drop_first_geq_block(text):
+    start = text.index(GEQ_HEAD)
+    stop = text.index("end scope;", start)
+    return text[:start] + "scope geq\n" + text[stop:]
+
+
+def _repeat_first_geq_block(text):
+    start = text.index(GEQ_HEAD) + len("scope geq\n")
+    stop = text.index("end scope;", start)
+    return text[:stop] + text[start:stop] + text[stop:]
+
+
+def _line_of(text, needle, occurrence):
+    """1-based line of the `occurrence`-th line equal to `needle`."""
+    hits = [i for i, l in enumerate(text.splitlines(), 1) if l == needle]
+    return hits[occurrence - 1]
+
+
+@pytest.mark.parametrize("edit,reason,goal,needle,occurrence", [
+    # def_order obligation: a goal without a block, a block not pending
+    (_drop_reflexivity_block, "undischarged-goal", "#1", None, 0),
+    (_repeat_reflexivity_block, "unknown-goal", "#1", "proofgoal #1", 3),
+    # dom scope: the same two situations, with the same two reasons
+    (_drop_first_geq_block, "undischarged-goal", "#2",
+     "dom +1 t4  >= 1 : x1 -> x3 x2 -> x4 x3 -> x1 x4 -> x2  : subproof", 1),
+    (_repeat_first_geq_block, "unknown-goal", "#2", "proofgoal #2", 2),
+], ids=["obligation-missing", "obligation-repeated", "dom-missing",
+        "dom-repeated"])
+def test_goal_reasons_agree_across_scopes(edit, reason, goal, needle,
+                                          occurrence):
+    text = edit(golden_text())
+    with pytest.raises(CheckError) as e:
+        check(php32(), text)
+    assert (e.value.reason, e.value.goal) == (reason, goal)
+    if needle is not None:
+        assert e.value.line == _line_of(text, needle, occurrence)

@@ -136,6 +136,25 @@ def test_break_rejects_bad_symmetry(tmp_path, capsys):
     assert "generator 1" in payload["error"]
 
 
+@pytest.mark.parametrize("text,line", [
+    pytest.param("x1 x2 x3\n", 1, id="no-arrows"),
+    pytest.param("(x1 x2\n", 1, id="unbalanced-cycle"),
+    pytest.param("($a1 x1)\n", 1, id="aux-variable"),
+    pytest.param("x1 -> x2 x3 -> x2\n", 1, id="not-a-permutation"),
+    pytest.param("(x1 x3)\n* comment\n\nx1 -> x3 x1 -> x2\n", 4,
+                 id="conflicting-images-after-comment"),
+])
+def test_break_malformed_symmetry_file_is_a_parse_error(tmp_path, capsys,
+                                                        text, line):
+    formula, _ = golden_pair(tmp_path)
+    rc = cli.main(["break", formula, sym_file(tmp_path, text),
+                   "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line %d: " % line)
+    assert "Traceback" not in err
+
+
 def test_break_empty_symmetry_file(tmp_path, capsys):
     formula, _ = golden_pair(tmp_path)
     prefix = str(tmp_path / "out")

@@ -1,0 +1,73 @@
+"""Structural fuzzing of the proof boundary.
+
+Deleting, duplicating or swapping one token or one whole line of a valid
+proof must end in a verdict, a ParseError or a CheckError: no other
+exception may escape parse_proof + check_document.
+"""
+
+import pathlib
+
+from hypothesis import given, settings, strategies as st
+
+from pbsym import bench, breaker, checker, parsing
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _sources():
+    """(formula, proof text) pairs: the golden proof and breaker output."""
+    golden, _ = parsing.parse_opb((DATA / "php32.opb").read_text())
+    out = [(golden, (DATA / "php32_lex.pbp").read_text())]
+    php = bench.generate("php", (3,))
+    gens = bench.known_generators(php)
+    for method, cp in (("new", False), ("old", False), ("new", True)):
+        b = breaker.break_symmetries(php.constraints, php.variables,
+                                     gens[:1] if cp else gens,
+                                     method=method, cp_variant=cp)
+        out.append((php.constraints, b.text()))
+    tseitin = bench.generate("tseitin", (2,))
+    b = breaker.break_symmetries(tseitin.constraints, tseitin.variables,
+                                 bench.known_generators(tseitin))
+    out.append((tseitin.constraints, b.text()))
+    return out
+
+
+SOURCES = _sources()
+
+
+def _edit(items, op, i, j):
+    """`items` with item i deleted, duplicated, or swapped with item j."""
+    items = list(items)
+    if op == "delete":
+        del items[i]
+    elif op == "duplicate":
+        items.insert(i, items[i])
+    else:
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+@st.composite
+def mutated_proofs(draw):
+    formula, text = draw(st.sampled_from(SOURCES))
+    lines = text.split("\n")
+    op = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+    index = lambda n: draw(st.integers(0, n - 1))
+    li = index(len(lines))
+    if draw(st.booleans()):
+        lines = _edit(lines, op, li, index(len(lines)))
+    else:
+        toks = lines[li].split(" ")
+        lines[li] = " ".join(_edit(toks, op, index(len(toks)),
+                                   index(len(toks))))
+    return formula, "\n".join(lines)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mutated_proofs())
+def test_structural_mutations_raise_only_proof_errors(case):
+    formula, text = case
+    try:
+        checker.check_document(formula, parsing.parse_proof(text))
+    except (parsing.ParseError, checker.CheckError):
+        pass
