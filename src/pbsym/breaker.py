@@ -200,11 +200,11 @@ def _refute(key, steps):
     return [parsing.goal_block(key, steps, -1, None)]
 
 
-def _def_order_step(order, name, fresh_aux, transitivity, reflexivity):
+def _def_order_step(order, fresh_aux, transitivity, reflexivity):
     """def_order step for `order`: `transitivity` lists the steps of the
     transitivity proof's one goal, `reflexivity` the reflexivity proof's
     goal blocks."""
-    return {"kind": "def_order", "line": None, "name": name,
+    return {"kind": "def_order", "line": None, "name": order.name,
             "left": order.u_vars, "right": order.v_vars, "aux": order.aux_vars,
             "spec": order.spec, "def": order.order_constraints,
             "transitivity": {"fresh_right": ["w%d" % i
@@ -356,17 +356,17 @@ def _lex_transitivity_steps(order):
     return steps
 
 
-def _lex_order_step(order, name):
+def _lex_order_step(order):
     fresh = ([s.replace("$a", "$b").replace("$d", "$e") for s in order.aux_vars],
              [s.replace("$a", "$c").replace("$d", "$f") for s in order.aux_vars])
-    return _def_order_step(order, name or order.name, fresh,
+    return _def_order_step(order, fresh,
                            _lex_transitivity_steps(order),
                            _refute("#1", [_rup()]))
 
 
-def lex_order_definition(n, name=None):
+def lex_order_definition(n):
     """def_order text for lex(n), without a trailing newline."""
-    return _step_text(_lex_order_step(build_lex_order(n), name))
+    return _step_text(_lex_order_step(build_lex_order(n)))
 
 
 # -------------------------------------------------- aggregate (old) order
@@ -387,16 +387,16 @@ def build_big_order(n):
                                   [], [], order)
 
 
-def _big_order_step(order, name):
+def _big_order_step(order):
     # transitivity premises: O(u,v) = 1, O(v,w) = 2; their sum dominates
     # O(u,w).  O(u,u) normalizes to a tautology, so reflexivity needs no goal.
-    return _def_order_step(order, name or order.name, ([], []),
+    return _def_order_step(order, ([], []),
                            [_pol(1, 2, "+"), _pol(-1, 3, "+")], [])
 
 
-def big_order_definition(n, name=None):
+def big_order_definition(n):
     """def_order text for biglex(n), without a trailing newline."""
-    return _step_text(_big_order_step(build_big_order(n), name))
+    return _step_text(_big_order_step(build_big_order(n)))
 
 
 # ------------------------------------------------------------ the builder
@@ -476,10 +476,10 @@ class ProofBuilder:
         n = len(self.variables)
         if self.method == "new":
             self.order = build_lex_order(n)
-            step = _lex_order_step(self.order, None)
+            step = _lex_order_step(self.order)
         else:
             self.order = build_big_order(n)
-            step = _big_order_step(self.order, None)
+            step = _big_order_step(self.order)
         self.spec_index = _spec_index(self.order)
         parsing.render_step(self.lines, step)
         parsing.render_step(self.lines,

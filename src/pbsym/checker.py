@@ -2,9 +2,9 @@
 
 Maintains the configuration (core set, derived set, loaded order, z-binding,
 ID-indexed constraint database, scope stack) and executes proof steps.
-Constraint IDs increase monotonically and are never reused; deletion only
-removes visibility.  Subproof scopes get their own frame whose local
-constraints become invisible once the scope is closed.
+Constraint IDs increase monotonically and are never reused, so deleting a
+constraint drops it from the database.  Subproof scopes get their own frame
+whose local constraints become invisible once the scope is closed.
 """
 
 import itertools
@@ -18,27 +18,17 @@ VERIFIED = "VERIFIED-DERIVATION"
 
 class CheckError(Exception):
     def __init__(self, message, line=None, goal=None, reason="invalid-step"):
+        super().__init__(message)
+        self.message = message
         self.line = line
         self.goal = goal
         self.reason = reason
-        prefix = "line:%s goal:%s reason:%s" % (
-            line if line is not None else "-",
-            goal if goal is not None else "-", reason)
-        super().__init__("%s %s" % (prefix, message))
 
-
-class _Thunk:
-    """A lazily materialized spec constraint."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def force(self, state):
-        if state is not None:
-            state.counters["spec_materializations"] += 1
-        return self.fn()
+    def __str__(self):
+        return "line:%s goal:%s reason:%s %s" % (
+            self.line if self.line is not None else "-",
+            self.goal if self.goal is not None else "-",
+            self.reason, self.message)
 
 
 def _is_falsum(c):
@@ -46,15 +36,16 @@ def _is_falsum(c):
 
 
 class Frame:
-    """One visibility scope.  The ID counter may be shared with the parent
-    (subproofs continue the global numbering) or local (def_order blocks
-    restart at 1)."""
+    """One visibility scope.  `cons` maps each ID to a Constraint or to the
+    zero-argument function that builds a specification row; the row is
+    built, and counted in `spec_materializations`, the first time it is
+    read.  The ID counter may be shared with the parent (subproofs continue
+    the global numbering) or local (def_order blocks restart at 1)."""
 
     def __init__(self, state=None, parent=None, counter=None):
         self.state = state or (parent.state if parent else None)
         self.parent = parent
         self.cons = {}
-        self.deleted = set()
         self.counter = counter or (parent.counter if parent else [1])
 
     def alloc(self):
@@ -67,17 +58,20 @@ class Frame:
         self.cons[cid] = con
         return cid
 
+    def _read(self, cid, con):
+        """`con`, the entry of `cid` in this frame, as a Constraint."""
+        if not isinstance(con, pb.Constraint):
+            if self.state is not None:
+                self.state.counters["spec_materializations"] += 1
+            con = self.cons[cid] = con()
+        return con
+
     def get(self, cid, line=None):
         f = self
         while f is not None:
-            if cid in f.deleted:
-                break
-            if cid in f.cons:
-                val = f.cons[cid]
-                if isinstance(val, _Thunk):
-                    val = val.force(self.state)
-                    f.cons[cid] = val
-                return val
+            con = f.cons.get(cid)
+            if con is not None:
+                return f._read(cid, con)
             f = f.parent
         raise CheckError("constraint %d is not visible here" % cid,
                          line=line, reason="invisible-id")
@@ -89,33 +83,28 @@ class Frame:
         return self.get(self.resolve_id(cid), line)
 
     def visible(self):
-        """All visible constraints as id -> Constraint (materializes thunks)."""
+        """All visible constraints as id -> Constraint, child frames first
+        (builds every spec row in scope)."""
         out = {}
-        deleted = set()
         f = self
         while f is not None:
-            deleted |= f.deleted
-            for cid in f.cons:
-                if cid not in deleted and cid not in out:
-                    out[cid] = self.get(cid)
+            for cid, con in f.cons.items():
+                out[cid] = f._read(cid, con)
             f = f.parent
         return out
 
 
-def _run_rup(state, frame, goal, hints, line):
-    if state is not None:
-        state.counters["rup_calls"] += 1
-    if hints is not None:
-        db = {}
-        for h in hints:
-            rid = frame.resolve_id(h)
-            db[rid] = frame.get(rid, line)
+def _run_rup(frame, goal, hints, line):
+    if frame.state is not None:
+        frame.state.counters["rup_calls"] += 1
+    if hints is None:
+        premises = list(frame.visible().values())
     else:
-        db = frame.visible()
-    return pb.rup_check(db, goal)
+        premises = [frame.get_rel(h, line) for h in hints]
+    return pb.rup_check(premises, goal)
 
 
-def _frame_pol(state, frame, step):
+def _frame_pol(frame, step):
     line = step["line"]
     try:
         con = pb.evaluate_polish(step["tokens"],
@@ -125,9 +114,8 @@ def _frame_pol(state, frame, step):
     frame.add(con)
 
 
-def _frame_rup(state, frame, step):
-    if not _run_rup(state, frame, step["constraint"], step["hints"],
-                    step["line"]):
+def _frame_rup(frame, step):
+    if not _run_rup(frame, step["constraint"], step["hints"], step["line"]):
         raise CheckError("RUP did not reach a conflict for %s"
                          % pb.render(step["constraint"]),
                          line=step["line"], reason="rup-failed")
@@ -137,29 +125,29 @@ def _frame_rup(state, frame, step):
 _SUBPROOF_STEPS = {"pol": _frame_pol, "rup": _frame_rup}
 
 
-def _run_simple_steps(state, frame, steps):
+def _run_simple_steps(frame, steps):
     for step in steps:
         handler = _SUBPROOF_STEPS.get(step["kind"])
         if handler is None:
             raise CheckError("step %r not allowed inside a subproof"
                              % step["kind"], line=step["line"],
                              reason="invalid-step")
-        handler(state, frame, step)
+        handler(frame, step)
 
 
-def _qed(state, frame, qed_hint, line, goal_key):
+def _qed(frame, qed_hint, line, goal_key):
     if qed_hint is not None:
         con = frame.get_rel(qed_hint, line)
         if not con.is_contradiction():
             raise CheckError("cited constraint %s is not contradictory"
                              % pb.render(con), line=line, goal=goal_key,
                              reason="qed-not-contradiction")
-    elif not _run_rup(state, frame, pb.FALSUM, None, line):
+    elif not _run_rup(frame, pb.FALSUM, None, line):
         raise CheckError("no contradiction at qed", line=line,
                          goal=goal_key, reason="qed-failed")
 
 
-def _prove_goals(state, frame, goals, blocks, label, line, auto=None):
+def _prove_goals(frame, goals, blocks, label, line, auto=None):
     """Prove `goals` (key -> constraint) in subframes of `frame`: each
     proofgoal block, in textual order, adds the negation of the pending
     goal of its key (none for falsum), runs its steps and ends in the qed;
@@ -176,8 +164,8 @@ def _prove_goals(state, frame, goals, blocks, label, line, auto=None):
         goalcon = pending.pop(key)
         if not _is_falsum(goalcon):
             g.add(pb.negate(goalcon))
-        _run_simple_steps(state, g, block["steps"])
-        _qed(state, g, block["qed_hint"], block["line"], key)
+        _run_simple_steps(g, block["steps"])
+        _qed(g, block["qed_hint"], block["line"], key)
     for key, goalcon in pending.items():
         if not (goalcon.is_tautology() or (auto and auto(key, goalcon))):
             raise CheckError("goal %s undischarged in %s" % (key, label),
@@ -189,12 +177,13 @@ def run_obligation(premises, goals, blocks, label):
 
     Premises get IDs 1..len(premises) in a frame of their own; goal #k is
     proved by the block of that key with :func:`_prove_goals`, the runner
-    dominance scopes use, and needs none if it is a tautology.
+    dominance scopes use, and needs none if it is a tautology.  A goal left
+    undischarged cites no line; `Checker.step_def_order` adds its own.
     """
     frame = Frame()
     for p in premises:
         frame.add(p)
-    _prove_goals(None, frame, {"#%d" % k: g for k, g in enumerate(goals, 1)},
+    _prove_goals(frame, {"#%d" % k: g for k, g in enumerate(goals, 1)},
                  blocks, label, None)
 
 
@@ -211,8 +200,7 @@ class Checker:
         self.z_binding = []
         self.counters = {"spec_materializations": 0,
                          "implicit_reflexivity_skips": 0,
-                         "rup_calls": 0,
-                         "proof_bytes": 0}
+                         "rup_calls": 0}
         self.trace = None  # optional list collecting goal discharge decisions
 
     # -------------------------------------------------------------- helpers
@@ -235,8 +223,7 @@ class Checker:
                                  line=line, reason="aux-in-witness")
 
     def _derived_ids(self):
-        return [cid for cid in self.root.cons
-                if cid not in self.core_ids and cid not in self.root.deleted]
+        return [cid for cid in self.root.cons if cid not in self.core_ids]
 
     def _witness_images(self, w):
         return [pb.apply_witness_lit(w, zv) for zv in self.z_binding]
@@ -244,10 +231,10 @@ class Checker:
     # ---------------------------------------------------------------- steps
 
     def step_pol(self, step):
-        _frame_pol(self, self.root, step)
+        _frame_pol(self.root, step)
 
     def step_rup(self, step):
-        _frame_rup(self, self.root, step)
+        _frame_rup(self.root, step)
 
     def step_red(self, step):
         c, w, line = step["constraint"], step["witness"], step["line"]
@@ -263,26 +250,27 @@ class Checker:
             left = self._witness_images(w)
             order_goals = [("#%d" % k, og) for k, og in enumerate(
                 ordmod.order_instance(self.loaded, left, self.z_binding), 1)]
-        db = {}
+        premises = []
 
-        def rup_db():
-            # built on the first RUP, which materializes the spec premises
-            # of the order goals
-            if not db:
-                db.update(visible)
-                db["neg-c"] = negc
+        def rup_premises():
+            # built on the first RUP, which builds the spec rows the order
+            # goals are proved over
+            if not premises:
+                premises.extend(visible.values())
+                premises.append(negc)
                 if left is not None:
-                    for i, fn in enumerate(ordmod.spec_instance(
-                            self.loaded, left, self.z_binding)):
-                        db[("spec", i)] = _Thunk(fn).force(self)
-            return db
+                    for fn in ordmod.spec_instance(self.loaded, left,
+                                                   self.z_binding):
+                        self.counters["spec_materializations"] += 1
+                        premises.append(fn())
+            return premises
 
         for key, goal in itertools.chain(pb.redundance_goals(visible, c, w),
                                          order_goals):
             if goal is None:
                 how = "untouched by witness"
             else:
-                how = pb.discharge(goal, premise_keys, rup_db)
+                how = pb.discharge(goal, premise_keys, rup_premises)
                 if how in ("rup", None):
                     self.counters["rup_calls"] += 1
                 if how is None:
@@ -310,31 +298,30 @@ class Checker:
         # --- leq scope: S(z|w, z) premises; goals C|w plus each order constraint
         leqf = Frame(parent=sub)
         for fn in ordmod.spec_instance(self.loaded, left, self.z_binding):
-            leqf.add(_Thunk(fn))
+            leqf.add(fn)
         # goals by key: "#k" for the order constraints, the ID for core ones;
         # an order goal without a block may be discharged by hint-free RUP
         pending = {"#%d" % k: og for k, og in enumerate(
             ordmod.order_instance(self.loaded, left, self.z_binding), 1)}
         falsum_key = "#%d" % (len(pending) + 1)
-        core_keys = {self.root.get(cid).key() for cid in self.core_ids
-                     if cid not in self.root.deleted}
+        core_keys = {self.root.get(cid).key() for cid in self.core_ids}
         for cid in sorted(self.core_ids):
             goal = pb.substitute(self.root.get(cid), w)
             if goal.is_tautology() or goal.key() in core_keys:
                 self._note("core goal %d: auto" % cid)
             else:
                 pending[cid] = goal
-        _prove_goals(self, leqf, pending, step["leq"], "leq scope", line,
+        _prove_goals(leqf, pending, step["leq"], "leq scope", line,
                      lambda key, goal: isinstance(key, str)
-                     and _run_rup(self, leqf, goal, None, line))
+                     and _run_rup(leqf, goal, None, line))
 
         # --- geq scope: S(z, z|w) and O(z, z|w) premises; single falsum goal
         geqf = Frame(parent=sub)
         for fn in ordmod.spec_instance(self.loaded, self.z_binding, left):
-            geqf.add(_Thunk(fn))
+            geqf.add(fn)
         for og in ordmod.order_instance(self.loaded, self.z_binding, left):
             geqf.add(og)
-        _prove_goals(self, geqf, {falsum_key: pb.FALSUM}, step["geq"],
+        _prove_goals(geqf, {falsum_key: pb.FALSUM}, step["geq"],
                      "geq scope", line)
 
         self.root.add(c)
@@ -347,6 +334,10 @@ class Checker:
             ordmod.validate(order, step["transitivity"], step["reflexivity"])
         except ordmod.OrderError as e:
             raise CheckError(str(e), line=step["line"], reason="bad-order")
+        except CheckError as e:
+            if e.line is None:  # an obligation goal left without a block
+                e.line = step["line"]
+            raise
         self.orders[step["name"]] = order
 
     def step_load_order(self, step):
@@ -371,10 +362,9 @@ class Checker:
             if cid in self.core_ids:
                 raise CheckError("cannot delete core constraint %d" % cid,
                                  line=line, reason="core-delete")
-            if cid in self.root.cons:
-                self.root.deleted.add(cid)
-            # IDs that were never assigned at top level (or are already
-            # invisible) are skipped: visibility is a set.
+            # IDs are never reused, so the entry can go; IDs never assigned
+            # at top level, or already removed, are skipped
+            self.root.cons.pop(cid, None)
 
     def step_output(self, step):
         """An output section carries no obligation."""
@@ -387,11 +377,8 @@ class Checker:
                              reason="bad-conclusion")
 
     def conclude(self):
-        for cid, con in self.root.cons.items():
-            if cid in self.root.deleted or isinstance(con, _Thunk):
-                continue
-            if con.is_contradiction():
-                return UNSAT
+        if any(con.is_contradiction() for con in self.root.cons.values()):
+            return UNSAT
         return VERIFIED
 
     # ----------------------------------------------------------------- main
@@ -412,10 +399,9 @@ class Checker:
         return self.conclude()
 
 
-def check_document(formula, doc, proof_bytes=0, trace=None):
+def check_document(formula, doc, trace=None):
     """Convenience wrapper: returns (verdict, counters)."""
     chk = Checker(formula)
     chk.trace = trace
     verdict = chk.run(doc)
-    chk.counters["proof_bytes"] = proof_bytes
     return verdict, chk.counters

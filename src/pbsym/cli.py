@@ -73,8 +73,7 @@ def cmd_check(args):
     t1 = time.perf_counter()
     trace = [] if args.trace else None
     try:
-        verdict, counters = checker.check_document(
-            formula, doc, proof_bytes=len(proof_text.encode()), trace=trace)
+        verdict, counters = checker.check_document(formula, doc, trace=trace)
     except checker.CheckError as e:
         t2 = time.perf_counter()
         _report(args, {"verdict": "REJECTED", "error": str(e),
@@ -85,6 +84,7 @@ def cmd_check(args):
     if trace:
         for line in trace:
             print("trace: %s" % line, file=sys.stderr)
+    counters["proof_bytes"] = len(proof_text.encode())
     _report(args, {"verdict": verdict, "counters": counters,
                    "timings": {"parse_s": round(t1 - t0, 6),
                                "check_s": round(t2 - t1, 6)}})
@@ -130,14 +130,16 @@ def cmd_break(args):
                "timings": {"emit_s": round(t1 - t0, 6),
                            "write_s": round(t2 - t1, 6)}}
     if args.selfcheck:
-        doc = parsing.parse_proof(builder.text())
+        text = builder.text()
         try:
-            verdict, counters = checker.check_document(formula, doc)
+            verdict, counters = checker.check_document(
+                formula, parsing.parse_proof(text))
         except checker.CheckError as e:
             payload["verdict"] = "SELFCHECK-FAILED"
             payload["error"] = str(e)
             _report(args, payload)
             return 1
+        counters["proof_bytes"] = len(text.encode())
         payload["selfcheck"] = verdict
         payload["counters"] = counters
         payload["timings"]["check_s"] = round(time.perf_counter() - t2, 6)

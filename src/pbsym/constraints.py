@@ -265,15 +265,14 @@ def slack(c, assignment):
     return s
 
 
-def propagate(constraints, assignment=None):
-    """Run slack-based unit propagation to fixpoint.
+def propagate(constraints):
+    """Run slack-based unit propagation over a list of constraints to
+    fixpoint, from the empty assignment.
 
-    Returns the extended assignment, or the string CONFLICT if some
-    constraint's slack goes negative.  A literal l_i with a_i > slack is
-    propagated to 1.
+    Returns the assignment, or the string CONFLICT if some constraint's
+    slack goes negative.  A literal l_i with a_i > slack is propagated to 1.
     """
-    rho = dict(assignment) if assignment else {}
-    constraints = list(constraints)
+    rho = {}
     changed = True
     while changed:
         changed = False
@@ -288,19 +287,10 @@ def propagate(constraints, assignment=None):
     return rho
 
 
-def rup_check(db, goal, hints=None):
-    """Reverse unit propagation: db' + not(goal) must propagate to conflict.
-
-    ``db`` maps IDs to constraints.  When hints are given they act as a
-    filter (order is not semantically binding); otherwise the whole
-    database is used.
-    """
-    if hints is not None:
-        premises = [db[h] for h in hints]
-    else:
-        premises = list(db.values())
-    premises.append(negate(goal))
-    return propagate(premises) == CONFLICT
+def rup_check(premises, goal):
+    """Reverse unit propagation: the list `premises` plus not(goal) must
+    propagate to a conflict."""
+    return propagate(premises + [negate(goal)]) == CONFLICT
 
 
 def redundance_goals(premises, c, witness):
@@ -317,15 +307,15 @@ def redundance_goals(premises, c, witness):
     yield "self", substitute(c, witness)
 
 
-def discharge(goal, premise_keys, rup_db):
+def discharge(goal, premise_keys, rup_premises):
     """How a redundance goal holds: "tautology", "syntactic premise" (its
-    key is in `premise_keys`), "rup" (RUP over the database `rup_db()`
-    returns), or None when it does not."""
+    key is in `premise_keys`), "rup" (RUP over the premise list
+    `rup_premises()` returns), or None when it does not."""
     if goal.is_tautology():
         return "tautology"
     if goal.key() in premise_keys:
         return "syntactic premise"
-    if rup_check(rup_db(), goal):
+    if rup_check(rup_premises(), goal):
         return "rup"
     return None
 

@@ -62,7 +62,7 @@ def verify_specification(spec, aux_vars):
         context = keys | {negc.key()}
         for _key, goal in pb.redundance_goals(premises, con, wit):
             if goal is not None and pb.discharge(
-                    goal, context, lambda: {**premises, "neg-c": negc}) is None:
+                    goal, context, lambda: [*premises.values(), negc]) is None:
                 raise OrderError("spec entry %d: goal %s not derivable"
                                  % (i, pb.render(goal)))
         premises[i] = con
@@ -82,10 +82,11 @@ def _mapping(order, left, right, aux_map=None):
 
 
 def spec_instance(order, left, right, aux_map=None):
-    """Thunks for S(left, right, aux), one per spec entry, in spec order.
+    """S(left, right, aux) as one zero-argument function per spec entry,
+    in spec order, each building its row.
 
-    left/right are literal (or 0/1 constant) lists of length n; evaluation
-    is deferred so the checker can count lazy materializations.
+    left/right are literal (or 0/1 constant) lists of length n; building
+    is deferred so the checker builds, and counts, only the rows it reads.
     """
     if len(left) != order.n or len(right) != order.n:
         raise OrderError("arity mismatch: expected %d variables" % order.n)

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from pbsym import breaker
 from pbsym import constraints as pb
 from pbsym import parsing
 from pbsym.checker import Checker, CheckError, UNSAT, VERIFIED, check_document
@@ -249,7 +250,7 @@ def _line_of(text, needle, occurrence):
 
 @pytest.mark.parametrize("edit,reason,goal,needle,occurrence", [
     # def_order obligation: a goal without a block, a block not pending
-    (_drop_reflexivity_block, "undischarged-goal", "#1", None, 0),
+    (_drop_reflexivity_block, "undischarged-goal", "#1", "def_order lex6", 1),
     (_repeat_reflexivity_block, "unknown-goal", "#1", "proofgoal #1", 3),
     # dom scope: the same two situations, with the same two reasons
     (_drop_first_geq_block, "undischarged-goal", "#2",
@@ -263,5 +264,57 @@ def test_goal_reasons_agree_across_scopes(edit, reason, goal, needle,
     with pytest.raises(CheckError) as e:
         check(php32(), text)
     assert (e.value.reason, e.value.goal) == (reason, goal)
-    if needle is not None:
-        assert e.value.line == _line_of(text, needle, occurrence)
+    assert e.value.line == _line_of(text, needle, occurrence)
+
+
+def test_rup_uses_only_its_hints():
+    formula, _ = parsing.parse_opb("+1 x1 +1 x2 >= 1 ;\n+1 x2 >= 1 ;\n")
+    verdict, _ = check(formula, parsing.HEADER + "\nrup +1 x2 >= 1;\n")
+    assert verdict == VERIFIED
+    # constraint 1 alone does not imply x2
+    with pytest.raises(CheckError) as e:
+        check(formula, parsing.HEADER + "\nrup +1 x2 >= 1 : 1;\n")
+    assert (e.value.reason, e.value.line) == ("rup-failed", 2)
+
+
+def _lex2_formula():
+    formula, _ = parsing.parse_opb("+1 x1 +1 x2 >= 1 ;\n+1 x2 >= 1 ;\n")
+    return formula
+
+
+def _lex2_proof(step):
+    return (parsing.HEADER + "\n" + breaker.lex_order_definition(2) + "\n"
+            "load_order lex2 x1 x2;\n" + step + "\n")
+
+
+def test_red_order_goal_proved_over_spec_rows():
+    # the witness touches the z-binding, so red must prove O(z|w, z); its
+    # first RUP builds all six spec rows of lex2
+    trace = []
+    verdict, counters = check(_lex2_formula(),
+                              _lex2_proof("red +1 ~x1 >= 1 : x1 -> 0;"),
+                              trace=trace)
+    assert verdict == VERIFIED
+    assert trace[-1] == "goal #1: rup"
+    assert counters["spec_materializations"] == 6
+    assert counters["rup_calls"] == 1
+    assert counters["implicit_reflexivity_skips"] == 0
+
+
+def test_red_order_goal_rejected():
+    # x1 -> 1 makes the assignment lex-larger, so O(z|w, z) does not hold
+    with pytest.raises(CheckError) as e:
+        check(_lex2_formula(), _lex2_proof("red +1 x1 >= 1 : x1 -> 1;"))
+    assert (e.value.reason, e.value.goal) == ("undischarged-goal", "#1")
+
+
+def test_hint_free_qed_without_contradiction_rejected():
+    # transitivity of lex2 is not a RUP consequence of its premises
+    text = _lex2_proof("")
+    start = text.index("proofgoal #1\npol")
+    stop = text.index("qed proof;\nend transitivity;")
+    text = text[:start] + "proofgoal #1\nqed #1;\n" + text[stop:]
+    with pytest.raises(CheckError) as e:
+        check(_lex2_formula(), text)
+    assert (e.value.reason, e.value.goal) == ("qed-failed", "#1")
+    assert e.value.line == _line_of(text, "proofgoal #1", 1)

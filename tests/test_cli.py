@@ -109,6 +109,8 @@ def test_break_selfcheck_roundtrip(tmp_path, capsys):
     assert payload["verdict"] == "BROKEN"
     assert payload["selfcheck"] == "VERIFIED-DERIVATION"
     assert payload["clauses"] == 10
+    assert (payload["counters"]["proof_bytes"]
+            == pathlib.Path(prefix + ".pbp").stat().st_size)
     proof = parsing.parse_proof(pathlib.Path(prefix + ".pbp").read_text())
     assert proof["steps"]
     cons, _ = parsing.parse_opb(pathlib.Path(prefix + ".opb").read_text())

@@ -203,30 +203,22 @@ def test_propagate_after_first_round():
     assert rho == {"x2": 1}
 
 
-def test_rup_with_hint_filter():
-    db = {9: C((2, "~x1"), (3, "x2"), (2, "x3"), ge=5),
-          4: C((1, "~x2"), ge=1)}  # would break the instance if not filtered out
-    goal = C((2, "x2"), (1, "x3"), ge=2)
-    assert rup_check(db, goal, hints=[9])
-
-
 def test_rup_tautology_accepted_without_hints():
-    assert rup_check({}, C((1, "~$a3"), (1, "$a3"), ge=1))
+    assert rup_check([], C((1, "~$a3"), (1, "$a3"), ge=1))
 
 
 def test_rup_falsum_from_contradictory_premises():
-    db = {1: C((1, "$d6"), ge=1), 2: C((1, "~$d6"), ge=1)}
-    assert rup_check(db, Constraint({}, 1))
+    premises = [C((1, "$d6"), ge=1), C((1, "~$d6"), ge=1)]
+    assert rup_check(premises, Constraint({}, 1))
 
 
 def test_rup_rejects_non_implied():
-    db = {1: C((1, "x1"), (1, "x2"), ge=1)}
-    assert not rup_check(db, C((1, "x1"), ge=1))
+    premises = [C((1, "x1"), (1, "x2"), ge=1)]
+    assert not rup_check(premises, C((1, "x1"), ge=1))
 
 
 @given(raw_cons, raw_cons, raw_cons)
 @settings(max_examples=60)
 def test_rup_accept_implies_semantic_implication(p1, p2, goal):
-    db = {1: p1, 2: p2}
-    if rup_check(db, goal):
+    if rup_check([p1, p2], goal):
         assert oracle.implies([p1, p2], goal)
