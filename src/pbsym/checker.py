@@ -5,6 +5,10 @@ ID-indexed constraint database, scope stack) and executes proof steps.
 Constraint IDs increase monotonically and are never reused, so deleting a
 constraint drops it from the database.  Subproof scopes get their own frame
 whose local constraints become invisible once the scope is closed.
+
+Hint-free RUP runs on one incremental :class:`constraints.Propagator` per
+frame chain, owned by the chain's root frame: it holds what the frames on
+the chain hold, and leaving a frame undoes that frame's constraints.
 """
 
 import itertools
@@ -40,13 +44,18 @@ class Frame:
     zero-argument function that builds a specification row; the row is
     built, and counted in `spec_materializations`, the first time it is
     read.  The ID counter may be shared with the parent (subproofs continue
-    the global numbering) or local (def_order blocks restart at 1)."""
+    the global numbering) or local (def_order blocks restart at 1).
+
+    A root frame (no parent) owns the propagator of its chain, built on
+    the first hint-free RUP, and `synced`: one `[frame, mark, entries
+    added]` per frame whose entries the propagator holds, root first."""
 
     def __init__(self, state=None, parent=None, counter=None):
         self.state = state or (parent.state if parent else None)
         self.parent = parent
         self.cons = {}
         self.counter = counter or (parent.counter if parent else [1])
+        self.engine = self.synced = None
 
     def alloc(self):
         cid = self.counter[0]
@@ -93,15 +102,55 @@ class Frame:
             f = f.parent
         return out
 
+    def propagator(self):
+        """The chain's propagator, brought to hold exactly the constraints
+        visible here (builds every spec row in scope).  Frames synced
+        earlier but no longer on the chain are undone, and entries added
+        since the last sync are added."""
+        chain = []
+        f = self
+        while f is not None:
+            chain.append(f)
+            f = f.parent
+        chain.reverse()
+        root = chain[0]
+        if root.engine is None:
+            root.engine, root.synced = pb.Propagator(), []
+        engine, synced = root.engine, root.synced
+        # the synced frames still on the chain and unchanged stay
+        both = min(len(synced), len(chain))
+        k = 0
+        while (k < both and synced[k][0] is chain[k]
+               and synced[k][2] == len(chain[k].cons)):
+            k += 1
+        # a frame that has grown keeps its mark: the frames synced after
+        # it are undone, then its new entries are added
+        grown = k < both and synced[k][0] is chain[k]
+        drop = k + 1 if grown else k
+        if drop < len(synced):
+            engine.undo(synced[drop][1])
+            del synced[drop:]
+        if grown:
+            chain[k]._feed(engine, synced[k][2])
+            synced[k][2] = len(chain[k].cons)
+            k += 1
+        for f in chain[k:]:
+            synced.append([f, engine.mark(), len(f.cons)])
+            f._feed(engine, 0)
+        return engine
+
+    def _feed(self, engine, start):
+        """Add this frame's entries from the `start`-th on to `engine`."""
+        for cid, con in itertools.islice(self.cons.items(), start, None):
+            engine.add(self._read(cid, con))
+
 
 def _run_rup(frame, goal, hints, line):
     if frame.state is not None:
         frame.state.counters["rup_calls"] += 1
     if hints is None:
-        premises = list(frame.visible().values())
-    else:
-        premises = [frame.get_rel(h, line) for h in hints]
-    return pb.rup_check(premises, goal)
+        return frame.propagator().rup(goal)
+    return pb.rup_check([frame.get_rel(h, line) for h in hints], goal)
 
 
 def _frame_pol(frame, step):
@@ -241,8 +290,8 @@ class Checker:
         self._check_rule_constraint(c, w, line)
         visible = self.root.visible()
         negc = pb.negate(c)
-        premise_keys = {con.key() for con in visible.values()}
-        premise_keys.add(negc.key())
+        premises = set(visible.values())
+        premises.add(negc)
         left, order_goals = None, []
         if set(w).isdisjoint(self.z_binding):
             self.counters["implicit_reflexivity_skips"] += 1
@@ -250,34 +299,40 @@ class Checker:
             left = self._witness_images(w)
             order_goals = [("#%d" % k, og) for k, og in enumerate(
                 ordmod.order_instance(self.loaded, left, self.z_binding), 1)]
-        premises = []
+        engine = mark = None
 
-        def rup_premises():
-            # built on the first RUP, which builds the spec rows the order
+        def rup(goal):
+            # the first RUP adds not(c) and builds the spec rows the order
             # goals are proved over
-            if not premises:
-                premises.extend(visible.values())
-                premises.append(negc)
+            nonlocal engine, mark
+            if engine is None:
+                engine = self.root.propagator()
+                mark = engine.mark()
+                engine.add(negc)
                 if left is not None:
                     for fn in ordmod.spec_instance(self.loaded, left,
                                                    self.z_binding):
                         self.counters["spec_materializations"] += 1
-                        premises.append(fn())
-            return premises
+                        engine.add(fn())
+            return engine.rup(goal)
 
-        for key, goal in itertools.chain(pb.redundance_goals(visible, c, w),
-                                         order_goals):
-            if goal is None:
-                how = "untouched by witness"
-            else:
-                how = pb.discharge(goal, premise_keys, rup_premises)
-                if how in ("rup", None):
-                    self.counters["rup_calls"] += 1
-                if how is None:
-                    raise CheckError("goal %s not derivable" % pb.render(goal),
-                                     line=line, goal=key,
-                                     reason="undischarged-goal")
-            self._note("goal %s: %s" % (key, how))
+        try:
+            for key, goal in itertools.chain(
+                    pb.redundance_goals(visible, c, w), order_goals):
+                if goal is None:
+                    how = "untouched by witness"
+                else:
+                    how = pb.discharge(goal, premises, rup)
+                    if how in ("rup", None):
+                        self.counters["rup_calls"] += 1
+                    if how is None:
+                        raise CheckError("goal %s not derivable"
+                                         % pb.render(goal), line=line,
+                                         goal=key, reason="undischarged-goal")
+                self._note("goal %s: %s" % (key, how))
+        finally:
+            if engine is not None:
+                engine.undo(mark)
 
         self.root.add(c)
 
@@ -304,10 +359,10 @@ class Checker:
         pending = {"#%d" % k: og for k, og in enumerate(
             ordmod.order_instance(self.loaded, left, self.z_binding), 1)}
         falsum_key = "#%d" % (len(pending) + 1)
-        core_keys = {self.root.get(cid).key() for cid in self.core_ids}
+        core = {self.root.get(cid) for cid in self.core_ids}
         for cid in sorted(self.core_ids):
             goal = pb.substitute(self.root.get(cid), w)
-            if goal.is_tautology() or goal.key() in core_keys:
+            if goal.is_tautology() or goal in core:
                 self._note("core goal %d: auto" % cid)
             else:
                 pending[cid] = goal
@@ -358,13 +413,17 @@ class Checker:
 
     def step_delete(self, step):
         line = step["line"]
-        for cid in range(step["start"], step["stop"]):
+        # IDs at or above the counter were never assigned
+        stop = min(step["stop"], self.root.counter[0])
+        for cid in range(step["start"], stop):
             if cid in self.core_ids:
                 raise CheckError("cannot delete core constraint %d" % cid,
                                  line=line, reason="core-delete")
             # IDs are never reused, so the entry can go; IDs never assigned
-            # at top level, or already removed, are skipped
-            self.root.cons.pop(cid, None)
+            # at top level, or already removed, are skipped.  The
+            # propagator cannot drop a constraint, so it goes too.
+            if self.root.cons.pop(cid, None) is not None:
+                self.root.engine = None
 
     def step_output(self, step):
         """An output section carries no obligation."""

@@ -9,6 +9,10 @@ degree A >= 0.  Literals are plain strings such as ``x3`` or ``~x3``;
 auxiliary variables belonging to a loaded order carry a ``$`` prefix
 (``$d6``, ``~$d6``).  Coefficients are Python ints, so arbitrary precision
 comes for free.
+
+Literals are strings at this module's API.  Inside the unit-propagation
+engine, :class:`Propagator`, they are ints: a variable is interned once to
+an int i, its positive literal is 2i and its negated literal 2i + 1.
 """
 
 
@@ -50,11 +54,12 @@ class Constraint:
     once built; all algebra goes through :func:`normalize`.
     """
 
-    __slots__ = ("terms", "degree")
+    __slots__ = ("terms", "degree", "_hash", "_variables")
 
     def __init__(self, terms, degree):
         self.terms = terms
         self.degree = degree
+        self._hash = self._variables = None
 
     def __eq__(self, other):
         if not isinstance(other, Constraint):
@@ -62,7 +67,10 @@ class Constraint:
         return self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.degree))
+        # built on first call: sets of constraints are rebuilt per step
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return "Constraint(%s)" % render(self)
@@ -79,7 +87,10 @@ class Constraint:
         return sum(self.terms.values()) < self.degree
 
     def variables(self):
-        return set(var_of(l) for l in self.terms)
+        """The variables of the terms, as a frozenset built on first call."""
+        if self._variables is None:
+            self._variables = frozenset(var_of(l) for l in self.terms)
+        return self._variables
 
 
 def normalize(raw_terms, raw_degree):
@@ -265,26 +276,135 @@ def slack(c, assignment):
     return s
 
 
+class Propagator:
+    """Incremental slack-based unit propagation over int literals.
+
+    Each added constraint becomes a row.  ``occ[l]`` lists ``(row, coeff)``
+    for every row in which literal l occurs, and ``slack[row]`` is the sum
+    of the coefficients of the row's non-falsified literals minus its
+    degree.  Assigning a literal updates these slacks at once, so
+    :meth:`undo` restores them exactly from the trail.  A row whose slack
+    drops below its largest coefficient is rechecked: a negative slack is a
+    conflict, and each unassigned literal whose coefficient exceeds the
+    slack is propagated to true.  Once in conflict the engine stays there
+    until undone past the constraint that caused it.
+    """
+
+    def __init__(self):
+        self.lits = {}     # literal string -> int literal
+        self.names = []    # variable int -> name
+        self.value = []    # int literal -> 1 (true), 0 (false) or None
+        self.occ = []      # int literal -> [(row, coeff)]
+        self.rows = []     # row -> [(int literal, coeff)]
+        self.top = []      # row -> its largest coefficient
+        self.slack = []    # row -> slack
+        self.trail = []    # true literals, in assignment order
+        self.conflict = False
+
+    def _lit(self, lit):
+        l = self.lits.get(lit)
+        if l is None:
+            var = var_of(lit)
+            l = 2 * len(self.names)
+            self.names.append(var)
+            self.lits[var], self.lits["~" + var] = l, l + 1
+            self.value += (None, None)
+            self.occ += ([], [])
+            if not is_positive(lit):
+                l += 1
+        return l
+
+    def add(self, c):
+        """Add constraint `c` and propagate; False if the database is in
+        conflict.  Tautologies are skipped: they never propagate."""
+        if self.conflict:
+            return False
+        if c.degree == 0:
+            return True
+        row = len(self.rows)
+        value, occ = self.value, self.occ
+        lits = []
+        s, top = -c.degree, 0
+        for lit, a in c.terms.items():
+            l = self._lit(lit)
+            lits.append((l, a))
+            occ[l].append((row, a))
+            if value[l] != 0:
+                s += a
+            if a > top:
+                top = a
+        self.rows.append(lits)
+        self.slack.append(s)
+        self.top.append(top)
+        return self._propagate([row])
+
+    def _propagate(self, pending):
+        value, occ, rows = self.value, self.occ, self.rows
+        slack, top, trail = self.slack, self.top, self.trail
+        while pending:
+            r = pending.pop()
+            s = slack[r]
+            if s < 0:
+                self.conflict = True
+                return False
+            if s >= top[r]:
+                continue
+            for l, a in rows[r]:
+                if a > s and value[l] is None:
+                    value[l], value[l ^ 1] = 1, 0
+                    trail.append(l)
+                    for r2, a2 in occ[l ^ 1]:
+                        s2 = slack[r2] = slack[r2] - a2
+                        if s2 < top[r2]:
+                            pending.append(r2)
+        return True
+
+    def mark(self):
+        """A point to :meth:`undo` back to."""
+        return len(self.rows), len(self.trail), self.conflict
+
+    def undo(self, mark):
+        """Restore the rows, assignment, slacks and conflict of `mark`."""
+        nrows, ntrail, self.conflict = mark
+        value, occ, slack, trail = self.value, self.occ, self.slack, self.trail
+        while len(trail) > ntrail:
+            l = trail.pop()
+            value[l] = value[l ^ 1] = None
+            for r, a in occ[l ^ 1]:
+                slack[r] += a
+        while len(self.rows) > nrows:
+            # rows go in the order they came, so each occurrence list ends
+            # with the entry of the last row
+            for l, _a in self.rows.pop():
+                occ[l].pop()
+            slack.pop()
+            self.top.pop()
+
+    def rup(self, goal):
+        """Reverse unit propagation: whether the database plus not(goal)
+        propagates to a conflict.  Leaves the database as it was."""
+        mark = self.mark()
+        refuted = not self.add(negate(goal))
+        self.undo(mark)
+        return refuted
+
+    def assignment(self):
+        """The propagated assignment as variable -> 0/1."""
+        return {self.names[l >> 1]: 1 - (l & 1) for l in self.trail}
+
+
 def propagate(constraints):
-    """Run slack-based unit propagation over a list of constraints to
-    fixpoint, from the empty assignment.
+    """Unit propagation over a list of constraints to fixpoint, from the
+    empty assignment, with a fresh :class:`Propagator`.
 
     Returns the assignment, or the string CONFLICT if some constraint's
     slack goes negative.  A literal l_i with a_i > slack is propagated to 1.
     """
-    rho = {}
-    changed = True
-    while changed:
-        changed = False
-        for c in constraints:
-            s = slack(c, rho)
-            if s < 0:
-                return CONFLICT
-            for lit, a in c.terms.items():
-                if a > s and lit_value(rho, lit) is None:
-                    rho[var_of(lit)] = 1 if is_positive(lit) else 0
-                    changed = True
-    return rho
+    engine = Propagator()
+    for c in constraints:
+        if not engine.add(c):
+            return CONFLICT
+    return engine.assignment()
 
 
 def rup_check(premises, goal):
@@ -307,15 +427,15 @@ def redundance_goals(premises, c, witness):
     yield "self", substitute(c, witness)
 
 
-def discharge(goal, premise_keys, rup_premises):
-    """How a redundance goal holds: "tautology", "syntactic premise" (its
-    key is in `premise_keys`), "rup" (RUP over the premise list
-    `rup_premises()` returns), or None when it does not."""
+def discharge(goal, premises, rup):
+    """How a redundance goal holds: "tautology", "syntactic premise" (it is
+    in the set `premises`), "rup" (`rup(goal)` is true), or None when it
+    does not."""
     if goal.is_tautology():
         return "tautology"
-    if goal.key() in premise_keys:
+    if goal in premises:
         return "syntactic premise"
-    if rup_check(rup_premises(), goal):
+    if rup(goal):
         return "rup"
     return None
 

@@ -48,25 +48,31 @@ def verify_specification(spec, aux_vars):
     ``red`` applies: the goals of :func:`pb.redundance_goals` are
     discharged by :func:`pb.discharge` against the premises and neg(C_i).
     Earlier entries the witness does not touch are their own images, so
-    they are not substituted.
+    they are not substituted.  One propagator holds C_1..C_{i-1}; neg(C_i)
+    is added for entry i's goals and undone before C_i is added.
     """
     aux = set(aux_vars)
     premises = {}
-    keys = set()
+    known = set()
+    engine = pb.Propagator()
     for i, (con, wit) in enumerate(spec, start=1):
         bad = set(wit) - aux
         if bad:
             raise OrderError(
                 "spec entry %d witnesses non-aux variables %s" % (i, sorted(bad)))
         negc = pb.negate(con)
-        context = keys | {negc.key()}
+        context = known | {negc}
+        mark = engine.mark()
+        engine.add(negc)
         for _key, goal in pb.redundance_goals(premises, con, wit):
             if goal is not None and pb.discharge(
-                    goal, context, lambda: [*premises.values(), negc]) is None:
+                    goal, context, engine.rup) is None:
                 raise OrderError("spec entry %d: goal %s not derivable"
                                  % (i, pb.render(goal)))
+        engine.undo(mark)
         premises[i] = con
-        keys.add(con.key())
+        known.add(con)
+        engine.add(con)
     return True
 
 

@@ -1,8 +1,9 @@
 import pathlib
+import time
 
 import pytest
 
-from pbsym import breaker
+from pbsym import bench, breaker
 from pbsym import constraints as pb
 from pbsym import parsing
 from pbsym.checker import Checker, CheckError, UNSAT, VERIFIED, check_document
@@ -118,6 +119,18 @@ def test_ids_never_reused_after_deletion():
             "pol 11;\n")
     verdict, _ = check(php32(), text)
     assert verdict == VERIFIED
+
+
+def test_huge_deletion_range_is_bounded_by_assigned_ids():
+    formula, _ = parsing.parse_opb("+1 x1 +1 x2 >= 1 ;\n")
+    text = parsing.HEADER + "\npol 1;\ndel range 2 10000000000;\n"
+    t0 = time.perf_counter()
+    verdict, _ = check(formula, text)
+    assert verdict == VERIFIED
+    assert time.perf_counter() - t0 < 0.5
+    with pytest.raises(CheckError) as e:
+        check(formula, text.replace("del range 2", "del range 1"))
+    assert (e.value.reason, e.value.line) == ("core-delete", 3)
 
 
 def test_load_order_requires_definition():
@@ -318,3 +331,120 @@ def test_hint_free_qed_without_contradiction_rejected():
         check(_lex2_formula(), text)
     assert (e.value.reason, e.value.goal) == ("qed-failed", "#1")
     assert e.value.line == _line_of(text, "proofgoal #1", 1)
+
+
+# Hint-free RUP runs on one propagator per frame chain.  Each proof below
+# would be accepted by a propagator that kept constraints the step may no
+# longer see.
+
+def test_rup_cannot_use_deleted_constraint():
+    # x3 >= 1 is redundant (red), not implied; the first rup puts it in the
+    # propagator before it is deleted
+    formula, _ = parsing.parse_opb("+1 x1 +1 x2 >= 1 ;\n")
+    text = (parsing.HEADER + "\n"
+            "red +1 x3 >= 1 : x3 -> 1;\n"
+            "rup +1 x3 +1 x2 >= 1;\n"
+            "del range 2 4;\n"
+            "rup +1 x3 >= 1;\n")
+    with pytest.raises(CheckError) as e:
+        check(formula, text)
+    assert (e.value.reason, e.value.line) == ("rup-failed", 5)
+    verdict, _ = check(formula, text.replace("del range 2 4;\n", ""))
+    assert verdict == VERIFIED
+
+
+# u1 <= v1 as an implication, and (u2, u3) <= (v2, v3) when v's sum is at
+# least u's sum minus one, which is reflexive but not transitive: goal #1
+# holds by RUP, goal #2 does not
+IMPLIES_SUM = """def_order implies_sum
+vars
+left u1 u2 u3;
+right v1 v2 v3;
+aux;
+end vars;
+spec
+end spec;
+def
++1 ~u1 +1 v1 >= 1;
++1 v2 +1 v3 +1 ~u2 +1 ~u3 >= 1;
+end def;
+transitivity
+vars
+fresh_right w1 w2 w3;
+fresh_aux_1;
+fresh_aux_2;
+end vars;
+proof
+proofgoal #1
+qed #1;
+proofgoal #2
+qed #2;
+qed proof;
+end transitivity;
+reflexivity
+proof
+qed proof;
+end reflexivity;
+end def_order;
+"""
+
+
+def test_proofgoal_block_cannot_use_earlier_block():
+    # block #1 ends in a contradiction; block #2 may not inherit it
+    text = parsing.HEADER + "\n" + IMPLIES_SUM
+    with pytest.raises(CheckError) as e:
+        check(_lex2_formula(), text)
+    assert (e.value.reason, e.value.goal) == ("qed-failed", "#2")
+    assert e.value.line == _line_of(text, "proofgoal #2", 1)
+
+
+def test_geq_scope_cannot_use_leq_scope():
+    # the leq block ends in a contradiction over the leq spec rows; the geq
+    # scope has neither, and no contradiction of its own
+    formula, _ = parsing.parse_opb("+1 x1 +1 x2 >= 1 ;\n")
+    dom = ("dom +1 x1 >= 1 : x1 -> 0 x2 -> 1 : subproof\n"
+           "scope leq\n%s"
+           "end scope;\nscope geq\nproofgoal #2\nqed #2;\nend scope;\n"
+           "qed dom;")
+    for leq in ("", "proofgoal #1\nqed #1;\n"):
+        text = _lex2_proof(dom % leq)
+        with pytest.raises(CheckError) as e:
+            check(formula, text)
+        assert (e.value.reason, e.value.goal) == ("qed-failed", "#2")
+        assert e.value.line == _line_of(text, "proofgoal #2", 1)
+
+
+def test_rup_cannot_use_negation_from_red():
+    # red proves ~x3 + x1 >= 1 under not(x3 >= 1) = ~x3, which then goes
+    formula, _ = parsing.parse_opb("+1 ~x3 +1 x1 >= 1 ;\n+1 x3 +1 x1 >= 1 ;\n")
+    text = (parsing.HEADER + "\n"
+            "red +1 x3 >= 1 : x3 -> 1;\n"
+            "rup +1 ~x3 >= 1;\n")
+    trace = []
+    with pytest.raises(CheckError) as e:
+        check(formula, text, trace=trace)
+    assert (e.value.reason, e.value.line) == ("rup-failed", 3)
+    assert "goal 1: rup" in trace
+
+
+# verdicts and counters of breaker proofs, measured before hint-free RUP
+# moved to the incremental propagator
+@pytest.mark.parametrize("n,method,cp,counters", [
+    (5, "new", False, {"rup_calls": 1279, "spec_materializations": 1092,
+                       "implicit_reflexivity_skips": 234}),
+    (5, "old", False, {"rup_calls": 302, "spec_materializations": 0,
+                       "implicit_reflexivity_skips": 110}),
+    (4, "new", True, {"rup_calls": 46, "spec_materializations": 92,
+                      "implicit_reflexivity_skips": 22}),
+], ids=["php5-new", "php5-old", "php4-new-cp"])
+def test_breaker_proof_counters_pinned(n, method, cp, counters):
+    php = bench.generate("php", (n,))
+    gens = bench.known_generators(php)
+    # the cutting-planes variant takes the first generator only
+    built = breaker.break_symmetries(php.constraints, php.variables,
+                                     gens[:1] if cp else gens,
+                                     method=method, cp_variant=cp)
+    verdict, got = check_document(php.constraints,
+                                  parsing.parse_proof(built.text()))
+    assert verdict == VERIFIED
+    assert got == counters

@@ -1,0 +1,172 @@
+"""The incremental propagation engine, `constraints.Propagator`, against a
+reference slack sweep, the one-shot `rup_check` and the brute-force oracle."""
+
+from hypothesis import given, settings, strategies as st
+
+from pbsym.constraints import (
+    CONFLICT, Propagator, negate, normalize, propagate, rup_check, slack,
+)
+
+import oracle
+
+lits = st.integers(1, 5).flatmap(
+    lambda i: st.sampled_from(["x%d" % i, "~x%d" % i]))
+cons = st.builds(
+    normalize,
+    st.lists(st.tuples(st.integers(-3, 3), lits), max_size=4),
+    st.integers(-1, 4),
+)
+formulas = st.lists(cons, max_size=8)
+# a script of engine operations: add a constraint, take a mark, undo to
+# the last mark, or test a RUP goal
+ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), cons),
+    st.tuples(st.just("mark"), st.none()),
+    st.tuples(st.just("undo"), st.none()),
+    st.tuples(st.just("rup"), cons),
+), max_size=20)
+
+small = settings(max_examples=200, derandomize=True, deadline=None)
+
+
+def reference_propagate(constraints):
+    """Slack-based unit propagation by sweeping every constraint until
+    nothing changes; the assignment, or CONFLICT."""
+    rho = {}
+
+    def value(lit):
+        v = rho.get(lit.lstrip("~"))
+        if v is None:
+            return None
+        return 1 - v if lit.startswith("~") else v
+
+    changed = True
+    while changed:
+        changed = False
+        for c in constraints:
+            s = sum(a for l, a in c.terms.items() if value(l) != 0) - c.degree
+            if s < 0:
+                return CONFLICT
+            for l, a in c.terms.items():
+                if a > s and value(l) is None:
+                    rho[l.lstrip("~")] = 0 if l.startswith("~") else 1
+                    changed = True
+    return rho
+
+
+def state(engine):
+    """What `undo` must restore, with variables first seen later left out:
+    they are unassigned and occur nowhere once undone."""
+    n = len(engine.value)
+    return (list(engine.slack), list(engine.value), list(engine.trail),
+            [list(o) for o in engine.occ], len(engine.rows), engine.conflict,
+            n)
+
+
+def same_state(engine, saved):
+    slack, value, trail, occ, rows, conflict, n = saved
+    assert engine.slack == slack
+    assert engine.value[:n] == value
+    assert all(v is None for v in engine.value[n:])
+    assert engine.trail == trail
+    assert engine.occ[:n] == occ
+    assert not any(engine.occ[n:])
+    assert (len(engine.rows), engine.conflict) == (rows, conflict)
+
+
+def add(engine, rows, c):
+    """engine.add(c), keeping in `rows` the constraints the engine holds as
+    rows: tautologies and constraints added in conflict are not kept."""
+    if not engine.conflict and c.degree > 0:
+        rows.append(c)
+    return engine.add(c)
+
+
+def check_slacks(engine, rows):
+    """Each row's slack is `constraints.slack` of its constraint under the
+    engine's assignment."""
+    assert len(engine.rows) == len(rows)
+    rho = engine.assignment()
+    for r, c in enumerate(rows):
+        assert engine.slack[r] == slack(c, rho)
+        assert engine.top[r] == max(c.terms.values(), default=0)
+
+
+def test_example_propagates_chain():
+    e = Propagator()
+    assert e.add(normalize([(1, "~x1"), (1, "x2")], 1))
+    assert e.add(normalize([(2, "~x2"), (1, "x3"), (1, "x4")], 2))
+    assert e.assignment() == {}
+    assert e.add(normalize([(1, "x1")], 1))
+    assert e.assignment() == {"x1": 1, "x2": 1, "x3": 1, "x4": 1}
+    assert not e.add(normalize([(1, "~x4")], 1))
+    assert e.conflict
+
+
+@given(formulas)
+@small
+def test_propagate_equals_reference_sweep(f):
+    assert propagate(f) == reference_propagate(f)
+
+
+@given(formulas)
+@small
+def test_propagation_is_sound(f):
+    got = propagate(f)
+    if got == CONFLICT:
+        assert oracle.satisfiable(f) is None
+    else:
+        for var, val in got.items():
+            lit = var if val else "~" + var
+            assert oracle.implies(f, normalize([(1, lit)], 1))
+
+
+@given(formulas, formulas, cons)
+@small
+def test_undo_restores_state(base, extra, goal):
+    e, rows = Propagator(), []
+    for c in base:
+        add(e, rows, c)
+    saved = state(e)
+    mark = e.mark()
+    for c in extra:
+        add(e, rows, c)
+    check_slacks(e, rows)
+    e.rup(goal)
+    check_slacks(e, rows)
+    e.undo(mark)
+    same_state(e, saved)
+    check_slacks(e, rows[:len(e.rows)])
+
+
+@given(ops)
+@small
+def test_incremental_rup_equals_one_shot(script):
+    e, rows = Propagator(), []
+    db, marks = [], []
+    for op, c in script:
+        if op == "add":
+            assert add(e, rows, c) == (propagate(db + [c]) != CONFLICT)
+            db.append(c)
+        elif op == "mark":
+            marks.append((e.mark(), len(db), state(e)))
+        elif op == "undo" and marks:
+            mark, size, saved = marks.pop()
+            e.undo(mark)
+            del db[size:]
+            del rows[len(e.rows):]
+            same_state(e, saved)
+        elif op == "rup":
+            assert e.rup(c) == rup_check(db, c) == (
+                reference_propagate(db + [negate(c)]) == CONFLICT)
+        check_slacks(e, rows)
+
+
+@given(formulas, cons)
+@small
+def test_accepted_rup_is_implied(f, goal):
+    e = Propagator()
+    for c in f:
+        e.add(c)
+    if e.rup(goal):
+        assert oracle.implies(f, goal)
