@@ -12,6 +12,7 @@ the chain hold, and leaving a frame undoes that frame's constraints.
 """
 
 import itertools
+from collections import Counter, defaultdict
 
 from . import constraints as pb
 from . import orders as ordmod
@@ -91,17 +92,6 @@ class Frame:
     def get_rel(self, cid, line=None):
         return self.get(self.resolve_id(cid), line)
 
-    def visible(self):
-        """All visible constraints as id -> Constraint, child frames first
-        (builds every spec row in scope)."""
-        out = {}
-        f = self
-        while f is not None:
-            for cid, con in f.cons.items():
-                out[cid] = f._read(cid, con)
-            f = f.parent
-        return out
-
     def propagator(self):
         """The chain's propagator, brought to hold exactly the constraints
         visible here (builds every spec row in scope).  Frames synced
@@ -143,6 +133,46 @@ class Frame:
         """Add this frame's entries from the `start`-th on to `engine`."""
         for cid, con in itertools.islice(self.cons.items(), start, None):
             engine.add(self._read(cid, con))
+
+
+class RootFrame(Frame):
+    """The checker's top-level frame.  Besides its entries, all of them
+    Constraints, it keeps `occ`, each variable's live IDs in ID order, and
+    `live`, the multiset of live constraints; two IDs may hold equal
+    constraints, so deleting one leaves the other a premise."""
+
+    def __init__(self, state):
+        super().__init__(state=state)
+        self.occ = defaultdict(dict)   # variable -> {ID: None}
+        self.live = Counter()
+
+    def add(self, con):
+        cid = super().add(con)
+        for v in con.variables():
+            self.occ[v][cid] = None
+        self.live[con] += 1
+        return cid
+
+    def remove(self, cid):
+        """Drop the entry of `cid`, if there is one.  The propagator cannot
+        drop a constraint, so it goes too."""
+        con = self.cons.pop(cid, None)
+        if con is None:
+            return
+        for v in con.variables():
+            del self.occ[v][cid]
+        self.live[con] -= 1
+        if not self.live[con]:
+            del self.live[con]
+        self.engine = None
+
+    def touched(self, variables):
+        """(ID, constraint) of each entry over one of `variables`, in ID
+        order."""
+        ids = set()
+        for v in variables:
+            ids.update(self.occ.get(v, ()))
+        return [(cid, self.cons[cid]) for cid in sorted(ids)]
 
 
 def _run_rup(frame, goal, hints, line):
@@ -240,7 +270,7 @@ class Checker:
     """Checks one proof document against one formula."""
 
     def __init__(self, formula):
-        self.root = Frame(state=self)
+        self.root = RootFrame(self)
         self.core_ids = set()
         for c in formula:
             self.core_ids.add(self.root.add(c))
@@ -253,10 +283,6 @@ class Checker:
         self.trace = None  # optional list collecting goal discharge decisions
 
     # -------------------------------------------------------------- helpers
-
-    def _note(self, msg):
-        if self.trace is not None:
-            self.trace.append(msg)
 
     def _check_rule_constraint(self, c, w, line):
         aux = [v for v in c.variables() if pb.is_aux_var(v)]
@@ -288,10 +314,7 @@ class Checker:
     def step_red(self, step):
         c, w, line = step["constraint"], step["witness"], step["line"]
         self._check_rule_constraint(c, w, line)
-        visible = self.root.visible()
         negc = pb.negate(c)
-        premises = set(visible.values())
-        premises.add(negc)
         left, order_goals = None, []
         if set(w).isdisjoint(self.z_binding):
             self.counters["implicit_reflexivity_skips"] += 1
@@ -316,20 +339,19 @@ class Checker:
                         engine.add(fn())
             return engine.rup(goal)
 
+        # a premise the witness does not touch is its own image
+        goals = pb.redundance_goals(self.root.touched(w), c, w)
         try:
-            for key, goal in itertools.chain(
-                    pb.redundance_goals(visible, c, w), order_goals):
-                if goal is None:
-                    how = "untouched by witness"
-                else:
-                    how = pb.discharge(goal, premises, rup)
-                    if how in ("rup", None):
-                        self.counters["rup_calls"] += 1
-                    if how is None:
-                        raise CheckError("goal %s not derivable"
-                                         % pb.render(goal), line=line,
-                                         goal=key, reason="undischarged-goal")
-                self._note("goal %s: %s" % (key, how))
+            for key, goal in itertools.chain(goals, order_goals):
+                how = pb.discharge(goal, self.root.live, negc, rup)
+                if how in ("rup", None):
+                    self.counters["rup_calls"] += 1
+                if how is None:
+                    raise CheckError("goal %s not derivable"
+                                     % pb.render(goal), line=line,
+                                     goal=key, reason="undischarged-goal")
+                if self.trace is not None:
+                    self.trace.append("goal %s: %s" % (key, how))
         finally:
             if engine is not None:
                 engine.undo(mark)
@@ -363,7 +385,8 @@ class Checker:
         for cid in sorted(self.core_ids):
             goal = pb.substitute(self.root.get(cid), w)
             if goal.is_tautology() or goal in core:
-                self._note("core goal %d: auto" % cid)
+                if self.trace is not None:
+                    self.trace.append("core goal %d: auto" % cid)
             else:
                 pending[cid] = goal
         _prove_goals(leqf, pending, step["leq"], "leq scope", line,
@@ -420,10 +443,8 @@ class Checker:
                 raise CheckError("cannot delete core constraint %d" % cid,
                                  line=line, reason="core-delete")
             # IDs are never reused, so the entry can go; IDs never assigned
-            # at top level, or already removed, are skipped.  The
-            # propagator cannot drop a constraint, so it goes too.
-            if self.root.cons.pop(cid, None) is not None:
-                self.root.engine = None
+            # at top level, or already removed, are skipped
+            self.root.remove(cid)
 
     def step_output(self, step):
         """An output section carries no obligation."""

@@ -414,26 +414,23 @@ def rup_check(premises, goal):
 
 
 def redundance_goals(premises, c, witness):
-    """Goals of the redundance rule for deriving `c` under `witness` from
-    `premises` (ID -> constraint): (ID, G|w) for each premise over a
-    witness variable, (ID, None) for every other one, which is its own
-    image, then ("self", c|w)."""
-    domain = set(witness)
-    for cid, g in premises.items():
-        if domain.isdisjoint(g.variables()):
-            yield cid, None
-        else:
-            yield cid, substitute(g, witness)
+    """Goals of the redundance rule for deriving `c` under `witness`:
+    (ID, G|w) for each (ID, G) of `premises`, then ("self", c|w).
+    `premises` are the pairs, in ID order, whose constraint is over a
+    witness variable; every other premise is its own image and yields no
+    goal."""
+    for cid, g in premises:
+        yield cid, substitute(g, witness)
     yield "self", substitute(c, witness)
 
 
-def discharge(goal, premises, rup):
+def discharge(goal, premises, negc, rup):
     """How a redundance goal holds: "tautology", "syntactic premise" (it is
-    in the set `premises`), "rup" (`rup(goal)` is true), or None when it
-    does not."""
+    in the container `premises` or equals `negc`), "rup" (`rup(goal)` is
+    true), or None when it does not."""
     if goal.is_tautology():
         return "tautology"
-    if goal in premises:
+    if goal in premises or goal == negc:
         return "syntactic premise"
     if rup(goal):
         return "rup"

@@ -41,38 +41,59 @@ TRIVIAL = OrderDefinition("trivial", [], [], [], [], [])
 TRIVIAL.validated = True
 
 
+def _engine(premises, negc):
+    engine = pb.Propagator()
+    for c in premises:
+        engine.add(c)
+    engine.add(negc)
+    return engine
+
+
 def verify_specification(spec, aux_vars):
     """Check the redundance obligations of a specification, in list order.
 
     Entry i is derived by the redundance rule from C_1..C_{i-1}, the rule
     ``red`` applies: the goals of :func:`pb.redundance_goals` are
-    discharged by :func:`pb.discharge` against the premises and neg(C_i).
-    Earlier entries the witness does not touch are their own images, so
-    they are not substituted.  One propagator holds C_1..C_{i-1}; neg(C_i)
-    is added for entry i's goals and undone before C_i is added.
+    discharged by :func:`pb.discharge` against the earlier entries and
+    neg(C_i).  Only the earlier entries over a witness variable, found
+    through a variable -> entry index, are substituted; the others are
+    their own images.  A RUP goal is tried first in a fresh propagator
+    over those touched entries plus neg(C_i), and only if that fails over
+    all earlier entries plus neg(C_i).  RUP is monotone in its premises,
+    so the first success is sound and the verdict is that of the full
+    check; the fallback engine is built when a goal needs it.
     """
     aux = set(aux_vars)
-    premises = {}
+    entries = []   # C_1..C_{i-1}
+    occ = {}       # variable -> indices into `entries`, ascending
     known = set()
-    engine = pb.Propagator()
     for i, (con, wit) in enumerate(spec, start=1):
         bad = set(wit) - aux
         if bad:
             raise OrderError(
                 "spec entry %d witnesses non-aux variables %s" % (i, sorted(bad)))
         negc = pb.negate(con)
-        context = known | {negc}
-        mark = engine.mark()
-        engine.add(negc)
-        for _key, goal in pb.redundance_goals(premises, con, wit):
-            if goal is not None and pb.discharge(
-                    goal, context, engine.rup) is None:
+        touched = sorted({j for v in wit for j in occ.get(v, ())})
+        near = [entries[j] for j in touched]
+        engines = [None, None]
+
+        def rup(goal):
+            # over the touched entries first, then over all of them
+            for k, premises in enumerate((near, entries)):
+                if engines[k] is None:
+                    engines[k] = _engine(premises, negc)
+                if engines[k].rup(goal):
+                    return True
+            return False
+
+        for _key, goal in pb.redundance_goals(zip(touched, near), con, wit):
+            if pb.discharge(goal, known, negc, rup) is None:
                 raise OrderError("spec entry %d: goal %s not derivable"
                                  % (i, pb.render(goal)))
-        engine.undo(mark)
-        premises[i] = con
+        for v in con.variables():
+            occ.setdefault(v, []).append(len(entries))
+        entries.append(con)
         known.add(con)
-        engine.add(con)
     return True
 
 

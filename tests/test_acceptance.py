@@ -308,7 +308,8 @@ def _random_document(rng):
     if rng.random() < 0.7:
         probe = checker.Checker(inst.constraints)
         probe.run(parsing.parse_proof(text))
-        visible = probe.root.visible()
+        # the top-level constraints live after the proof, by ID
+        visible = dict(probe.root.cons)
         extra = []
         for _ in range(rng.randint(1, 4)):
             cid = rng.choice(sorted(visible))
