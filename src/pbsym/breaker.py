@@ -8,10 +8,10 @@ lex-leader breaking clauses together with a proof that the checker in
   introduces prefix-equality variables $a_i and prefix-comparison
   variables $d_i.  Per symmetry we introduce a small reified circuit over
   the support (variables s_j, t_j), derive ``t_k >= 1`` by dominance and
-  turn it into clauses.  The first generator's fragment scales with its
-  support, not with the total variable count n; a later one also rewrites
-  the order's chain from its first support position p on, so it costs
-  O(n - p).
+  turn it into clauses.  Every generator's fragment is O(k) for support
+  size k, whatever the total variable count n: the hint-free proof writes
+  no step that restates a row in scope or that unit propagation finds
+  anyway, so its line count is affine in k.
 
 * the *aggregate* method ("old"): a one-constraint order with exponential
   coefficients sum 2^(n-i) (v_i + ~u_i) >= 2^n - 1.  Dominance introduces
@@ -183,12 +183,6 @@ def _clause(*lits):
 def _rup(*lits):
     """Hint-free rup step for :func:`_clause` of `lits`."""
     return parsing.rup_step(_clause(*lits), None, None)
-
-
-def _tautology():
-    """rup step for a constraint that holds trivially, such as ~x + x >= 1:
-    a placeholder that keeps the constraint IDs of the fragment layout."""
-    return parsing.rup_step(pb.Constraint({}, 0), None, None)
 
 
 def _pol(*tokens):
@@ -544,11 +538,11 @@ class ProofBuilder:
 
     def _restore(self, fr, lit):
         """pol tokens that add `lit` back to a saturated rewrite of a row of
-        the first support level, which the cutting planes variant needs: a
-        negation x -> ~x there merges two literals of the row into one term
-        of coefficient 2, which saturation halves and the unrewritten rows
-        of an empty prefix keep."""
-        return [lit, "+"] if self.cp and fr.imgs[0] == pb.neg(fr.xs[0]) else []
+        the first support level in the cutting planes variant: a negation
+        x -> ~x there merges two literals of the row into one term of
+        coefficient 2, which saturation halves and the unrewritten rows of
+        an empty prefix keep."""
+        return [lit, "+"] if fr.imgs[0] == pb.neg(fr.xs[0]) else []
 
     def _break_new(self, fr):
         n, k, S = self.order.n, fr.k, len(self.order.spec)
@@ -562,9 +556,8 @@ class ProofBuilder:
         leq_spec = _spec_ids(self.spec_index, self.skip(S))
         self.skip(1)  # negated order goal ~$dn
         leq = []
-        a_first, b2rew = self._leq_rewrite(fr, leq, *leq_spec)
         if self.cp:
-            self._leq_cp(fr, leq, *leq_spec, a_first, b2rew)
+            self._leq_cp(fr, leq, *leq_spec)
         else:
             self._leq_lemmas(fr, leq)
 
@@ -583,51 +576,21 @@ class ProofBuilder:
         self._cleanup_new(fr, frag_start, result)
 
     def _leq_rewrite(self, fr, steps, A, D):
-        """Start of the refutation of S(sigma z, z), ~(sigma z >= z) and
-        ~t_k: rewrite the $a and $d chains above the untouched prefix.
-        Returns the rewritten first $a rows (by half) and $d_f half 2."""
-        n, q = self.order.n, fr.q
+        """The cutting planes variant's start of the refutation of
+        S(sigma z, z), ~(sigma z >= z) and ~t_k: the first support level's
+        $a row of half 1 and $d row of half 2 with the untouched prefix's
+        $a_q and $d_q, both true there, cancelled.  Returns their IDs;
+        without a prefix these are the spec rows themselves."""
+        q, f = fr.q, fr.q + 1
+        if not q:
+            return A(1, 1) if fr.k >= 2 else None, D(1, 2)
         emit = functools.partial(self.derive, steps)
-        f = q + 1
-
-        emit(_rup("~$d%d" % n))
-        aq_id = emit(_rup("$a%d" % q) if q else _tautology())
-
-        # each level's rewrite adds the two tautologies ~$a + $a >= 1
-        a_taut = {}
-        a_first = {}
-        if f <= n - 1:
-            if q:
-                a_first[1] = emit(_pol(A(f, 1), "~$a%d" % q, 2, "*", "+", "s",
-                                       *self._restore(fr, fr.imgs[0])))
-                a_first[2] = emit(_pol(A(f, 2), -2, 2, "*", "+"))
-            else:
-                a_first[1] = emit(_pol(A(1, 1)))
-                a_first[2] = emit(_pol(A(1, 2)))
-            for lv in range(f + 1, n):
-                a_taut[lv - 1] = (emit(_tautology()), emit(_tautology()))
-                emit(_pol(A(lv, 1), -2, 2, "*", "+"))
-                emit(_pol(A(lv, 2), -2, 2, "*", "+"))
-            a_taut[n - 1] = (emit(_tautology()), emit(_tautology()))
-
-        if q:
-            emit(_rup("$d%d" % q))
-            emit(_pol(D(f, 1), "~$d%d" % q, 3, "*", "+", aq_id, "+", "s",
-                      *self._restore(fr, fr.xs[0])))
-            b2rew = emit(_pol(D(f, 2), -2, 3, "*", "+", "~$a%d" % q, "+"))
-        else:
-            emit(_tautology())
-            emit(_pol(D(1, 1)))
-            b2rew = emit(_pol(D(1, 2)))
-        for lv in range(f + 1, n + 1):
-            emit(_tautology())
-            emit(_tautology())
-            ref = a_taut[lv - 1]
-            emit(_pol(D(lv, 1), -2, 3, "*", "+",
-                      ref[1] - self.frame.counter[0], "+"))
-            emit(_pol(D(lv, 2), -2, 3, "*", "+",
-                      ref[0] - self.frame.counter[0], "+"))
-        return a_first, b2rew
+        a_first = None
+        if fr.k >= 2:
+            a_first = emit(_pol(A(f, 1), "~$a%d" % q, 2, "*", "+", "s",
+                                *self._restore(fr, fr.imgs[0])))
+        dq = emit(_rup("$d%d" % q))
+        return a_first, emit(_pol(D(f, 2), dq, 3, "*", "+", "~$a%d" % q, "+"))
 
     def _leq_lemmas(self, fr, steps):
         """Bridge lemmas between the circuit and the order's chain, then
@@ -648,18 +611,19 @@ class ProofBuilder:
                     emit(_rup("$d%d" % pos[m - 1], "t%d" % j))
         emit(_rup())
 
-    def _leq_cp(self, fr, steps, A, D, a_first, b2rew):
+    def _leq_cp(self, fr, steps, A, D):
         """Cutting planes replacement for the leq bridge/chain/grid lemmas."""
         k, pos, xs, sn = fr.k, fr.pos, fr.xs, fr.snames
         s_ids, t_ids = fr.s_ids, fr.t_ids
         img_var = [pb.var_of(img) for img in fr.imgs]
         emit = functools.partial(self.derive, steps)
         avar = lambda j: "$a%d" % pos[j - 1]
+        a_first, b2rew = self._leq_rewrite(fr, steps, A, D)
 
         sd, at = {}, {}
         if k >= 2:
             sd[1] = emit(_pol(b2rew, s_ids[1][0], "+", "s"))
-            at[1] = emit(_pol(t_ids[1][1], a_first[1], "+", "s"))
+            at[1] = emit(_pol(t_ids[1][1], a_first, "+", "s"))
         for j in range(1, k - 1):
             sd[j + 1] = emit(_pol(
                 s_ids[j + 1][0], D(pos[j], 2), avar(j), "w", "+", sd[j], 3,
@@ -685,10 +649,9 @@ class ProofBuilder:
         emit(_rup())
 
     def _geq_lemmas(self, fr, steps):
-        """Derive falsum from S(z, sigma z), sigma z >= z and ~t_k."""
+        """Derive falsum from S(z, sigma z), sigma z >= z and ~t_k; unit
+        propagation finds the $d chain from $d_n itself."""
         emit = functools.partial(self.derive, steps)
-        for i in range(self.order.n - 1, fr.q, -1):
-            emit(_rup("$d%d" % i))
         for j in range(1, fr.k):
             emit(_rup(pb.neg(fr.snames[j]), "$a%d" % fr.pos[j - 1]))
         for j in range(1, fr.k):
@@ -709,8 +672,7 @@ class ProofBuilder:
             drew = emit(_pol(D(q + 1, 1), "~$d%d" % q, 3, "*", "+", aq_id,
                              "+", "s", *self._restore(fr, fr.imgs[0])))
         else:
-            arew = emit(_pol(A(1, 2)))
-            drew = emit(_pol(D(1, 1)))
+            arew, drew = A(1, 2), D(1, 1)
 
         asu = {}
         if k >= 2:

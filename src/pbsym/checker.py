@@ -271,9 +271,11 @@ class Checker:
 
     def __init__(self, formula):
         self.root = RootFrame(self)
-        self.core_ids = set()
+        # core constraints cannot be deleted, so both sets stay valid
+        self.core_ids, self.core = set(), set()
         for c in formula:
             self.core_ids.add(self.root.add(c))
+            self.core.add(c)
         self.orders = {}
         self.loaded = ordmod.TRIVIAL
         self.z_binding = []
@@ -381,10 +383,12 @@ class Checker:
         pending = {"#%d" % k: og for k, og in enumerate(
             ordmod.order_instance(self.loaded, left, self.z_binding), 1)}
         falsum_key = "#%d" % (len(pending) + 1)
-        core = {self.root.get(cid) for cid in self.core_ids}
-        for cid in sorted(self.core_ids):
-            goal = pb.substitute(self.root.get(cid), w)
-            if goal.is_tautology() or goal in core:
+        # a core constraint the witness does not touch is its own image
+        for cid, con in self.root.touched(w):
+            if cid not in self.core_ids:
+                continue
+            goal = pb.substitute(con, w)
+            if goal.is_tautology() or goal in self.core:
                 if self.trace is not None:
                     self.trace.append("core goal %d: auto" % cid)
             else:

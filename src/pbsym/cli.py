@@ -21,7 +21,6 @@ from . import bench
 from . import breaker
 from . import checker
 from . import constraints as pb
-from . import orders
 from . import parsing
 
 REPORT_SCHEMA = 1

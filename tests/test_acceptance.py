@@ -249,6 +249,28 @@ def test_criterion_5_per_symmetry_scaling():
     assert time.perf_counter() - t0 < 30.0
 
 
+def test_criterion_5_every_fragment_affine_in_support():
+    # every generator, first or later, after a prefix of fixed variables or
+    # not, negation symmetries included: one affine line count in k
+    t0 = time.perf_counter()
+    points = set()
+    for family, params in [("php", (5,)), ("php", (8,)), ("php", (11,)),
+                           ("count", (6, 3)), ("tseitin", (3,))]:
+        inst = bench.generate(family, params)
+        gens = bench.known_generators(inst)
+        b = breaker.ProofBuilder(inst.constraints, inst.variables)
+        b.begin(gens)
+        for sym in gens:
+            mark = len(b.lines)
+            b.break_symmetry(sym)
+            points.add((len(sym.support()), len(b.lines) - mark))
+    (k0, l0), (k1, l1) = min(points), max(points)
+    assert k0 < k1
+    assert all((l - l0) * (k1 - k0) == (l1 - l0) * (k - k0)
+               for k, l in points)
+    assert time.perf_counter() - t0 < 10.0
+
+
 # --------------------------------------------------------------------------
 # 6. Breaking clauses preserve satisfiability on every small family.
 # --------------------------------------------------------------------------

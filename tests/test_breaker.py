@@ -131,12 +131,67 @@ def test_lex_definition_line_count_linear():
 
 # ------------------------------------------------------------ full proofs
 
+def _mask_ids(obj):
+    """Structural copy of a parsed proof without line numbers, with the
+    constraint IDs of pol steps (integer tokens that are not a multiplier
+    or divisor), rup hints and del range bounds replaced by "#"."""
+    if isinstance(obj, list):
+        return [_mask_ids(x) for x in obj]
+    if not isinstance(obj, dict):
+        return obj
+    out = {k: _mask_ids(v) for k, v in obj.items() if k != "line"}
+    kind = obj.get("kind")
+    if kind == "pol":
+        toks = obj["tokens"]
+        out["tokens"] = [
+            "#" if t.lstrip("-").isdigit() and nxt not in ("*", "d") else t
+            for t, nxt in zip(toks, toks[1:] + [None])]
+    elif kind == "rup" and obj["hints"] is not None:
+        out["hints"] = ["#"] * len(obj["hints"])
+    elif kind == "del_range":
+        out["start"] = out["stop"] = "#"
+    return out
+
+
+def _dropped_steps(steps, reference):
+    """The steps of `reference` left out of `steps`, which must be a
+    subsequence of it."""
+    dropped, i = [], 0
+    for ref in reference:
+        if i < len(steps) and steps[i] == ref:
+            i += 1
+        else:
+            dropped.append(ref)
+    assert i == len(steps), "not a subsequence of the reference block"
+    return dropped
+
+
 def test_php32_document_matches_golden():
+    # the golden proof carries rup and pol steps that restate constraints
+    # already in scope or that unit propagation finds anyway; the breaker
+    # leaves those out and keeps every other step
     cons, variables = php32()
     b = breaker.break_symmetries(cons, variables, [sigma(), tau()])
+    doc = parsing.parse_proof(b.text())
     golden = parsing.parse_proof((DATA / "php32_lex.pbp").read_text())
-    assert (parsing.strip_lines(parsing.parse_proof(b.text()))
-            == parsing.strip_lines(golden))
+    got, ref = _mask_ids(doc["steps"]), _mask_ids(golden["steps"])
+    assert [s["kind"] for s in got] == [s["kind"] for s in ref]
+    dropped = []
+    for step, want in zip(got, ref):
+        if step["kind"] != "dom":
+            assert step == want
+            continue
+        assert (step["constraint"], step["witness"]) == (want["constraint"],
+                                                         want["witness"])
+        for scope in ("leq", "geq"):
+            assert ([(g["key"], g["qed_hint"]) for g in step[scope]]
+                    == [(g["key"], g["qed_hint"]) for g in want[scope]])
+            for block, wblock in zip(step[scope], want[scope]):
+                dropped += _dropped_steps(block["steps"], wblock["steps"])
+    assert {s["kind"] for s in dropped} <= {"rup", "pol"}
+    assert len(dropped) == 82
+    verdict, _ = check_document(cons, doc)
+    assert verdict == VERIFIED
 
 
 def test_php32_document_counters():
@@ -146,17 +201,19 @@ def test_php32_document_counters():
     assert verdict == VERIFIED
     assert counters["spec_materializations"] == 88
     assert counters["implicit_reflexivity_skips"] == 36
-    assert counters["rup_calls"] == 150
+    assert counters["rup_calls"] == 104
 
 
 def test_cp_variant_verifies():
     cons, variables = php32()
+    _, hint_free = checked(cons, breaker.break_symmetries(
+        cons, variables, [sigma(), tau()]))
     b = breaker.break_symmetries(cons, variables, [sigma(), tau()],
                                  cp_variant=True)
     verdict, counters = checked(cons, b)
     assert verdict == VERIFIED
     # the explicit derivations replace most hint-free RUP lemmas
-    assert counters["rup_calls"] < 150
+    assert counters["rup_calls"] < hint_free["rup_calls"]
 
 
 def test_old_method_verifies_and_agrees():

@@ -184,14 +184,26 @@ def test_dom_identity_witness_rejected():
     assert e.value.reason == "identity-witness"
 
 
+def _core_trace(trace):
+    return [int(t.split()[2].rstrip(":")) for t in trace
+            if t.startswith("core goal ")]
+
+
 def test_dom_nonsymmetry_witness_leaves_core_goal():
     prefix = _order_prefix(golden_text())
     # x1 -> x2 is not a symmetry of PHP(3,2); core goals cannot all discharge
     text = (prefix +
             "dom +1 t4 >= 1 : x1 -> x2 x2 -> x1 : subproof\n"
             "scope leq\nend scope;\nscope geq\nend scope;\nqed dom;\n")
-    with pytest.raises(CheckError):
-        check(php32(), text)
+    trace = []
+    with pytest.raises(CheckError) as e:
+        check(php32(), text, trace=trace)
+    # the order goal, without a block, fails first
+    assert (e.value.reason, e.value.goal, e.value.line) == (
+        "undischarged-goal", "#1", prefix.count("\n") + 1)
+    # of the touched core constraints 1, 4, 5, 7 and 8 only the image of
+    # x1 + x2 >= 1 is in the core; the rest are pending
+    assert _core_trace(trace) == [1]
 
 
 def test_subproof_locals_invisible_after_qed():
@@ -213,6 +225,10 @@ def test_trace_collects_goal_decisions():
     trace = []
     check(php32(), golden_text(), trace=trace)
     assert trace
+    # a dom step's core goals are the core constraints its witness
+    # touches, the others being their own images: sigma = (x1 x3)(x2 x4)
+    # leaves x5 + x6 >= 1 (ID 3) alone, tau moves every variable
+    assert _core_trace(trace) == [1, 2, 4, 5, 6, 7, 8, 9] + list(range(1, 10))
 
 
 def test_conclusion_unsat_requires_falsum():
@@ -427,14 +443,15 @@ def test_rup_cannot_use_negation_from_red():
     assert "goal 1: rup" in trace
 
 
-# verdicts and counters of breaker proofs, measured before hint-free RUP
-# moved to the incremental propagator
+# verdicts and counters of breaker proofs; a hint-free RUP reads every
+# spec row in scope, so spec_materializations does not depend on how many
+# lemmas a dom scope writes
 @pytest.mark.parametrize("n,method,cp,counters", [
-    (5, "new", False, {"rup_calls": 1279, "spec_materializations": 1092,
+    (5, "new", False, {"rup_calls": 688, "spec_materializations": 1092,
                        "implicit_reflexivity_skips": 234}),
     (5, "old", False, {"rup_calls": 302, "spec_materializations": 0,
                        "implicit_reflexivity_skips": 110}),
-    (4, "new", True, {"rup_calls": 46, "spec_materializations": 92,
+    (4, "new", True, {"rup_calls": 24, "spec_materializations": 92,
                       "implicit_reflexivity_skips": 22}),
 ], ids=["php5-new", "php5-old", "php4-new-cp"])
 def test_breaker_proof_counters_pinned(n, method, cp, counters):
