@@ -6,7 +6,7 @@ Submodules:
   orders       -- preorder definitions with auxiliary variables
   checker      -- the proof state machine
   breaker      -- proof-logging lex-leader symmetry breaker
-  bench        -- crafted benchmark families and brute-force oracles
+  bench        -- crafted benchmark families and their symmetry generators
   cli          -- command line entry points
 """
 

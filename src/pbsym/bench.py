@@ -1,4 +1,4 @@
-"""Crafted benchmark generators and brute-force semantic oracles.
+"""Crafted benchmark generators.
 
 Each generator returns an :class:`Instance` whose constraints are CNF
 clauses in normalized PB form, plus a naming map from semantic names
@@ -211,6 +211,10 @@ def generate(family, params):
     except KeyError:
         raise BenchError("unknown family %r (know %s)"
                          % (family, sorted(_FAMILIES)))
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+    if not len(names) - len(fn.__defaults__ or ()) <= len(params) <= len(names):
+        raise BenchError("%s takes parameters (%s), got %d"
+                         % (family, ", ".join(names), len(params)))
     return fn(*params)
 
 
@@ -292,39 +296,3 @@ def known_generators(inst):
         return gens
     raise BenchError("no generators for family %r" % f)
 
-
-# ------------------------------------------------------------------ oracles
-
-def _all_assignments(variables):
-    for bits in itertools.product((0, 1), repeat=len(variables)):
-        yield dict(zip(variables, bits))
-
-
-def satisfiable(cons, variables=None):
-    if variables is None:
-        variables = sorted({v for c in cons for v in c.variables()})
-    for rho in _all_assignments(list(variables)):
-        if all(pb.satisfies(c, rho) for c in cons):
-            return True
-    return False
-
-
-def oracle_equisat(formula, breaking):
-    """Exhaustively decide whether sat(F) <=> sat(F u B)."""
-    fvars = sorted({v for c in formula for v in c.variables()})
-    allvars = sorted({v for c in list(formula) + list(breaking)
-                      for v in c.variables()})
-    if len(allvars) > 20:
-        raise BenchError("instance too large for the exhaustive oracle "
-                         "(%d > 20 variables)" % len(allvars))
-    return satisfiable(formula, fvars) == satisfiable(
-        list(formula) + list(breaking), allvars)
-
-
-def oracle_lex(alpha, beta):
-    """alpha <=_lex beta via big-integer comparison of bit strings."""
-    if len(alpha) != len(beta):
-        raise BenchError("assignments differ in length")
-    n = len(alpha)
-    weight = lambda bits: sum(b << (n - 1 - i) for i, b in enumerate(bits))
-    return weight(alpha) <= weight(beta)

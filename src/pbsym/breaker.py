@@ -93,6 +93,9 @@ def parse_symmetry(text):
     text = text.strip()
     if not text:
         raise BreakError("empty symmetry description")
+    for tok in text.replace("(", " ").replace(")", " ").split():
+        if tok.startswith("~~"):
+            raise BreakError("literal %r has more than one leading '~'" % tok)
     mapping = {}
 
     def put(var, img):
@@ -789,7 +792,8 @@ def break_symmetries(formula, variables, syms, method="new", cp_variant=False):
                              % (i, sym.witness_text(), e))
     builder = ProofBuilder(formula, variables, method=method,
                            cp_variant=cp_variant)
-    active = [s for s in syms if not s.is_identity()]
+    # a generator that moves no variable of the formula acts as the identity
+    active = [s for s in syms if not set(s.mapping).isdisjoint(variables)]
     if active:
         builder.begin(active)
         for sym in active:

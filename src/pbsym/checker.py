@@ -266,6 +266,13 @@ def run_obligation(premises, goals, blocks, label):
                  blocks, label, None)
 
 
+def _refuse_aux(c, line, reason):
+    aux = sorted(v for v in c.variables() if pb.is_aux_var(v))
+    if aux:
+        raise CheckError("constraint %s mentions order-aux variables %s"
+                         % (pb.render(c), aux), line=line, reason=reason)
+
+
 class Checker:
     """Checks one proof document against one formula."""
 
@@ -274,6 +281,9 @@ class Checker:
         # core constraints cannot be deleted, so both sets stay valid
         self.core_ids, self.core = set(), set()
         for c in formula:
+            # `$` names are reserved for order-auxiliary variables, which
+            # the spec rows of dom scopes constrain
+            _refuse_aux(c, None, "aux-in-formula")
             self.core_ids.add(self.root.add(c))
             self.core.add(c)
         self.orders = {}
@@ -287,10 +297,7 @@ class Checker:
     # -------------------------------------------------------------- helpers
 
     def _check_rule_constraint(self, c, w, line):
-        aux = [v for v in c.variables() if pb.is_aux_var(v)]
-        if aux:
-            raise CheckError("constraint mentions order-aux variables %s"
-                             % sorted(aux), line=line, reason="aux-in-constraint")
+        _refuse_aux(c, line, "aux-in-constraint")
         for var, img in w.items():
             if pb.is_aux_var(var):
                 raise CheckError("witness maps order-aux variable %s" % var,
@@ -317,47 +324,31 @@ class Checker:
         c, w, line = step["constraint"], step["witness"], step["line"]
         self._check_rule_constraint(c, w, line)
         negc = pb.negate(c)
-        left, order_goals = None, []
+        # the scope holds not(c) and, when the witness moves a bound
+        # variable, the spec rows the order goals are proved over; the next
+        # sync of the root's propagator drops it, as after a dom scope
+        scope = Frame(parent=self.root, counter=[1])
+        scope.add(negc)
+        order_goals = []
         if set(w).isdisjoint(self.z_binding):
             self.counters["implicit_reflexivity_skips"] += 1
         else:
             left = self._witness_images(w)
             order_goals = [("#%d" % k, og) for k, og in enumerate(
                 ordmod.order_instance(self.loaded, left, self.z_binding), 1)]
-        engine = mark = None
-
-        def rup(goal):
-            # the first RUP adds not(c) and builds the spec rows the order
-            # goals are proved over
-            nonlocal engine, mark
-            if engine is None:
-                engine = self.root.propagator()
-                mark = engine.mark()
-                engine.add(negc)
-                if left is not None:
-                    for fn in ordmod.spec_instance(self.loaded, left,
-                                                   self.z_binding):
-                        self.counters["spec_materializations"] += 1
-                        engine.add(fn())
-            return engine.rup(goal)
-
+            for fn in ordmod.spec_instance(self.loaded, left, self.z_binding):
+                scope.add(fn)
         # a premise the witness does not touch is its own image
         goals = pb.redundance_goals(self.root.touched(w), c, w)
-        try:
-            for key, goal in itertools.chain(goals, order_goals):
-                how = pb.discharge(goal, self.root.live, negc, rup)
-                if how in ("rup", None):
-                    self.counters["rup_calls"] += 1
-                if how is None:
-                    raise CheckError("goal %s not derivable"
-                                     % pb.render(goal), line=line,
-                                     goal=key, reason="undischarged-goal")
-                if self.trace is not None:
-                    self.trace.append("goal %s: %s" % (key, how))
-        finally:
-            if engine is not None:
-                engine.undo(mark)
-
+        for key, goal in itertools.chain(goals, order_goals):
+            how = pb.discharge(goal, self.root.live, negc,
+                               lambda g: _run_rup(scope, g, None, line))
+            if how is None:
+                raise CheckError("goal %s not derivable" % pb.render(goal),
+                                 line=line, goal=key,
+                                 reason="undischarged-goal")
+            if self.trace is not None:
+                self.trace.append("goal %s: %s" % (key, how))
         self.root.add(c)
 
     def step_dom(self, step):
@@ -413,7 +404,8 @@ class Checker:
             order = ordmod.OrderDefinition(
                 step["name"], step["left"], step["right"], step["aux"],
                 step["spec"], step["def"])
-            ordmod.validate(order, step["transitivity"], step["reflexivity"])
+            ordmod.validate(order, step["transitivity"], step["reflexivity"],
+                            run_obligation)
         except ordmod.OrderError as e:
             raise CheckError(str(e), line=step["line"], reason="bad-order")
         except CheckError as e:

@@ -187,6 +187,8 @@ def cmd_compare(args):
         start, stop = (int(x) for x in args.range.split(".."))
     except ValueError:
         raise _IOFailure("size range must look like 5..30")
+    if args.step < 1:
+        raise _IOFailure("--step must be at least 1, got %d" % args.step)
     sizes = list(range(start, stop + 1, args.step))
     out = io.StringIO()
     writer = csv.writer(out)

@@ -259,23 +259,6 @@ def evaluate_polish(tokens, resolve):
     return as_constraint(stack[0])
 
 
-def lit_value(assignment, lit):
-    """0/1 value of a literal under a partial assignment, or None."""
-    v = assignment.get(var_of(lit))
-    if v is None:
-        return None
-    return v if is_positive(lit) else 1 - v
-
-
-def slack(c, assignment):
-    """Sum of coefficients of non-falsified literals minus the degree."""
-    s = -c.degree
-    for lit, a in c.terms.items():
-        if lit_value(assignment, lit) != 0:
-            s += a
-    return s
-
-
 class Propagator:
     """Incremental slack-based unit propagation over int literals.
 
@@ -442,13 +425,3 @@ def render(c):
     return " ".join([f"+{a} {lit}" for lit, a in c.terms.items()]
                     + [f">= {c.degree}"])
 
-
-def satisfies(c, assignment):
-    """Total-assignment satisfaction test (used by the brute-force oracles)."""
-    lhs = 0
-    for lit, a in c.terms.items():
-        val = lit_value(assignment, lit)
-        if val is None:
-            raise ConstraintError("assignment leaves %s unset" % lit)
-        lhs += a * val
-    return lhs >= c.degree

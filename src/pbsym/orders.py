@@ -164,28 +164,27 @@ def reflexivity_obligation(order):
     return premises, goals
 
 
-def check_reflexivity(order, subproof_goals):
-    from . import checker
+def check_reflexivity(order, subproof_goals, run):
     premises, goals = reflexivity_obligation(order)
-    checker.run_obligation(premises, goals, subproof_goals, "reflexivity")
+    run(premises, goals, subproof_goals, "reflexivity")
     return True
 
 
 def check_transitivity(order, fresh_right, fresh_aux_1, fresh_aux_2,
-                       subproof_goals):
-    from . import checker
+                       subproof_goals, run):
     premises, goals = transitivity_obligation(
         order, fresh_right, fresh_aux_1, fresh_aux_2)
-    checker.run_obligation(premises, goals, subproof_goals, "transitivity")
+    run(premises, goals, subproof_goals, "transitivity")
     return True
 
 
-def validate(order, transitivity, reflexivity):
-    """Full validation pipeline for a parsed def_order block."""
+def validate(order, transitivity, reflexivity, run):
+    """Full validation pipeline for a parsed def_order block.  `run`
+    (premises, goals, blocks, label) runs each obligation's subproof."""
     verify_specification(order.spec, order.aux_vars)
     check_transitivity(order, transitivity["fresh_right"],
                        transitivity["fresh_aux_1"], transitivity["fresh_aux_2"],
-                       transitivity["goals"])
-    check_reflexivity(order, reflexivity["goals"])
+                       transitivity["goals"], run)
+    check_reflexivity(order, reflexivity["goals"], run)
     order.validated = True
     return order

@@ -40,6 +40,7 @@ def parse_opb(text):
             toks[-1] = toks[-1][:-1]
         if ";" in toks:
             raise ParseError("stray ';' inside constraint", lineno)
+        _check_literals(line, lineno)
         terms, degree, rest = _parse_terms(toks, lineno)
         if rest:
             raise ParseError("trailing tokens %r" % rest, lineno)
@@ -99,6 +100,16 @@ def render_cnf(cons, nvars):
             lits.append(("-" if lit.startswith("~") else "") + v[1:])
         lines.append(" ".join(lits) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def _check_literals(line, lineno):
+    """A literal is `name` or `~name`; `~~x` would read as the negation of
+    a variable named `~x`, which `~x`, the negation of x, would alias."""
+    if "~~" in line:
+        for tok in line.replace(";", " ").split():
+            if tok.startswith("~~"):
+                raise ParseError("literal %r has more than one leading '~'"
+                                 % tok, lineno)
 
 
 def _int(tok, lineno, what):
@@ -210,6 +221,7 @@ class _Lines:
             stripped = line.strip()
             if not stripped or stripped.startswith("*"):
                 continue
+            _check_literals(stripped, lineno)
             toks = stripped.replace(";", " ").split()
             if toks:
                 self.items.append((lineno, toks))

@@ -59,3 +59,30 @@ def models(cons, variables=None):
     vs = set(variables) if variables is not None else vars_of(cons)
     return [rho for rho in all_assignments(vs)
             if all(con_holds(c, rho) for c in cons)]
+
+
+def slack(con, assignment):
+    """Sum of the coefficients of the literals a partial assignment does
+    not falsify, minus the degree."""
+    s = -con.degree
+    for lit, a in con.terms.items():
+        var = lit[1:] if lit.startswith("~") else lit
+        if var not in assignment or lit_holds(lit, assignment):
+            s += a
+    return s
+
+
+def equisat(formula, breaking):
+    """Whether sat(F) <=> sat(F u B), by exhaustive search."""
+    formula, breaking = list(formula), list(breaking)
+    assert len(vars_of(formula + breaking)) <= 20, \
+        "oracle is exponential; keep instances small"
+    return ((satisfiable(formula) is None)
+            == (satisfiable(formula + breaking) is None))
+
+
+def lex_leq(alpha, beta):
+    """alpha <=_lex beta for equally long 0/1 sequences, first bit most
+    significant."""
+    assert len(alpha) == len(beta), "assignments differ in length"
+    return list(alpha) <= list(beta)

@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from pbsym import breaker
 from pbsym import cli
 from pbsym import parsing
 
@@ -82,12 +83,20 @@ DOM_HEAD = "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\n"
                  id="def-order-cut-in-spec"),
     pytest.param("php32.opb", "red +1 x1 >= 1 : x1 -> 2;\n",
                  id="witness-image-2"),
+    pytest.param("php32.opb", "rup +1 ~~x1 >= 1;\n", id="double-tilde"),
+    pytest.param("php32.opb", "red +1 x2 >= 1 : x2 -> ~~x1;\n",
+                 id="double-tilde-witness"),
+    # `~~x1` read as the negation of a variable `~x1`, which the propagator
+    # aliased to the literal ~x1, so this satisfiable formula was refuted
+    pytest.param("double_tilde.opb", "red +1 ~x1 >= 1 : x1 -> 0 ;\n"
+                 "rup >= 1 ;\nconclusion UNSAT ;\n", id="double-tilde-formula"),
     pytest.param("bad_literal.cnf", "", id="cnf-literal"),
     pytest.param("bad_header.cnf", "", id="cnf-header"),
 ])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, formula, proof):
     (tmp_path / "bad_literal.cnf").write_text("p cnf 2 1\n1 a 0\n")
     (tmp_path / "bad_header.cnf").write_text("p cnf x 1\n1 0\n")
+    (tmp_path / "double_tilde.opb").write_text("+1 ~~x1 >= 1 ;\n")
     (tmp_path / "php32.opb").write_text((DATA / "php32.opb").read_text())
     pbp = tmp_path / "proof.pbp"
     pbp.write_text(parsing.HEADER + "\n" + proof)
@@ -95,6 +104,34 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, formula, proof):
     err = capsys.readouterr().err
     assert err.startswith("error: line ")
     assert "Traceback" not in err
+
+
+def _aux_in_formula_check(tmp_path, capsys, name):
+    """Check a proof whose dom step's leq spec rows would meet a formula
+    constraint over `name`; returns (exit code, error)."""
+    formula, proof = tmp_path / "f.opb", tmp_path / "p.pbp"
+    formula.write_text("+1 x1 >= 1 ;\n+1 ~%s >= 1 ;\n" % name)
+    proof.write_text(
+        parsing.HEADER + "\n" + breaker.lex_order_definition(1) + "\n"
+        "load_order lex1 x1;\n"
+        "dom +1 ~x1 >= 1 : x1 -> 0 : subproof\n"
+        "scope leq\nproofgoal 1\nqed 1;\nproofgoal #1\nqed #1;\nend scope;\n"
+        "scope geq\nproofgoal #2\nqed #2;\nend scope;\nqed dom;\n"
+        "rup >= 1 ;\nconclusion UNSAT ;\n")
+    rc = cli.main(["check", str(formula), str(proof), "--json"])
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def test_order_aux_variable_in_formula_is_refused(tmp_path, capsys):
+    # the spec rows of the dom scopes constrain the formula's $d1, so the
+    # satisfiable formula was refuted
+    rc, payload = _aux_in_formula_check(tmp_path, capsys, "$d1")
+    assert rc == 1
+    assert "reason:aux-in-formula" in payload["error"]
+    # renamed, the same proof fails at the leq scope's hint-free qed
+    rc, payload = _aux_in_formula_check(tmp_path, capsys, "y1")
+    assert rc == 1
+    assert payload["error"].startswith("line:42 goal:1 reason:qed-failed")
 
 
 # ------------------------------------------------------------------- break
@@ -142,6 +179,8 @@ def test_break_rejects_bad_symmetry(tmp_path, capsys):
     pytest.param("x1 x2 x3\n", 1, id="no-arrows"),
     pytest.param("(x1 x2\n", 1, id="unbalanced-cycle"),
     pytest.param("($a1 x1)\n", 1, id="aux-variable"),
+    pytest.param("(x1 ~~x1)\n", 1, id="double-tilde-cycle"),
+    pytest.param("x1 -> ~~x3 x3 -> x1\n", 1, id="double-tilde-arrow"),
     pytest.param("x1 -> x2 x3 -> x2\n", 1, id="not-a-permutation"),
     pytest.param("(x1 x3)\n* comment\n\nx1 -> x3 x1 -> x2\n", 4,
                  id="conflicting-images-after-comment"),
@@ -166,6 +205,24 @@ def test_break_empty_symmetry_file(tmp_path, capsys):
     assert "clauses: 0" in capsys.readouterr().out
     cons, _ = parsing.parse_opb(pathlib.Path(prefix + ".opb").read_text())
     assert len(cons) == 9
+
+
+@pytest.mark.parametrize("method", ["new", "old"])
+def test_break_generator_off_the_formula_is_skipped(tmp_path, capsys, method):
+    # (x7 x8) moves no variable of PHP(3), so it breaks nothing
+    prefix = str(tmp_path / "php3")
+    assert cli.main(["gen", "php", "3", "-o", prefix]) == 0
+    outputs = []
+    for name, text in (("off", "(x7 x8)\n"), ("none", "")):
+        syms = tmp_path / (name + ".sym")
+        syms.write_text(text)
+        out = str(tmp_path / name)
+        assert cli.main(["break", prefix + ".cnf", str(syms), "-o", out,
+                         "--method", method, "--selfcheck"]) == 0
+        outputs.append([pathlib.Path(out + ext).read_text()
+                        for ext in (".pbp", ".opb")])
+    assert outputs[0] == outputs[1]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_break_old_method(tmp_path, capsys):
@@ -199,6 +256,13 @@ def test_gen_bad_params(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_wrong_parameter_count(tmp_path, capsys):
+    assert cli.main(["gen", "php", "3", "4", "-o", str(tmp_path / "P")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: php takes parameters (n), got 2")
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------- compare
 
 def test_compare_csv(tmp_path):
@@ -215,3 +279,9 @@ def test_compare_csv(tmp_path):
 def test_compare_bad_range(tmp_path, capsys):
     assert cli.main(["compare", "php", "3-4"]) == 2
     assert "range" in capsys.readouterr().err
+
+
+def test_compare_zero_step(tmp_path, capsys):
+    assert cli.main(["compare", "php", "5..6", "--step", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --step must be at least 1")

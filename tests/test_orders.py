@@ -2,6 +2,7 @@ import pytest
 
 from pbsym import constraints as pb
 from pbsym import orders
+from pbsym.checker import run_obligation
 
 from oracle import implies
 
@@ -95,20 +96,20 @@ def test_transitivity_obligation_shape():
 
 def test_transitivity_discharged_by_bare_qed():
     assert orders.check_transitivity(
-        leq1(), ["w1"], [], [], [empty_block("#1")])
+        leq1(), ["w1"], [], [], [empty_block("#1")], run_obligation)
 
 
 def test_transitivity_missing_goal_rejected():
     from pbsym.checker import CheckError
     with pytest.raises(CheckError):
-        orders.check_transitivity(leq1(), ["w1"], [], [], [])
+        orders.check_transitivity(leq1(), ["w1"], [], [], [], run_obligation)
 
 
 def test_reflexivity_goal_is_tautological_here():
     premises, goals = orders.reflexivity_obligation(leq1())
     assert premises == []
     assert goals[0].is_tautology()
-    assert orders.check_reflexivity(leq1(), [])
+    assert orders.check_reflexivity(leq1(), [], run_obligation)
 
 
 def test_validate_marks_order():
@@ -117,5 +118,5 @@ def test_validate_marks_order():
     orders.validate(order,
                     {"fresh_right": ["w1"], "fresh_aux_1": [],
                      "fresh_aux_2": [], "goals": [empty_block("#1")]},
-                    {"goals": []})
+                    {"goals": []}, run_obligation)
     assert order.validated

@@ -4,7 +4,7 @@ reference slack sweep, the one-shot `rup_check` and the brute-force oracle."""
 from hypothesis import given, settings, strategies as st
 
 from pbsym.constraints import (
-    CONFLICT, Propagator, negate, normalize, propagate, rup_check, slack,
+    CONFLICT, Propagator, negate, normalize, propagate, rup_check,
 )
 
 import oracle
@@ -83,12 +83,12 @@ def add(engine, rows, c):
 
 
 def check_slacks(engine, rows):
-    """Each row's slack is `constraints.slack` of its constraint under the
+    """Each row's slack is `oracle.slack` of its constraint under the
     engine's assignment."""
     assert len(engine.rows) == len(rows)
     rho = engine.assignment()
     for r, c in enumerate(rows):
-        assert engine.slack[r] == slack(c, rho)
+        assert engine.slack[r] == oracle.slack(c, rho)
         assert engine.top[r] == max(c.terms.values(), default=0)
 
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from pbsym import breaker, orders, parsing
 from pbsym import constraints as pb
-from pbsym.checker import Checker, CheckError, VERIFIED, check_document
+from pbsym.checker import (
+    Checker, CheckError, VERIFIED, check_document, run_obligation,
+)
 
 small = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -229,7 +231,8 @@ def test_lex_order_validation_is_linear(monkeypatch):
         counts.update(adds=0, assigned=0)
         order = breaker.build_lex_order(n)
         step = breaker._lex_order_step(order)
-        orders.validate(order, step["transitivity"], step["reflexivity"])
+        orders.validate(order, step["transitivity"], step["reflexivity"],
+                        run_obligation)
         seen.append(dict(counts))
     for key in ("adds", "assigned"):
         for (n1, c1), (n2, c2) in zip(zip(sizes, seen), zip(sizes[1:], seen[1:])):
