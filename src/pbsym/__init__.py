@@ -2,10 +2,10 @@
 
 Submodules:
   constraints  -- PB constraint algebra (normalize/negate/substitute/polish/RUP)
-  parsing      -- OPB, DIMACS CNF and proof format parsers/serializers
+  parsing      -- OPB, DIMACS CNF, symmetry and proof parsers/serializers
   orders       -- preorder definitions with auxiliary variables
   checker      -- the proof state machine
-  breaker      -- proof-logging lex-leader symmetry breaker
+  breaker      -- proof-logging lex-leader breaking of witness-dict symmetries
   bench        -- crafted benchmark families and their symmetry generators
   cli          -- command line entry points
 """

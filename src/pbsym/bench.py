@@ -4,14 +4,13 @@ Each generator returns an :class:`Instance` whose constraints are CNF
 clauses in normalized PB form, plus a naming map from semantic names
 (``p2_h1`` = pigeon 2 in hole 1) to the ``x<i>`` variables used in the
 DIMACS encoding.  :func:`known_generators` produces analytic symmetry
-generators for each family; all of them pass
-:func:`pbsym.breaker.verify_symmetry` by construction.
+generators for each family, as witness dicts (variable -> literal); all of
+them pass :func:`pbsym.breaker.verify_symmetry` by construction.
 """
 
 import itertools
 
 from . import constraints as pb
-from .breaker import SymmetrySpec
 
 
 class BenchError(Exception):
@@ -225,7 +224,7 @@ def _swap(names, pairs):
     for a, b in pairs:
         mapping[names[a]] = names[b]
         mapping[names[b]] = names[a]
-    return SymmetrySpec(mapping)
+    return mapping
 
 
 def known_generators(inst):
@@ -292,7 +291,7 @@ def known_generators(inst):
                          names["h%d_%d" % (i + 1, j)],
                          names["v%d_%d" % (i, j)],
                          names["v%d_%d" % (i, j + 1)]]
-                gens.append(SymmetrySpec({e: "~" + e for e in edges}))
+                gens.append({e: "~" + e for e in edges})
         return gens
     raise BenchError("no generators for family %r" % f)
 

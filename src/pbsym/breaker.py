@@ -2,7 +2,10 @@
 
 Given a formula F and a syntactic symmetry sigma, we derive the standard
 lex-leader breaking clauses together with a proof that the checker in
-:mod:`pbsym.checker` accepts.  Two derivation strategies are provided:
+:mod:`pbsym.checker` accepts.  A symmetry is the witness it is in the
+proof: the dict of its moved variables to their image literals, as
+:func:`parsing.parse_symmetries` reads it from a symmetry file.  Two
+derivation strategies are provided:
 
 * the *chain* method ("new"): a lexicographic order whose specification
   introduces prefix-equality variables $a_i and prefix-comparison
@@ -27,6 +30,7 @@ Proofs are built as the step dicts :func:`parsing.parse_proof` returns and
 printed by :func:`parsing.render_step`; this module writes no proof text.
 """
 
+import collections
 import functools
 
 from . import checker
@@ -41,108 +45,6 @@ class BreakError(Exception):
 
 # ------------------------------------------------------------- symmetries
 
-class SymmetrySpec:
-    """A candidate symmetry given as a variable -> literal substitution.
-
-    The mapping must permute the literals: every moved variable occurs
-    exactly once among the image variables.  Images may be negated
-    (value symmetries such as x -> ~y are fine).
-    """
-
-    def __init__(self, mapping):
-        clean = {}
-        for var, img in mapping.items():
-            if var.startswith("~"):
-                raise BreakError("mapping keys must be variables, got %r" % var)
-            if pb.is_aux_var(var) or pb.is_aux_var(pb.var_of(img)):
-                raise BreakError("symmetries may not touch order-aux variables")
-            if img != var:
-                clean[var] = img
-        image_vars = sorted(pb.var_of(i) for i in clean.values())
-        if image_vars != sorted(clean):
-            raise BreakError("substitution does not permute its support")
-        self.mapping = clean
-
-    def is_identity(self):
-        return not self.mapping
-
-    def support(self):
-        """Moved variables, in mapping insertion order."""
-        return list(self.mapping)
-
-    def image(self, lit):
-        img = self.mapping.get(pb.var_of(lit))
-        if img is None:
-            return lit
-        return img if pb.is_positive(lit) else pb.neg(img)
-
-    def apply(self, con):
-        return pb.substitute(con, self.mapping)
-
-    def witness_text(self):
-        return " ".join("%s -> %s" % (v, img) for v, img in self.mapping.items())
-
-    def __repr__(self):
-        return "SymmetrySpec(%s)" % self.witness_text()
-
-
-def parse_symmetry(text):
-    """Parse one symmetry: cycle form ``(x1 x3)(x2 x4)`` or an arrow list
-    ``x1 -> x3 x3 -> x1``.  Cycles are cycles of literals, so a negation
-    symmetry reads ``(x1 ~x1)``."""
-    text = text.strip()
-    if not text:
-        raise BreakError("empty symmetry description")
-    for tok in text.replace("(", " ").replace(")", " ").split():
-        if tok.startswith("~~"):
-            raise BreakError("literal %r has more than one leading '~'" % tok)
-    mapping = {}
-
-    def put(var, img):
-        if var in mapping and mapping[var] != img:
-            raise BreakError("conflicting images for %s" % var)
-        mapping[var] = img
-
-    if "(" in text:
-        rest = text
-        while rest.strip():
-            rest = rest.strip()
-            if not rest.startswith("("):
-                raise BreakError("malformed cycle notation %r" % text)
-            close = rest.find(")")
-            if close < 0:
-                raise BreakError("unbalanced parenthesis in %r" % text)
-            lits = rest[1:close].split()
-            rest = rest[close + 1:]
-            if len(lits) < 2:
-                raise BreakError("cycles need at least two literals")
-            for i, lit in enumerate(lits):
-                nxt = lits[(i + 1) % len(lits)]
-                img = nxt if pb.is_positive(lit) else pb.neg(nxt)
-                put(pb.var_of(lit), img)
-    else:
-        toks = text.split()
-        if len(toks) % 3 != 0 or any(toks[i] != "->" for i in range(1, len(toks), 3)):
-            raise BreakError("expected `var -> literal` triples in %r" % text)
-        for i in range(0, len(toks), 3):
-            put(toks[i], toks[i + 2])
-    return SymmetrySpec(mapping)
-
-
-def parse_symmetries(text):
-    """One symmetry per non-empty, non-comment line; a line that is not a
-    symmetry raises :class:`parsing.ParseError` with its line number."""
-    syms = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if line and not line.startswith("*"):
-            try:
-                syms.append(parse_symmetry(line))
-            except BreakError as e:
-                raise parsing.ParseError(str(e), number)
-    return syms
-
-
 def verify_symmetry(formula, sym):
     """The substituted formula must equal the formula as a multiset.
 
@@ -150,18 +52,15 @@ def verify_symmetry(formula, sym):
     one over moved variables is again over moved variables, so only those
     are compared.
     """
-    moved = [c for c in formula
-             if any(pb.var_of(l) in sym.mapping for l in c.terms)]
-    want = {}
+    moved = [c for c in formula if not sym.keys().isdisjoint(c.variables())]
+    want = collections.Counter(moved)
     for c in moved:
-        want[c.key()] = want.get(c.key(), 0) + 1
-    for c in moved:
-        k = sym.apply(c).key()
-        if not want.get(k):
+        image = pb.substitute(c, sym)
+        if not want[image]:
             raise BreakError(
                 "image of constraint `%s` is missing from the formula"
                 % pb.render(c))
-        want[k] -= 1
+        want[image] -= 1
     return True
 
 
@@ -170,7 +69,7 @@ def choose_binding(variables, syms):
     last (contiguously), everything else keeps formula order."""
     if not syms:
         return list(variables)
-    supp = set(syms[0].support())
+    supp = set(syms[0])
     head = [v for v in variables if v not in supp]
     return head + [v for v in variables if v in supp]
 
@@ -403,10 +302,10 @@ class _Fragment:
     proof fragment refers to."""
 
     def __init__(self, binding, sym):
-        self.witness = sym.mapping
-        self.pos = [i + 1 for i, z in enumerate(binding) if z in sym.mapping]
+        self.witness = sym
+        self.pos = [i + 1 for i, z in enumerate(binding) if z in sym]
         self.xs = [binding[p - 1] for p in self.pos]
-        self.imgs = [sym.mapping[x] for x in self.xs]
+        self.imgs = [sym[x] for x in self.xs]
         self.k = len(self.pos)
         self.q = self.pos[0] - 1        # binding positions before the support
         self.snames, self.s_ids, self.t_ids = {}, {}, {}
@@ -484,7 +383,7 @@ class ProofBuilder:
                                                     None))
 
     def break_symmetry(self, sym):
-        if sym.is_identity():
+        if not sym:
             self.stats.append({"support": 0, "chars": 0})
             return
         mark = len(self.lines)
@@ -779,21 +678,23 @@ class ProofBuilder:
 def break_symmetries(formula, variables, syms, method="new", cp_variant=False):
     """Emit breaking clauses plus proof for every symmetry, in order.
 
-    Every generator is checked with :func:`verify_symmetry` first; a failure
-    names the generator.  Returns the :class:`ProofBuilder`; use ``.text()``
-    for the document, ``.kept`` for the derived clauses and ``.binding`` for
-    the variable order used by the lexicographic comparison.
+    `syms` are witness dicts that permute literals, as
+    :func:`parsing.parse_symmetries` returns them.  Every generator is
+    checked with :func:`verify_symmetry` first; a failure names the
+    generator.  Returns the :class:`ProofBuilder`; use ``.text()`` for the
+    document, ``.kept`` for the derived clauses and ``.binding`` for the
+    variable order used by the lexicographic comparison.
     """
     for i, sym in enumerate(syms, start=1):
         try:
             verify_symmetry(formula, sym)
         except BreakError as e:
             raise BreakError("generator %d (%s): %s"
-                             % (i, sym.witness_text(), e))
+                             % (i, parsing.render_witness(sym), e))
     builder = ProofBuilder(formula, variables, method=method,
                            cp_variant=cp_variant)
     # a generator that moves no variable of the formula acts as the identity
-    active = [s for s in syms if not set(s.mapping).isdisjoint(variables)]
+    active = [s for s in syms if not s.keys().isdisjoint(variables)]
     if active:
         builder.begin(active)
         for sym in active:

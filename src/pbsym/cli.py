@@ -103,7 +103,7 @@ def _write_streamed(path, chunks):
 def cmd_break(args):
     t0 = time.perf_counter()
     formula, variables = _load_formula(args.formula)
-    syms = breaker.parse_symmetries(_read(args.symmetries))
+    syms = parsing.parse_symmetries(_read(args.symmetries))
     try:
         builder = breaker.break_symmetries(
             formula, variables, syms,
@@ -156,7 +156,7 @@ def cmd_gen(args):
     sidecar = {"family": inst.family,
                "params": list(inst.params),
                "variables": inst.names,
-               "symmetries": [g.witness_text() for g in gens]}
+               "symmetries": [parsing.render_witness(g) for g in gens]}
     _write_streamed(args.output + ".json",
                     [json.dumps(sidecar, indent=2, sort_keys=True) + "\n"])
     _report(args, {"verdict": "GENERATED",

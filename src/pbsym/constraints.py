@@ -69,15 +69,11 @@ class Constraint:
     def __hash__(self):
         # built on first call: sets of constraints are rebuilt per step
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((frozenset(self.terms.items()), self.degree))
         return self._hash
 
     def __repr__(self):
         return "Constraint(%s)" % render(self)
-
-    def key(self):
-        """Order-insensitive identity, for multiset comparisons."""
-        return (frozenset(self.terms.items()), self.degree)
 
     def is_tautology(self):
         return self.degree == 0

@@ -8,6 +8,8 @@ plus reflexivity and transitivity subproofs; only validated orders may be
 loaded by the checker.
 """
 
+import collections
+
 from . import constraints as pb
 
 
@@ -20,9 +22,6 @@ class OrderDefinition:
     def __init__(self, name, u_vars, v_vars, aux_vars, spec, order_constraints):
         if len(u_vars) != len(v_vars):
             raise OrderError("left/right lists differ in length")
-        overlap = set(aux_vars) & (set(u_vars) | set(v_vars))
-        if overlap:
-            raise OrderError("aux variables %s overlap u/v" % sorted(overlap))
         self.name = name
         self.u_vars = list(u_vars)
         self.v_vars = list(v_vars)
@@ -178,9 +177,25 @@ def check_transitivity(order, fresh_right, fresh_aux_1, fresh_aux_2,
     return True
 
 
+def check_names(order, transitivity):
+    """The variables a def_order declares are pairwise distinct, else the
+    transitivity goal is a weaker statement, and its aux and fresh-aux ones
+    are `$` names, else dom's spec rows may constrain formula variables."""
+    aux = (order.aux_vars + transitivity["fresh_aux_1"]
+           + transitivity["fresh_aux_2"])
+    names = order.u_vars + order.v_vars + transitivity["fresh_right"] + aux
+    twice = sorted(v for v, k in collections.Counter(names).items() if k > 1)
+    if twice:
+        raise OrderError("variables %s are declared twice" % twice)
+    plain = [v for v in aux if not pb.is_aux_var(v)]
+    if plain:
+        raise OrderError("aux variables %s do not start with '$'" % plain)
+
+
 def validate(order, transitivity, reflexivity, run):
     """Full validation pipeline for a parsed def_order block.  `run`
     (premises, goals, blocks, label) runs each obligation's subproof."""
+    check_names(order, transitivity)
     verify_specification(order.spec, order.aux_vars)
     check_transitivity(order, transitivity["fresh_right"],
                        transitivity["fresh_aux_1"], transitivity["fresh_aux_2"],

@@ -40,7 +40,7 @@ def parse_opb(text):
             toks[-1] = toks[-1][:-1]
         if ";" in toks:
             raise ParseError("stray ';' inside constraint", lineno)
-        _check_literals(line, lineno)
+        _check_literals(line, toks, lineno)
         terms, degree, rest = _parse_terms(toks, lineno)
         if rest:
             raise ParseError("trailing tokens %r" % rest, lineno)
@@ -102,14 +102,76 @@ def render_cnf(cons, nvars):
     return "\n".join(lines) + "\n"
 
 
-def _check_literals(line, lineno):
-    """A literal is `name` or `~name`; `~~x` would read as the negation of
-    a variable named `~x`, which `~x`, the negation of x, would alias."""
+def _check_literals(line, toks, lineno):
+    """The one literal rule, over a line and its tokens: a literal is
+    `name` or `~name`.  A bare `~` negates no variable, and `~~x` would
+    read as the negation of a variable named `~x`, which `~x`, the
+    negation of x, would alias."""
+    if "~" in toks:
+        raise ParseError("literal '~' has no variable", lineno)
     if "~~" in line:
-        for tok in line.replace(";", " ").split():
+        for tok in toks:
             if tok.startswith("~~"):
                 raise ParseError("literal %r has more than one leading '~'"
                                  % tok, lineno)
+
+
+# -------------------------------------------------------------- symmetries
+
+def parse_symmetry(text, lineno=None):
+    """Parse one symmetry: cycle form ``(x1 x3)(x2 x4)`` or an arrow list
+    ``x1 -> x3 x3 -> x1``.  Cycles are cycles of literals, so a negation
+    symmetry reads ``(x1 ~x1)``.  A symmetry is a witness: the returned
+    dict maps each moved variable to its image literal, in the order the
+    text names them, and drops identity pairs."""
+    error = lambda message: ParseError(message, lineno)
+    text = text.strip()
+    if not text:
+        raise error("empty symmetry description")
+    _check_literals(text, text.replace("(", " ").replace(")", " ").split(),
+                    lineno)
+    mapping = {}
+
+    def put(var, img):
+        if mapping.setdefault(var, img) != img:
+            raise error("conflicting images for %s" % var)
+
+    if "(" in text:
+        rest = text
+        while rest:
+            if not rest.startswith("("):
+                raise error("malformed cycle notation %r" % text)
+            close = rest.find(")")
+            if close < 0:
+                raise error("unbalanced parenthesis in %r" % text)
+            lits, rest = rest[1:close].split(), rest[close + 1:].strip()
+            if len(lits) < 2:
+                raise error("cycles need at least two literals")
+            for lit, nxt in zip(lits, lits[1:] + lits[:1]):
+                put(pb.var_of(lit), nxt if pb.is_positive(lit) else pb.neg(nxt))
+    else:
+        toks = text.split()
+        if len(toks) % 3 or any(t != "->" for t in toks[1::3]):
+            raise error("expected `var -> literal` triples in %r" % text)
+        for var, img in zip(toks[::3], toks[2::3]):
+            put(var, img)
+    for var, img in mapping.items():
+        if not pb.is_positive(var):
+            raise error("mapping keys must be variables, got %r" % var)
+        if pb.is_aux_var(var) or pb.is_aux_var(pb.var_of(img)):
+            raise error("symmetries may not touch order-aux variables")
+    sym = {var: img for var, img in mapping.items() if img != var}
+    if sorted(map(pb.var_of, sym.values())) != sorted(sym):
+        raise error("substitution does not permute its support")
+    return sym
+
+
+def parse_symmetries(text):
+    """One symmetry per non-empty line not starting with `*`; an error
+    names its line."""
+    return [parse_symmetry(line, lineno)
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.strip().startswith("*")]
 
 
 def _int(tok, lineno, what):
@@ -221,8 +283,8 @@ class _Lines:
             stripped = line.strip()
             if not stripped or stripped.startswith("*"):
                 continue
-            _check_literals(stripped, lineno)
             toks = stripped.replace(";", " ").split()
+            _check_literals(stripped, toks, lineno)
             if toks:
                 self.items.append((lineno, toks))
         self.pos = 0
@@ -439,7 +501,8 @@ def parse_proof(text):
 
 # -------------------------------------------------------------- serializer
 
-def _render_witness(w):
+def render_witness(w):
+    """Arrow-form text of a witness, which is also a symmetry file line."""
     return " ".join([f"{var} -> {img}" for var, img in w.items()])
 
 
@@ -449,7 +512,7 @@ def _decl(head, names):
 
 
 def _red_text(con, witness):
-    return "red %s : %s;" % (pb.render(con), _render_witness(witness))
+    return "red %s : %s;" % (pb.render(con), render_witness(witness))
 
 
 def _render_goals(out, goals):
@@ -481,7 +544,7 @@ def _render_red(out, s):
 
 def _render_dom(out, s):
     out.append("dom %s : %s : subproof" % (pb.render(s["constraint"]),
-                                           _render_witness(s["witness"])))
+                                           render_witness(s["witness"])))
     for scope in ("leq", "geq"):
         out.append("scope " + scope)
         _render_goals(out, s[scope])

@@ -223,7 +223,7 @@ def _hole_swap(inst, n):
     for i in range(1, n + 1):
         a, b = inst.names["p%d_h1" % i], inst.names["p%d_h2" % i]
         mapping[a], mapping[b] = b, a
-    return breaker.SymmetrySpec(mapping)
+    return mapping
 
 
 def test_criterion_5_per_symmetry_scaling():
@@ -238,7 +238,7 @@ def test_criterion_5_per_symmetry_scaling():
                     if l.startswith("load_order"))
         old = breaker.break_symmetries(inst.constraints, inst.variables,
                                        [sym], method="old")
-        ks.append(len(sym.support()))
+        ks.append(len(sym))
         frags.append(len(b.lines) - start - 1)
         old_chars.append(old.stats[0]["chars"])
 
@@ -265,7 +265,7 @@ def test_criterion_5_every_fragment_affine_in_support():
         for sym in gens:
             mark = len(b.lines)
             b.break_symmetry(sym)
-            points.add((len(sym.support()), len(b.lines) - mark))
+            points.add((len(sym), len(b.lines) - mark))
     (k0, l0), (k1, l1) = min(points), max(points)
     assert k0 < k1
     assert all((l - l0) * (k1 - k0) == (l1 - l0) * (k - k0)
@@ -323,7 +323,7 @@ def _random_document(rng):
         cons, variables = parsing.parse_opb(
             "+1 x1 +1 x2 >= 1 ;\n+1 ~x1 +1 ~x2 >= 1 ;\n")
         inst = bench.Instance("flip", (), cons, variables, {})
-        sym = breaker.parse_symmetry("(x1 ~x1)(x2 ~x2)")
+        sym = parsing.parse_symmetry("(x1 ~x1)(x2 ~x2)")
         method = "new"
     b = breaker.break_symmetries(inst.constraints, inst.variables, [sym],
                                  method=method)

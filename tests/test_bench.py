@@ -1,3 +1,4 @@
+import collections
 import math
 import pathlib
 
@@ -23,8 +24,7 @@ def test_php_counts():
 def test_php3_equals_fixture():
     inst = bench.generate("php", (3,))
     fixture, _ = parsing.parse_opb((DATA / "php32.opb").read_text())
-    assert sorted(c.key() for c in inst.constraints) == sorted(
-        c.key() for c in fixture)
+    assert collections.Counter(inst.constraints) == collections.Counter(fixture)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -78,7 +78,7 @@ def test_cnf_round_trip():
     inst = bench.generate("php", (3,))
     text = parsing.render_cnf(inst.constraints, inst.nvars())
     again = parsing.parse_cnf(text)
-    assert [c.key() for c in again] == [c.key() for c in inst.constraints]
+    assert again == inst.constraints
 
 
 # ------------------------------------------------------------- generators
@@ -94,7 +94,7 @@ def test_generators_are_symmetries(family, params):
     assert gens
     for g in gens:
         assert breaker.verify_symmetry(inst.constraints, g)
-        assert not g.is_identity()
+        assert g
 
 
 def test_php_generator_counts():
@@ -107,7 +107,7 @@ def test_tseitin_generators_are_negation_flips():
     inst = bench.generate("tseitin", (2,))
     gens = bench.known_generators(inst)
     assert len(gens) == 1
-    assert all(lit.startswith("~") for lit in gens[0].mapping.values())
+    assert all(lit.startswith("~") for lit in gens[0].values())
 
 
 # ---------------------------------------------------------------- oracles

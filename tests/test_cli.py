@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from pbsym import bench
 from pbsym import breaker
 from pbsym import cli
 from pbsym import parsing
@@ -90,6 +91,9 @@ DOM_HEAD = "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\n"
     # aliased to the literal ~x1, so this satisfiable formula was refuted
     pytest.param("double_tilde.opb", "red +1 ~x1 >= 1 : x1 -> 0 ;\n"
                  "rup >= 1 ;\nconclusion UNSAT ;\n", id="double-tilde-formula"),
+    # a bare `~` read as the negation of a variable with the empty name
+    pytest.param("bare_tilde.opb", "rup >= 1 ;\n", id="bare-tilde-formula"),
+    pytest.param("php32.opb", "rup +1 ~ >= 1 ;\n", id="bare-tilde"),
     pytest.param("bad_literal.cnf", "", id="cnf-literal"),
     pytest.param("bad_header.cnf", "", id="cnf-header"),
 ])
@@ -97,6 +101,7 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, formula, proof):
     (tmp_path / "bad_literal.cnf").write_text("p cnf 2 1\n1 a 0\n")
     (tmp_path / "bad_header.cnf").write_text("p cnf x 1\n1 0\n")
     (tmp_path / "double_tilde.opb").write_text("+1 ~~x1 >= 1 ;\n")
+    (tmp_path / "bare_tilde.opb").write_text("+1 ~ >= 1 ;\n")
     (tmp_path / "php32.opb").write_text((DATA / "php32.opb").read_text())
     pbp = tmp_path / "proof.pbp"
     pbp.write_text(parsing.HEADER + "\n" + proof)
@@ -106,20 +111,30 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, formula, proof):
     assert "Traceback" not in err
 
 
-def _aux_in_formula_check(tmp_path, capsys, name):
-    """Check a proof whose dom step's leq spec rows would meet a formula
-    constraint over `name`; returns (exit code, error)."""
+def _check_texts(tmp_path, capsys, formula_text, proof_body):
+    """`pbsym check --json` of a formula and a proof given as text (the
+    proof without its header); returns (exit code, report)."""
     formula, proof = tmp_path / "f.opb", tmp_path / "p.pbp"
-    formula.write_text("+1 x1 >= 1 ;\n+1 ~%s >= 1 ;\n" % name)
-    proof.write_text(
-        parsing.HEADER + "\n" + breaker.lex_order_definition(1) + "\n"
+    formula.write_text(formula_text)
+    proof.write_text(parsing.HEADER + "\n" + proof_body)
+    rc = cli.main(["check", str(formula), str(proof), "--json"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return rc, json.loads(captured.out)
+
+
+def _aux_in_formula_check(tmp_path, capsys, name, order=None):
+    """Check a proof whose dom step's leq spec rows would meet a formula
+    constraint over `name`, under the def_order text `order` (lex1 by
+    default); returns (exit code, report)."""
+    return _check_texts(
+        tmp_path, capsys, "+1 x1 >= 1 ;\n+1 ~%s >= 1 ;\n" % name,
+        (order or breaker.lex_order_definition(1)) + "\n"
         "load_order lex1 x1;\n"
         "dom +1 ~x1 >= 1 : x1 -> 0 : subproof\n"
         "scope leq\nproofgoal 1\nqed 1;\nproofgoal #1\nqed #1;\nend scope;\n"
         "scope geq\nproofgoal #2\nqed #2;\nend scope;\nqed dom;\n"
         "rup >= 1 ;\nconclusion UNSAT ;\n")
-    rc = cli.main(["check", str(formula), str(proof), "--json"])
-    return rc, json.loads(capsys.readouterr().out)
 
 
 def test_order_aux_variable_in_formula_is_refused(tmp_path, capsys):
@@ -132,6 +147,81 @@ def test_order_aux_variable_in_formula_is_refused(tmp_path, capsys):
     rc, payload = _aux_in_formula_check(tmp_path, capsys, "y1")
     assert rc == 1
     assert payload["error"].startswith("line:42 goal:1 reason:qed-failed")
+
+
+def test_order_aux_variable_without_dollar_is_refused(tmp_path, capsys):
+    # lex1 with its aux $d1 renamed y1: the dom scope's spec rows then
+    # constrained the formula's y1, and the satisfiable formula was refuted
+    plain = breaker.lex_order_definition(1).replace("$d1", "y1").replace(
+        "$e1", "e1").replace("$f1", "f1")
+    rc, payload = _aux_in_formula_check(tmp_path, capsys, "y1", plain)
+    assert rc == 1
+    assert payload["error"].startswith("line:2 goal:- reason:bad-order")
+    # with `$` names and the formula over z1, the proof fails at its qed
+    rc, payload = _aux_in_formula_check(tmp_path, capsys, "z1")
+    assert rc == 1
+    assert payload["error"].startswith("line:42 goal:1 reason:qed-failed")
+
+
+# def_order cyc: O(u, v) is reflexive and its strict part is the cycle
+# 00 < 01 < 11 < 00 over (x1, x2), so it is not transitive
+CYCLE_ORDER = """def_order cyc
+vars
+left u1 u2;
+right v1 v2;
+aux;
+end vars;
+spec
+end spec;
+def
++1 u1 +1 ~u2 +1 v1 +1 v2 >= 1;
++1 ~u1 +1 ~u2 +1 v1 +1 ~v2 >= 1;
++1 u1 +1 u2 +1 ~v1 +1 ~v2 >= 1;
+end def;
+transitivity
+vars
+fresh_right %s;
+fresh_aux_1;
+fresh_aux_2;
+end vars;
+proof
+qed proof;
+end transitivity;
+reflexivity
+proof
+qed proof;
+end reflexivity;
+end def_order;
+load_order cyc x1 x2;
+"""
+
+
+def _cycle_dom(constraint, witness, leq=""):
+    return ("dom %s : %s : subproof\nscope leq\n%send scope;\n"
+            "scope geq\nproofgoal #4\nqed #4;\nend scope;\nqed dom;\n"
+            % (constraint, witness, leq))
+
+
+def test_order_fresh_names_must_be_fresh(tmp_path, capsys):
+    # with fresh_right naming the left variables, the transitivity goal
+    # O(u, u) is a tautology, and dom over the cyclic order removed every
+    # model of the satisfiable formula ~x1 + x2 >= 1 (00, 01 and 11)
+    proof = (_cycle_dom("+1 x1 +1 x2 >= 1", "x1 -> 1 x2 -> 1")
+             + _cycle_dom("+1 x1 +1 ~x2 >= 1", "x2 -> 0",
+                          "proofgoal 1\nqed 1;\n")
+             + _cycle_dom("+1 ~x1 +1 ~x2 >= 1", "x1 -> 0")
+             + "rup +1 x1 >= 1;\nrup >= 1;\nconclusion UNSAT;\n")
+    formula = "+1 ~x1 +1 x2 >= 1 ;\n"
+    rc, payload = _check_texts(tmp_path, capsys, formula,
+                               CYCLE_ORDER % "u1 u2" + proof)
+    assert rc == 1
+    assert payload["error"].startswith("line:2 goal:- reason:bad-order")
+    # with fresh names the transitivity proof has a goal left undischarged
+    rc, payload = _check_texts(tmp_path, capsys, formula,
+                               CYCLE_ORDER % "w1 w2" + proof)
+    assert rc == 1
+    assert payload["error"].startswith("line:2 goal:#1 "
+                                       "reason:undischarged-goal")
 
 
 # ------------------------------------------------------------------- break
@@ -182,6 +272,7 @@ def test_break_rejects_bad_symmetry(tmp_path, capsys):
     pytest.param("(x1 ~~x1)\n", 1, id="double-tilde-cycle"),
     pytest.param("x1 -> ~~x3 x3 -> x1\n", 1, id="double-tilde-arrow"),
     pytest.param("x1 -> x2 x3 -> x2\n", 1, id="not-a-permutation"),
+    pytest.param("(x1 x3)\n(x2 ~)\n", 2, id="bare-tilde"),
     pytest.param("(x1 x3)\n* comment\n\nx1 -> x3 x1 -> x2\n", 4,
                  id="conflicting-images-after-comment"),
 ])
@@ -249,6 +340,21 @@ def test_gen_writes_cnf_and_sidecar(tmp_path, capsys):
     assert sidecar["family"] == "php"
     assert sidecar["variables"]["p1_h1"] == "x1"
     assert len(sidecar["symmetries"]) == 3
+
+
+@pytest.mark.parametrize("family,params", [
+    ("php", [4]), ("rphp", [2]), ("clqcl", [6, 3, 2]), ("count", [6, 3]),
+    ("tseitin", [3])])
+def test_gen_sidecar_symmetries_round_trip(tmp_path, capsys, family, params):
+    # render_witness writes the sidecar, parse_symmetries reads it back
+    prefix = str(tmp_path / family)
+    assert cli.main(["gen", family] + [str(p) for p in params]
+                    + ["-o", prefix]) == 0
+    sidecar = json.loads(pathlib.Path(prefix + ".json").read_text())
+    syms = parsing.parse_symmetries("\n".join(sidecar["symmetries"]))
+    gens = bench.known_generators(bench.generate(family, tuple(params)))
+    assert syms == gens
+    assert [list(s.items()) for s in syms] == [list(g.items()) for g in gens]
 
 
 def test_gen_bad_params(tmp_path, capsys):

@@ -35,7 +35,9 @@ def test_rejects_mismatched_placeholder_lists():
 
 def test_rejects_aux_overlapping_placeholders():
     with pytest.raises(orders.OrderError):
-        orders.OrderDefinition("bad", ["u1"], ["v1"], ["u1"], [], [])
+        orders.check_names(
+            orders.OrderDefinition("bad", ["u1"], ["v1"], ["u1"], [], []),
+            {"fresh_right": ["w1"], "fresh_aux_1": [], "fresh_aux_2": []})
 
 
 def test_specification_accepts_settable_entry():
