@@ -191,64 +191,36 @@ def build_lex_order(n):
 
 def _lex_transitivity_steps(order):
     """Steps of goal #1 of the transitivity proof: O(u,w) from the three
-    chained spec instances.
+    chained spec instances, by induction over the levels.
 
     Constraint IDs inside the obligation frame: spec S(u,v) occupies
     1..len(order.spec), S(v,w) and S(u,w) the next two blocks, then O(u,v),
-    O(v,w) and the negated goal.
+    O(v,w) and the negated goal.  Level i derives P_i = ~$d_i v ~$e_i v
+    $f_i and, below the last level, Qa_i = ~$d_i v ~$e_i v ~$c_i v $a_i
+    and Qb_i, the same clause with $b_i, each by RUP over hints: its
+    level's spec rows and the lemmas of the level before.  Without hints,
+    unit propagation would walk the whole $c or $f chain for every lemma.
     """
     n, S, index = order.n, len(order.spec), _spec_index(order)
-    a_id, d_id = zip(*(_spec_ids(index, block * S + 1) for block in range(3)))
+    (A, D), (B, E), (C, F) = (_spec_ids(index, block * S + 1)
+                              for block in range(3))
     o_uv, o_vw, neg_goal = 3 * S + 1, 3 * S + 2, 3 * S + 3
     steps = []
 
-    def emit(step):
-        steps.append(step)
+    def lemma(hints, *lits):
+        steps.append(parsing.rup_step(_clause(*lits), hints, None))
         return neg_goal + len(steps)
 
-    def chain(o_id, block, dn):
-        """Derive ~x1 + y1 from O(x,y) by peeling the d-chain; returns the
-        final ID plus the IDs of the weakened per-level constraints."""
-        weak = {}
-        if n == 1:
-            return emit(_pol(o_id, d_id[block](1, 1), "+")), weak
-        emit(_pol(o_id, 4, "*", d_id[block](n, 1), "+"))
-        final = None
-        for j in range(n - 1, 0, -1):
-            emit(parsing.rup_step(_clause("%s%d" % (dn, j)), [-1], None))
-            weak[j] = emit(_pol(-2, "%s%d" % (dn, j), "w"))
-            if j >= 2:
-                emit(_pol(-2, 4, "*", d_id[block](j, 1), "+"))
-            else:
-                final = emit(_pol(-2, d_id[block](1, 1), "+"))
-        return final, weak
-
-    uv_final, aweak = chain(o_uv, 0, "$d")
-    vw_final, bweak = chain(o_vw, 1, "$e")
-
-    ca, cb = {}, {}
-    if n >= 2:
-        ca[1] = emit(_pol(a_id[0](1, 2), a_id[2](1, 1), "+", -1, "+", "s"))
-        cb[1] = emit(_pol(a_id[1](1, 2), a_id[2](1, 1), "+", uv_final, "+",
-                          "s"))
-    for i in range(2, n):
-        head = a_id[2](i, 1)
-        emit(_pol(head, "u%d" % i, "w", "w%d" % i, "w", "s"))
-        emit(_pol(-1, -3, "+"))
-        emit(_pol(-2, -3, "+"))
-        emit(_pol(head, "$c%d" % (i - 1), "w", "s"))
-        ca[i] = emit(_pol(-2, bweak[i - 1], "+", -1, "+", -3, 2, "*", "+",
-                          a_id[0](i, 2), "+", "s"))
-        cb[i] = emit(_pol(-4, aweak[i - 1], "+", -2, "+", -3, 2, "*", "+",
-                          a_id[1](i, 2), "+", "s"))
-
-    emit(_pol(uv_final, vw_final, "+"))
-    emit(_pol(-1, d_id[2](1, 2), "+", "s"))
-    for i in range(2, n + 1):
-        emit(_pol(aweak[i - 1], bweak[i - 1], "+", ca[i - 1], "+",
-                  cb[i - 1], "+", "s", -1, 3, "*", "+"))
-        emit(_pol(-1, d_id[2](i, 2), "+", "s"))
-    emit(_pol(-1, neg_goal, "+"))
+    prev = []  # Qa, Qb and P of the level before
+    for i in range(1, n + 1):
+        de = ("~$d%d" % i, "~$e%d" % i)
+        p = lemma([D(i, 1), E(i, 1), F(i, 2)] + prev, *de, "$f%d" % i)
+        if i < n:
+            q = [D(i, 1), E(i, 1), C(i, 1)]
+            qa = lemma(q + [A(i, 2)] + prev[:2], *de, "~$c%d" % i, "$a%d" % i)
+            qb = lemma(q + [B(i, 2)] + prev[:2], *de, "~$c%d" % i, "$b%d" % i)
+            prev = [qa, qb, p]
+    steps.append(_pol(p, o_uv, "+", o_vw, "+", neg_goal, "+"))
     return steps
 
 

@@ -9,7 +9,7 @@ from pbsym import breaker
 from pbsym import constraints as pb
 from pbsym import orders
 from pbsym import parsing
-from pbsym.checker import VERIFIED, check_document
+from pbsym.checker import VERIFIED, CheckError, check_document
 
 import oracle
 
@@ -92,33 +92,88 @@ def test_choose_binding_puts_first_support_last():
 
 # -------------------------------------------------------- order definition
 
+def _set_aside_transitivity(step):
+    """Empty the transitivity goal of the def_order `step`, a copy, and
+    return the steps it had."""
+    (goal,) = step["transitivity"]["goals"]
+    steps, goal["steps"] = goal["steps"], []
+    return steps
+
+
+def _assert_lex_transitivity_shape(steps, n):
+    """The transitivity goal of lex(n): 3n-2 rup lemmas, each citing at
+    most 6 hints, then one pol."""
+    *lemmas, last = steps
+    assert len(lemmas) == 3 * n - 2
+    assert all(s["kind"] == "rup" and 1 <= len(s["hints"]) <= 6
+               for s in lemmas)
+    assert last["kind"] == "pol"
+
+
 def test_lex_definition_matches_golden_block():
+    # the golden proof keeps the older cutting planes transitivity proof;
+    # everything else in the definition is the same
     golden = parsing.parse_proof((DATA / "php32_lex.pbp").read_text())
     mine = parsing.parse_proof(
         parsing.HEADER + "\n" + breaker.lex_order_definition(6) + "\n")
-    assert (parsing.strip_lines(mine["steps"][0])
-            == parsing.strip_lines(golden["steps"][0]))
+    got = parsing.strip_lines(mine["steps"][0])
+    want = parsing.strip_lines(golden["steps"][0])
+    _assert_lex_transitivity_shape(_set_aside_transitivity(got), 6)
+    _set_aside_transitivity(want)
+    assert got == want
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_lex_definition_validates(n):
+def _check_definition(definition, name, n):
+    """Check the def_order text `definition` of the order `name` over n
+    variables and load it."""
     binding = " ".join("x%d" % i for i in range(1, n + 1))
-    text = (parsing.HEADER + "\n" + breaker.lex_order_definition(n) + "\n"
-            + "load_order lex%d %s;\n" % (n, binding))
+    text = (parsing.HEADER + "\n" + definition + "\n"
+            + "load_order %s %s;\n" % (name, binding))
     formula, _ = parsing.parse_opb(
         "".join("+1 x%d >= 0 ;\n" % i for i in range(1, n + 1)))
-    verdict, _ = check_document(formula, parsing.parse_proof(text))
+    return check_document(formula, parsing.parse_proof(text))
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [40])
+def test_lex_definition_validates(n):
+    verdict, _ = _check_definition(breaker.lex_order_definition(n),
+                                   "lex%d" % n, n)
     assert verdict == VERIFIED
+
+
+def test_lex_transitivity_needs_every_step():
+    # each mutant leaves one step out and renumbers the IDs cited after it,
+    # so a step that cited the missing lemma loses that hint or pol term
+    order = breaker.build_lex_order(3)
+    step = breaker._lex_order_step(order)
+    (goal,) = step["transitivity"]["goals"]
+    steps = goal["steps"]
+    assert len(steps) == 8
+    first = 3 * len(order.spec) + 4     # the first step's ID
+    for i in range(len(steps)):
+        gone = first + i
+        mutant = []
+        for s in steps[:i] + steps[i + 1:]:
+            if s["kind"] == "rup":
+                s = dict(s, hints=[h - (h > gone) for h in s["hints"]
+                                   if h != gone])
+            else:
+                toks = list(s["tokens"])
+                if str(gone) in toks:   # P_n, the first of four terms
+                    toks.remove(str(gone))
+                    toks.remove("+")
+                s = dict(s, tokens=[str(int(t) - (int(t) > gone))
+                                    if t.isdigit() else t for t in toks])
+            mutant.append(s)
+        goal["steps"] = mutant
+        with pytest.raises(CheckError):
+            _check_definition(breaker._step_text(step), "lex3", 3)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_big_definition_validates(n):
-    binding = " ".join("x%d" % i for i in range(1, n + 1))
-    text = (parsing.HEADER + "\n" + breaker.big_order_definition(n) + "\n"
-            + "load_order biglex%d %s;\n" % (n, binding))
-    formula, _ = parsing.parse_opb(
-        "".join("+1 x%d >= 0 ;\n" % i for i in range(1, n + 1)))
-    verdict, _ = check_document(formula, parsing.parse_proof(text))
+    verdict, _ = _check_definition(breaker.big_order_definition(n),
+                                   "biglex%d" % n, n)
     assert verdict == VERIFIED
 
 
@@ -173,7 +228,8 @@ def _dropped_steps(steps, reference):
 def test_php32_document_matches_golden():
     # the golden proof carries rup and pol steps that restate constraints
     # already in scope or that unit propagation finds anyway; the breaker
-    # leaves those out and keeps every other step
+    # leaves those out and keeps every other step but the transitivity
+    # proof, whose golden form is the older cutting planes one
     cons, variables = php32()
     b = breaker.break_symmetries(cons, variables, [sigma(), tau()])
     doc = parsing.parse_proof(b.text())
@@ -182,6 +238,9 @@ def test_php32_document_matches_golden():
     assert [s["kind"] for s in got] == [s["kind"] for s in ref]
     dropped = []
     for step, want in zip(got, ref):
+        if step["kind"] == "def_order":
+            _assert_lex_transitivity_shape(_set_aside_transitivity(step), 6)
+            _set_aside_transitivity(want)
         if step["kind"] != "dom":
             assert step == want
             continue
@@ -330,19 +389,19 @@ def test_breaker_output_is_a_serializer_fixed_point(family, params, method,
 # a pin here, on purpose
 PROOF_TEXT_PINS = [
     ("php", (5,), "new", False, False,
-     "9f4436ef47e5dbcfd7a7aa076d4a3d5b6ab94e2316b6a6c90d7305582a7a6ad2"),
+     "785ec044c893e4cd1ee99713f7fed56b62a7e4657bf1352680680ab247e9fb97"),
     ("php", (5,), "old", False, False,
      "f761021ad08022bb6c88f4da1e17e176c7acb0f47d8274af2c94960e082fe565"),
     ("count", (6, 3), "new", False, False,
-     "bfa4900ad28d4d36e311c391bd012004ba17a94122c300d7d372c9ba7c1285b1"),
+     "63c9760254de6408297dbbae44a3f7e31915d3b3f169eca3846eaf14e22d07ca"),
     ("count", (6, 3), "old", False, False,
      "3a1def2338520085c7d6546b89276ddbb88b4c396187971530687481917a80a6"),
     ("tseitin", (3,), "new", False, False,
-     "4553aa9fc451a8fb1865f4ecf3250b715a86c42c7f6e8b19e1fd164a70354634"),
+     "1bad729e43cb6ace6cb5835286f740e894e11920ce0dc5979d60b8acb231e87b"),
     ("tseitin", (3,), "old", False, False,
      "97d490f754fb7d7a8802cf643e10779e5339b6bab9fb9fd6076e426571d338d4"),
     ("php", (5,), "new", True, True,
-     "46a1fc5bc717c0a529fe675b08dd626b5970f1cde3423800d2e97fb47cea034f"),
+     "9db1efc2765da5a0ac18310aed301c7e5efc21aeab99f5ecade6867f2071a261"),
 ]
 
 

@@ -340,7 +340,7 @@ def test_red_order_goal_rejected():
 def test_hint_free_qed_without_contradiction_rejected():
     # transitivity of lex2 is not a RUP consequence of its premises
     text = _lex2_proof("")
-    start = text.index("proofgoal #1\npol")
+    start = text.index("proofgoal #1\n", text.index("\ntransitivity\n"))
     stop = text.index("qed proof;\nend transitivity;")
     text = text[:start] + "proofgoal #1\nqed #1;\n" + text[stop:]
     with pytest.raises(CheckError) as e:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -94,12 +95,40 @@ DOM_HEAD = "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\n"
     # a bare `~` read as the negation of a variable with the empty name
     pytest.param("bare_tilde.opb", "rup >= 1 ;\n", id="bare-tilde-formula"),
     pytest.param("php32.opb", "rup +1 ~ >= 1 ;\n", id="bare-tilde"),
+    pytest.param("php32.opb", "rup +1 x1 >= 1 : 1 : 2;\n",
+                 id="rup-two-hint-sections"),
+    pytest.param("php32.opb", DOM_HEAD + "scope leq\nproofgoal #1\nqed #2;\n",
+                 id="qed-key-mismatch"),
+    pytest.param("php32.opb", "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1;\n",
+                 id="dom-without-subproof"),
+    pytest.param("php32.opb",
+                 "def_order lex1\nvars\nleft u1;\nright v1;\naux $d1;\n"
+                 "end vars;\nspec\nrup +1 ~$d1 >= 1;\nend spec;\n",
+                 id="rup-in-spec"),
+    pytest.param("php32.opb", "red +1 x1 >= 1 : x1 x2 x3;\n",
+                 id="witness-odd-pairs"),
+    pytest.param("php32.opb", "red +1 x1 >= 1 : x1 -> x2 x3;\n",
+                 id="witness-arrow-missing"),
+    pytest.param("php32.opb", "red +1 x1 >= 1 : x1 -> 0 x1 -> 1;\n",
+                 id="witness-key-twice"),
+    pytest.param("php32.opb", "red +1 x1 >= 1 : ~x1 -> 0;\n",
+                 id="witness-negated-key"),
+    pytest.param("php32.opb", "rup +1 >= 1;\n", id="coefficient-alone"),
+    pytest.param("php32.opb", "rup +1 x1 >=;\n", id="missing-degree"),
+    pytest.param("stray_semicolon.opb", "", id="opb-stray-semicolon"),
+    pytest.param("trailing_tokens.opb", "", id="opb-trailing-tokens"),
     pytest.param("bad_literal.cnf", "", id="cnf-literal"),
     pytest.param("bad_header.cnf", "", id="cnf-header"),
+    pytest.param("clause_first.cnf", "", id="cnf-clause-before-header"),
+    pytest.param("dnf.cnf", "", id="cnf-not-cnf"),
 ])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, formula, proof):
     (tmp_path / "bad_literal.cnf").write_text("p cnf 2 1\n1 a 0\n")
     (tmp_path / "bad_header.cnf").write_text("p cnf x 1\n1 0\n")
+    (tmp_path / "clause_first.cnf").write_text("1 0\np cnf 1 1\n")
+    (tmp_path / "dnf.cnf").write_text("p dnf 1 1\n1 0\n")
+    (tmp_path / "stray_semicolon.opb").write_text("+1 x1 ; >= 1 ;\n")
+    (tmp_path / "trailing_tokens.opb").write_text("+1 x1 >= 1 2 ;\n")
     (tmp_path / "double_tilde.opb").write_text("+1 ~~x1 >= 1 ;\n")
     (tmp_path / "bare_tilde.opb").write_text("+1 ~ >= 1 ;\n")
     (tmp_path / "php32.opb").write_text((DATA / "php32.opb").read_text())
@@ -123,18 +152,32 @@ def _check_texts(tmp_path, capsys, formula_text, proof_body):
     return rc, json.loads(captured.out)
 
 
+def _aux_proof(order=None):
+    """A proof, without its header, whose dom step's leq spec rows would
+    meet a formula constraint, under the def_order text `order` (lex1 by
+    default)."""
+    return ((order or breaker.lex_order_definition(1)) + "\n"
+            "load_order lex1 x1;\n"
+            "dom +1 ~x1 >= 1 : x1 -> 0 : subproof\n"
+            "scope leq\nproofgoal 1\nqed 1;\nproofgoal #1\nqed #1;\n"
+            "end scope;\n"
+            "scope geq\nproofgoal #2\nqed #2;\nend scope;\nqed dom;\n"
+            "rup >= 1 ;\nconclusion UNSAT ;\n")
+
+
+def _leq_qed_failed():
+    """Start of the report of a failed qed of goal 1 in the leq scope of
+    `_aux_proof()`; it cites the line of the block's `proofgoal 1`."""
+    lines = (parsing.HEADER + "\n" + _aux_proof()).splitlines()
+    return "line:%d goal:1 reason:qed-failed" % (lines.index("proofgoal 1") + 1)
+
+
 def _aux_in_formula_check(tmp_path, capsys, name, order=None):
-    """Check a proof whose dom step's leq spec rows would meet a formula
-    constraint over `name`, under the def_order text `order` (lex1 by
-    default); returns (exit code, report)."""
+    """Check `_aux_proof(order)` against a formula with a constraint over
+    `name`; returns (exit code, report)."""
     return _check_texts(
         tmp_path, capsys, "+1 x1 >= 1 ;\n+1 ~%s >= 1 ;\n" % name,
-        (order or breaker.lex_order_definition(1)) + "\n"
-        "load_order lex1 x1;\n"
-        "dom +1 ~x1 >= 1 : x1 -> 0 : subproof\n"
-        "scope leq\nproofgoal 1\nqed 1;\nproofgoal #1\nqed #1;\nend scope;\n"
-        "scope geq\nproofgoal #2\nqed #2;\nend scope;\nqed dom;\n"
-        "rup >= 1 ;\nconclusion UNSAT ;\n")
+        _aux_proof(order))
 
 
 def test_order_aux_variable_in_formula_is_refused(tmp_path, capsys):
@@ -146,7 +189,7 @@ def test_order_aux_variable_in_formula_is_refused(tmp_path, capsys):
     # renamed, the same proof fails at the leq scope's hint-free qed
     rc, payload = _aux_in_formula_check(tmp_path, capsys, "y1")
     assert rc == 1
-    assert payload["error"].startswith("line:42 goal:1 reason:qed-failed")
+    assert payload["error"].startswith(_leq_qed_failed())
 
 
 def test_order_aux_variable_without_dollar_is_refused(tmp_path, capsys):
@@ -160,7 +203,25 @@ def test_order_aux_variable_without_dollar_is_refused(tmp_path, capsys):
     # with `$` names and the formula over z1, the proof fails at its qed
     rc, payload = _aux_in_formula_check(tmp_path, capsys, "z1")
     assert rc == 1
-    assert payload["error"].startswith("line:42 goal:1 reason:qed-failed")
+    assert payload["error"].startswith(_leq_qed_failed())
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("red +1 x1 >= 1 : $d1 -> 0;\n", id="red-aux-key"),
+    pytest.param("red +1 x1 >= 1 : x1 -> $d1;\n", id="red-aux-image"),
+    pytest.param(breaker.lex_order_definition(1) + "\nload_order lex1 x1;\n"
+                 "dom +1 ~x1 >= 1 : x1 -> $d1 : subproof\n"
+                 "scope leq\nend scope;\nscope geq\nend scope;\nqed dom;\n",
+                 id="dom-aux-image"),
+])
+def test_aux_variable_in_witness_is_refused(tmp_path, capsys, body):
+    rc, payload = _check_texts(tmp_path, capsys, "+1 x1 >= 0 ;\n", body)
+    lines = (parsing.HEADER + "\n" + body).splitlines()
+    step = next(i for i, l in enumerate(lines, 1)
+                if l.startswith(("red +1 x1", "dom ")))
+    assert rc == 1
+    assert payload["error"].startswith(
+        "line:%d goal:- reason:aux-in-witness" % step)
 
 
 # def_order cyc: O(u, v) is reflexive and its strict part is the cycle
@@ -244,6 +305,30 @@ def test_break_selfcheck_roundtrip(tmp_path, capsys):
     assert len(cons) == 9 + 10      # original formula plus breaking clauses
 
 
+def test_break_selfcheck_failure_is_reported(tmp_path, capsys, monkeypatch):
+    # the checked text loses the fragment's first step, a red step
+    emitted = breaker.ProofBuilder.text
+
+    def text(self):
+        lines = emitted(self).splitlines(keepends=True)
+        start = next(i for i, l in enumerate(lines)
+                     if l.startswith("load_order "))
+        gone = next(i for i in range(start, len(lines))
+                    if lines[i].startswith("red "))
+        return "".join(lines[:gone] + lines[gone + 1:])
+
+    monkeypatch.setattr(breaker.ProofBuilder, "text", text)
+    formula, _ = golden_pair(tmp_path)
+    rc = cli.main(["break", formula, sym_file(tmp_path), "-o",
+                   str(tmp_path / "out"), "--selfcheck", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert payload["verdict"] == "SELFCHECK-FAILED"
+    assert re.match(r"line:\d+ goal:\S+ reason:[a-z-]+ ", payload["error"])
+
+
 def test_break_output_is_deterministic(tmp_path):
     formula, _ = golden_pair(tmp_path)
     syms = sym_file(tmp_path)
@@ -273,6 +358,7 @@ def test_break_rejects_bad_symmetry(tmp_path, capsys):
     pytest.param("x1 -> ~~x3 x3 -> x1\n", 1, id="double-tilde-arrow"),
     pytest.param("x1 -> x2 x3 -> x2\n", 1, id="not-a-permutation"),
     pytest.param("(x1 x3)\n(x2 ~)\n", 2, id="bare-tilde"),
+    pytest.param("~x1 -> x3 x3 -> ~x1\n", 1, id="negated-key"),
     pytest.param("(x1 x3)\n* comment\n\nx1 -> x3 x1 -> x2\n", 4,
                  id="conflicting-images-after-comment"),
 ])
