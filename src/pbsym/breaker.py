@@ -21,10 +21,9 @@ derivation strategies are provided:
   the instantiated big constraint directly and the clauses are carved out
   of it by weakening, which costs Theta(n) bits per symmetry.
 
-The chain method's dominance subproofs come in two flavours: hint-free
-reverse unit propagation lemmas (default) or explicit cutting planes
-derivations (``cp_variant=True``, supported when the symmetry's support
-is contiguous under the loaded variable order).
+The chain variables s_j and t_j are named fresh: when the formula already
+uses a name ``s<digits>`` (or ``t<digits>``), the prefix gets a trailing
+``_`` until it is free.
 
 Proofs are built as the step dicts :func:`parsing.parse_proof` returns and
 printed by :func:`parsing.render_step`; this module writes no proof text.
@@ -72,6 +71,14 @@ def choose_binding(variables, syms):
     supp = set(syms[0])
     head = [v for v in variables if v not in supp]
     return head + [v for v in variables if v in supp]
+
+
+def _fresh_prefix(base, taken):
+    """`base`, with "_" appended until no name in `taken` is it followed by
+    digits, so that chain variables base1, base2, ... clash with none."""
+    while any(v.startswith(base) and v[len(base):].isdigit() for v in taken):
+        base += "_"
+    return base
 
 
 # ------------------------------------------------------------ proof steps
@@ -279,8 +286,7 @@ class _Fragment:
         self.xs = [binding[p - 1] for p in self.pos]
         self.imgs = [sym[x] for x in self.xs]
         self.k = len(self.pos)
-        self.q = self.pos[0] - 1        # binding positions before the support
-        self.snames, self.s_ids, self.t_ids = {}, {}, {}
+        self.snames, self.tnames, self.s_ids, self.t_ids = {}, {}, {}, {}
         self.neg_c = None               # ID of the negated dom constraint
         self.steps = []                 # top-level steps, in proof order
 
@@ -298,18 +304,19 @@ class ProofBuilder:
     programs cite, and the spec layout is read from :attr:`order`.
     """
 
-    def __init__(self, formula, variables, method="new", cp_variant=False):
+    def __init__(self, formula, variables, method="new"):
         if method not in ("new", "old"):
             raise BreakError("unknown method %r" % method)
         self.variables = list(variables)
         self.method = method
-        self.cp = cp_variant
+        # name prefixes of the chain variables
+        self.s_prefix, self.t_prefix = (_fresh_prefix(base, self.variables)
+                                        for base in "st")
         self.lines = [parsing.HEADER]
         self.frame = checker.Frame(counter=[len(formula) + 1])
         self.s_count = 0
         self.binding = None
         self.order = None       # the loaded OrderDefinition, set by begin
-        self.spec_index = None  # its _spec_index
         self.kept = []          # derived breaking clauses, in proof order
         self.stats = []         # per-symmetry {"support": k, "chars": ...}
 
@@ -348,7 +355,6 @@ class ProofBuilder:
         else:
             self.order = build_big_order(n)
             step = _big_order_step(self.order)
-        self.spec_index = _spec_index(self.order)
         parsing.render_step(self.lines, step)
         parsing.render_step(self.lines,
                             parsing.load_order_step(step["name"], self.binding,
@@ -375,7 +381,7 @@ class ProofBuilder:
         prev = None
         for j in range(1, fr.k):
             self.s_count += 1
-            cur = "s%d" % self.s_count
+            cur = "%s%d" % (self.s_prefix, self.s_count)
             fr.snames[j] = cur
             fr.s_ids[j] = self._reify(fr, cur, _a_pair(
                 cur, prev, fr.xs[j - 1], fr.imgs[j - 1]))
@@ -383,9 +389,10 @@ class ProofBuilder:
         if not with_t:
             return
         for j in range(1, fr.k + 1):
-            cur = "t%d" % j
+            cur = "%s%d" % (self.t_prefix, j)
+            fr.tnames[j] = cur
             fr.t_ids[j] = self._reify(fr, cur, _d_pair(
-                cur, "t%d" % (j - 1) if j > 1 else None, fr.snames.get(j - 1),
+                cur, fr.tnames.get(j - 1), fr.snames.get(j - 1),
                 fr.xs[j - 1], fr.imgs[j - 1]))
 
     def _reify(self, fr, cur, pair):
@@ -410,116 +417,41 @@ class ProofBuilder:
 
     # -- chain method
 
-    def _restore(self, fr, lit):
-        """pol tokens that add `lit` back to a saturated rewrite of a row of
-        the first support level in the cutting planes variant: a negation
-        x -> ~x there merges two literals of the row into one term of
-        coefficient 2, which saturation halves and the unrewritten rows of
-        an empty prefix keep."""
-        return [lit, "+"] if fr.imgs[0] == pb.neg(fr.xs[0]) else []
-
     def _break_new(self, fr):
-        n, k, S = self.order.n, fr.k, len(self.order.spec)
-        if self.cp and fr.pos != list(range(fr.q + 1, n + 1)):
-            raise BreakError("cutting planes variant needs the support "
-                             "contiguous at the end of the variable order")
+        S = len(self.order.spec)
         frag_start = self.frame.counter[0]
         self._emit_circuit(fr)
         fr.neg_c = self.skip(1)
-
-        leq_spec = _spec_ids(self.spec_index, self.skip(S))
-        self.skip(1)  # negated order goal ~$dn
+        self.skip(S + 1)  # leq's spec instance and negated order goal ~$dn
         leq = []
-        if self.cp:
-            self._leq_cp(fr, leq, *leq_spec)
-        else:
-            self._leq_lemmas(fr, leq)
-
-        geq_spec = _spec_ids(self.spec_index, self.skip(S))
-        o_id = self.skip(1)
+        self._leq_lemmas(fr, leq)
+        self.skip(S + 1)  # geq's spec instance and order constraint
         geq = []
-        if self.cp:
-            self._geq_cp(fr, geq, *geq_spec, o_id)
-        else:
-            self._geq_lemmas(fr, geq)
+        self._geq_lemmas(fr, geq)
 
-        goal = _clause("t%d" % k)
+        goal = _clause(fr.tnames[fr.k])
         result = self.derive_known(fr.steps, parsing.dom_step(
             goal, fr.witness, _refute("#1", leq), _refute("#2", geq), None),
             goal)
         self._cleanup_new(fr, frag_start, result)
 
-    def _leq_rewrite(self, fr, steps, A, D):
-        """The cutting planes variant's start of the refutation of
-        S(sigma z, z), ~(sigma z >= z) and ~t_k: the first support level's
-        $a row of half 1 and $d row of half 2 with the untouched prefix's
-        $a_q and $d_q, both true there, cancelled.  Returns their IDs;
-        without a prefix these are the spec rows themselves."""
-        q, f = fr.q, fr.q + 1
-        if not q:
-            return A(1, 1) if fr.k >= 2 else None, D(1, 2)
-        emit = functools.partial(self.derive, steps)
-        a_first = None
-        if fr.k >= 2:
-            a_first = emit(_pol(A(f, 1), "~$a%d" % q, 2, "*", "+", "s",
-                                *self._restore(fr, fr.imgs[0])))
-        dq = emit(_rup("$d%d" % q))
-        return a_first, emit(_pol(D(f, 2), dq, 3, "*", "+", "~$a%d" % q, "+"))
-
     def _leq_lemmas(self, fr, steps):
         """Bridge lemmas between the circuit and the order's chain, then
         falsum by hint-free RUP."""
-        k, pos, sn = fr.k, fr.pos, fr.snames
+        k, pos, sn, tn = fr.k, fr.pos, fr.snames, fr.tnames
         emit = functools.partial(self.derive, steps)
         for j in range(1, k):
             emit(_rup("$d%d" % pos[j - 1], pb.neg(sn[j])))
         for j in range(1, k):
-            emit(_rup("t%d" % j, "~$a%d" % pos[j - 1]))
+            emit(_rup(tn[j], "~$a%d" % pos[j - 1]))
         for j in range(1, k):
-            emit(_rup("t%d" % (j + 1), "~t%d" % j, "$d%d" % pos[j - 1]))
+            emit(_rup(tn[j + 1], pb.neg(tn[j]), "$d%d" % pos[j - 1]))
         for j in range(1, k):
-            emit(_rup("$d%d" % pos[j], "~$d%d" % pos[j - 1], "t%d" % j))
+            emit(_rup("$d%d" % pos[j], "~$d%d" % pos[j - 1], tn[j]))
         for m in range(1, k + 1):
             for j in (m - 1, m, m + 1):
                 if 1 <= j <= k:
-                    emit(_rup("$d%d" % pos[m - 1], "t%d" % j))
-        emit(_rup())
-
-    def _leq_cp(self, fr, steps, A, D):
-        """Cutting planes replacement for the leq bridge/chain/grid lemmas."""
-        k, pos, xs, sn = fr.k, fr.pos, fr.xs, fr.snames
-        s_ids, t_ids = fr.s_ids, fr.t_ids
-        img_var = [pb.var_of(img) for img in fr.imgs]
-        emit = functools.partial(self.derive, steps)
-        avar = lambda j: "$a%d" % pos[j - 1]
-        a_first, b2rew = self._leq_rewrite(fr, steps, A, D)
-
-        sd, at = {}, {}
-        if k >= 2:
-            sd[1] = emit(_pol(b2rew, s_ids[1][0], "+", "s"))
-            at[1] = emit(_pol(t_ids[1][1], a_first, "+", "s"))
-        for j in range(1, k - 1):
-            sd[j + 1] = emit(_pol(
-                s_ids[j + 1][0], D(pos[j], 2), avar(j), "w", "+", sd[j], 3,
-                "*", "+", 2, "*", s_ids[j + 1][0], "+", xs[j], "w",
-                img_var[j], "w", "s"))
-            at[j + 1] = emit(_pol(
-                A(pos[j], 1), t_ids[j + 1][1], sn[j], "w", "+", at[j], 3,
-                "*", "+", 2, "*", A(pos[j], 1), "+", img_var[j], "w",
-                xs[j], "w", "s"))
-        tchain, dchain = {}, {}
-        for j in range(1, k):
-            tchain[j] = emit(_pol(t_ids[j + 1][1], sd[j], "+", xs[j], "w",
-                                  img_var[j], "w", "s"))
-            dchain[j] = emit(_pol(D(pos[j], 2), at[j], "+", img_var[j], "w",
-                                  xs[j], "w", "s"))
-        grid = {1: emit(_pol(b2rew, t_ids[1][1], "+", "s", 2, "d"))}
-        for j in range(1, k):
-            e2 = emit(_pol(grid[j], tchain[j], "+", "s"))
-            e3 = emit(_pol(grid[j], dchain[j], "+", "s"))
-            grid[j + 1] = emit(_pol(
-                t_ids[j + 1][1], sn[j], "w", D(pos[j], 2), avar(j), "w", "+",
-                e2, 3, "*", "+", e3, 3, "*", "+", "s", 2, "d"))
+                    emit(_rup("$d%d" % pos[m - 1], tn[j]))
         emit(_rup())
 
     def _geq_lemmas(self, fr, steps):
@@ -529,51 +461,22 @@ class ProofBuilder:
         for j in range(1, fr.k):
             emit(_rup(pb.neg(fr.snames[j]), "$a%d" % fr.pos[j - 1]))
         for j in range(1, fr.k):
-            emit(_rup("t%d" % j))
+            emit(_rup(fr.tnames[j]))
         emit(_rup())
-
-    def _geq_cp(self, fr, steps, A, D, o_id):
-        n, k, q, pos = self.order.n, fr.k, fr.q, fr.pos
-        s_ids, t_ids = fr.s_ids, fr.t_ids
-        emit = functools.partial(self.derive, steps)
-        dlem = {n: o_id}
-        for i in range(n - 1, q, -1):
-            dlem[i] = emit(_rup("$d%d" % i))
-
-        if q:
-            aq_id = emit(_rup("$a%d" % q))
-            arew = emit(_pol(A(q + 1, 2), -1, 2, "*", "+"))
-            drew = emit(_pol(D(q + 1, 1), "~$d%d" % q, 3, "*", "+", aq_id,
-                             "+", "s", *self._restore(fr, fr.imgs[0])))
-        else:
-            arew, drew = A(1, 2), D(1, 1)
-
-        asu = {}
-        if k >= 2:
-            asu[1] = emit(_pol(arew, s_ids[1][0], "+", "s"))
-        for j in range(1, k - 1):
-            asu[j + 1] = emit(_pol(A(pos[j], 2), s_ids[j + 1][0], "+", asu[j],
-                                   2, "*", "+", "s"))
-        tl = {1: emit(_pol(t_ids[1][1], drew, "+", dlem[pos[0]], "+", "s"))}
-        for j in range(1, k):
-            tl[j + 1] = emit(_pol(D(pos[j], 1), t_ids[j + 1][1], "+", asu[j],
-                                  "+", dlem[pos[j]], 4, "*", "+", tl[j], 3,
-                                  "*", "+", "$d%d" % pos[j - 1], "w", "s"))
-        emit(_pol(tl[k], fr.neg_c, "+"))
 
     def _cleanup_new(self, fr, frag_start, result):
         """Turn t_k >= 1 into the breaking clauses and drop the scaffolding."""
         k = fr.k
         tlem = {k: result}
         for j in range(k - 1, 0, -1):
-            con = _clause("t%d" % j)
+            con = _clause(fr.tnames[j])
             tlem[j] = self.derive_known(fr.steps, parsing.rup_step(
                 con, [-1, fr.t_ids[j + 1][0]], None), con)
         pols = self._s_clauses(fr)
         pols.append(_pol(fr.t_ids[1][0], tlem[1], "+", "s"))
         for j in range(1, k):
-            pols.append(_pol(fr.t_ids[j + 1][0], "~t%d" % j, 3, "*", "+",
-                             tlem[j + 1], 4, "*", "+", "s"))
+            pols.append(_pol(fr.t_ids[j + 1][0], pb.neg(fr.tnames[j]), 3, "*",
+                             "+", tlem[j + 1], 4, "*", "+", "s"))
         self._emit_clauses(fr, pols)
         fr.steps.append(parsing.del_range_step(frag_start, fr.neg_c + 2, None))
         fr.steps.append(parsing.del_range_step(result, result + k, None))
@@ -647,7 +550,7 @@ class ProofBuilder:
         return _pol(*tokens)
 
 
-def break_symmetries(formula, variables, syms, method="new", cp_variant=False):
+def break_symmetries(formula, variables, syms, method="new"):
     """Emit breaking clauses plus proof for every symmetry, in order.
 
     `syms` are witness dicts that permute literals, as
@@ -663,8 +566,7 @@ def break_symmetries(formula, variables, syms, method="new", cp_variant=False):
         except BreakError as e:
             raise BreakError("generator %d (%s): %s"
                              % (i, parsing.render_witness(sym), e))
-    builder = ProofBuilder(formula, variables, method=method,
-                           cp_variant=cp_variant)
+    builder = ProofBuilder(formula, variables, method=method)
     # a generator that moves no variable of the formula acts as the identity
     active = [s for s in syms if not s.keys().isdisjoint(variables)]
     if active:

@@ -2,7 +2,7 @@
 
     pbsym check   <formula> <proof> [--trace] [--json]
     pbsym break   <formula> <symmetries> -o PREFIX [--method new|old]
-                  [--cp-variant] [--selfcheck] [--json]
+                  [--selfcheck] [--json]
     pbsym gen     <family> <params...> -o PREFIX
     pbsym compare <family> <start..stop> [--step K] [-o CSV]
 
@@ -101,13 +101,14 @@ def _write_streamed(path, chunks):
 
 
 def cmd_break(args):
+    if args.cp_variant:
+        print("warning: --cp-variant is ignored", file=sys.stderr)
     t0 = time.perf_counter()
     formula, variables = _load_formula(args.formula)
     syms = parsing.parse_symmetries(_read(args.symmetries))
     try:
-        builder = breaker.break_symmetries(
-            formula, variables, syms,
-            method=args.method, cp_variant=args.cp_variant)
+        builder = breaker.break_symmetries(formula, variables, syms,
+                                           method=args.method)
     except breaker.BreakError as e:
         _report(args, {"verdict": "INVALID-SYMMETRY", "error": str(e)})
         return 1
@@ -229,7 +230,8 @@ def build_parser():
     b.add_argument("-o", "--output", required=True,
                    help="output prefix for .pbp and .opb files")
     b.add_argument("--method", choices=("new", "old"), default="new")
-    b.add_argument("--cp-variant", action="store_true", dest="cp_variant")
+    # accepted and ignored while the benchmark harness still passes it
+    b.add_argument("--cp-variant", action="store_true", help=argparse.SUPPRESS)
     b.add_argument("--selfcheck", action="store_true")
     b.add_argument("--json", action="store_true")
     b.set_defaults(fn=cmd_break)

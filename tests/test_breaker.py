@@ -267,18 +267,6 @@ def test_php32_document_counters():
     assert counters["rup_calls"] == 104
 
 
-def test_cp_variant_verifies():
-    cons, variables = php32()
-    _, hint_free = checked(cons, breaker.break_symmetries(
-        cons, variables, [sigma(), tau()]))
-    b = breaker.break_symmetries(cons, variables, [sigma(), tau()],
-                                 cp_variant=True)
-    verdict, counters = checked(cons, b)
-    assert verdict == VERIFIED
-    # the explicit derivations replace most hint-free RUP lemmas
-    assert counters["rup_calls"] < hint_free["rup_calls"]
-
-
 def test_old_method_verifies_and_agrees():
     cons, variables = php32()
     new = breaker.break_symmetries(cons, variables, [sigma(), tau()])
@@ -311,13 +299,6 @@ def test_non_suffix_support_still_verifies():
     b = breaker.break_symmetries(cons, variables, [tau(), sigma()])
     verdict, _ = checked(cons, b)
     assert verdict == VERIFIED
-
-
-def test_cp_variant_requires_suffix_support():
-    cons, variables = php32()
-    with pytest.raises(breaker.BreakError):
-        breaker.break_symmetries(cons, variables, [tau(), sigma()],
-                                 cp_variant=True)
 
 
 def test_identity_symmetry_adds_nothing():
@@ -353,67 +334,58 @@ def test_old_method_breaks_negation_symmetries():
     assert oracle.equisat(inst.constraints, b.kept)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_cp_variant_breaks_negation_symmetries(n):
-    # from Tseitin(3) on the support x -> ~x sits after a nonempty prefix,
-    # so the first support level's rows are rewritten and saturated
-    inst = bench.generate("tseitin", (n,))
-    for gen in bench.known_generators(inst)[:4]:
-        b = breaker.break_symmetries(inst.constraints, inst.variables, [gen],
-                                     cp_variant=True)
-        verdict, _ = checked(inst.constraints, b)
-        assert verdict == VERIFIED
-        assert len(b.kept) == 3 * len(gen) - 2
-
-
 ROUND_TRIP_INSTANCES = [("php", (n,)) for n in range(3, 7)] + [
     ("tseitin", (2,)), ("count", (4, 3))]
 
 
-@pytest.mark.parametrize("method,cp_variant,first_only",
-                         [("new", False, False), ("old", False, False),
-                          ("new", True, True)])
+# the "-False-False" in these cases' ids once named two more parameters,
+# the cutting-planes variant (now removed) and first-generator-only; the
+# ids keep that form so that results stay comparable across versions
+@pytest.mark.parametrize("method", ["new", "old"],
+                         ids=["new-False-False", "old-False-False"])
 @pytest.mark.parametrize("family,params", ROUND_TRIP_INSTANCES)
-def test_breaker_output_is_a_serializer_fixed_point(family, params, method,
-                                                    cp_variant, first_only):
+def test_breaker_output_is_a_serializer_fixed_point(family, params, method):
     inst = bench.generate(family, params)
-    gens = bench.known_generators(inst)
     b = breaker.break_symmetries(inst.constraints, inst.variables,
-                                 gens[:1] if first_only else gens,
-                                 method=method, cp_variant=cp_variant)
+                                 bench.known_generators(inst), method=method)
     text = b.text()
     assert parsing.serialize_proof(parsing.parse_proof(text)) == text
 
 
-# sha256 of the proof text; a change to what the breaker writes must edit
-# a pin here, on purpose
+@pytest.mark.parametrize("name", ["php4_cp", "tseitin3_cp"])
+def test_frozen_cp_proof_is_a_serializer_fixed_point(name):
+    # the only proofs here with weakening and division inside dom scopes
+    text = (DATA / (name + ".pbp")).read_text()
+    assert parsing.serialize_proof(parsing.parse_proof(text)) == text
+
+
+# sha256 of the proof text of all known generators; a change to what the
+# breaker writes must edit a pin here, on purpose
 PROOF_TEXT_PINS = [
-    ("php", (5,), "new", False, False,
+    ("php", (5,), "new",
      "785ec044c893e4cd1ee99713f7fed56b62a7e4657bf1352680680ab247e9fb97"),
-    ("php", (5,), "old", False, False,
+    ("php", (5,), "old",
      "f761021ad08022bb6c88f4da1e17e176c7acb0f47d8274af2c94960e082fe565"),
-    ("count", (6, 3), "new", False, False,
+    ("count", (6, 3), "new",
      "63c9760254de6408297dbbae44a3f7e31915d3b3f169eca3846eaf14e22d07ca"),
-    ("count", (6, 3), "old", False, False,
+    ("count", (6, 3), "old",
      "3a1def2338520085c7d6546b89276ddbb88b4c396187971530687481917a80a6"),
-    ("tseitin", (3,), "new", False, False,
+    ("tseitin", (3,), "new",
      "1bad729e43cb6ace6cb5835286f740e894e11920ce0dc5979d60b8acb231e87b"),
-    ("tseitin", (3,), "old", False, False,
+    ("tseitin", (3,), "old",
      "97d490f754fb7d7a8802cf643e10779e5339b6bab9fb9fd6076e426571d338d4"),
-    ("php", (5,), "new", True, True,
-     "9db1efc2765da5a0ac18310aed301c7e5efc21aeab99f5ecade6867f2071a261"),
 ]
 
 
-@pytest.mark.parametrize("family,params,method,cp_variant,first_only,sha",
-                         PROOF_TEXT_PINS)
-def test_breaker_proof_text_pinned(family, params, method, cp_variant,
-                                   first_only, sha):
+@pytest.mark.parametrize(
+    "family,params,method,sha", PROOF_TEXT_PINS,
+    # ids in the form of the fixed-point test's above
+    ids=["%s-params%d-%s-False-False-%s" % (fam, i, method, sha)
+         for i, (fam, _params, method, sha) in enumerate(PROOF_TEXT_PINS)])
+def test_breaker_proof_text_pinned(family, params, method, sha):
     inst = bench.generate(family, params)
-    gens = bench.known_generators(inst)
     b = breaker.break_symmetries(inst.constraints, inst.variables,
-                                 gens[:1] if first_only else gens,
-                                 method=method, cp_variant=cp_variant)
+                                 bench.known_generators(inst), method=method)
     assert hashlib.sha256(b.text().encode()).hexdigest() == sha
 
 

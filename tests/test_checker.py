@@ -443,25 +443,38 @@ def test_rup_cannot_use_negation_from_red():
     assert "goal 1: rup" in trace
 
 
+def _broken_php(n, method):
+    php = bench.generate("php", (n,))
+    built = breaker.break_symmetries(php.constraints, php.variables,
+                                     bench.known_generators(php), method=method)
+    return php.constraints, built.text()
+
+
+def _frozen_cp(name):
+    """A proof of the first generator by the retired cutting-planes variant
+    of the new method, kept as data: the only breaker proofs with weakening
+    and division inside dom scopes."""
+    formula = parsing.parse_cnf((DATA / (name + ".cnf")).read_text())
+    return formula, (DATA / (name + "_cp.pbp")).read_text()
+
+
 # verdicts and counters of breaker proofs; a hint-free RUP reads every
 # spec row in scope, so spec_materializations does not depend on how many
 # lemmas a dom scope writes
-@pytest.mark.parametrize("n,method,cp,counters", [
-    (5, "new", False, {"rup_calls": 688, "spec_materializations": 1092,
-                       "implicit_reflexivity_skips": 234}),
-    (5, "old", False, {"rup_calls": 302, "spec_materializations": 0,
-                       "implicit_reflexivity_skips": 110}),
-    (4, "new", True, {"rup_calls": 24, "spec_materializations": 92,
-                      "implicit_reflexivity_skips": 22}),
-], ids=["php5-new", "php5-old", "php4-new-cp"])
-def test_breaker_proof_counters_pinned(n, method, cp, counters):
-    php = bench.generate("php", (n,))
-    gens = bench.known_generators(php)
-    # the cutting-planes variant takes the first generator only
-    built = breaker.break_symmetries(php.constraints, php.variables,
-                                     gens[:1] if cp else gens,
-                                     method=method, cp_variant=cp)
-    verdict, got = check_document(php.constraints,
-                                  parsing.parse_proof(built.text()))
+@pytest.mark.parametrize("source,counters", [
+    ((_broken_php, 5, "new"), {"rup_calls": 688, "spec_materializations": 1092,
+                               "implicit_reflexivity_skips": 234}),
+    ((_broken_php, 5, "old"), {"rup_calls": 302, "spec_materializations": 0,
+                               "implicit_reflexivity_skips": 110}),
+    ((_frozen_cp, "php4"), {"rup_calls": 24, "spec_materializations": 92,
+                            "implicit_reflexivity_skips": 22}),
+    # Tseitin(3)'s first generator is a negation after a nonempty prefix
+    ((_frozen_cp, "tseitin3"), {"rup_calls": 16, "spec_materializations": 92,
+                                "implicit_reflexivity_skips": 14}),
+], ids=["php5-new", "php5-old", "php4-new-cp", "tseitin3-new-cp"])
+def test_breaker_proof_counters_pinned(source, counters):
+    make, *args = source
+    formula, text = make(*args)
+    verdict, got = check_document(formula, parsing.parse_proof(text))
     assert verdict == VERIFIED
     assert got == counters

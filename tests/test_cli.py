@@ -9,6 +9,8 @@ from pbsym import breaker
 from pbsym import cli
 from pbsym import parsing
 
+import oracle
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -338,6 +340,39 @@ def test_break_output_is_deterministic(tmp_path):
             == (tmp_path / "b.pbp").read_bytes())
     assert ((tmp_path / "a.opb").read_bytes()
             == (tmp_path / "b.opb").read_bytes())
+
+
+def test_break_cp_variant_flag_is_ignored(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["break", "--help"])
+    assert "--cp-variant" not in capsys.readouterr().out
+    formula, _ = golden_pair(tmp_path)
+    syms = sym_file(tmp_path)
+    for name, extra in (("plain", []), ("cp", ["--cp-variant"])):
+        assert cli.main(["break", formula, syms, "-o", str(tmp_path / name)]
+                        + extra) == 0
+    assert capsys.readouterr().err == "warning: --cp-variant is ignored\n"
+    for ext in (".pbp", ".opb"):
+        assert ((tmp_path / ("plain" + ext)).read_bytes()
+                == (tmp_path / ("cp" + ext)).read_bytes())
+
+
+@pytest.mark.parametrize("method", ["new", "old"])
+def test_break_chain_names_avoid_formula_variables(tmp_path, capsys, method):
+    # the formula already uses the breaker's chain names s1, s2 and t1
+    formula = tmp_path / "clash.opb"
+    formula.write_text("+1 s1 +1 s2 >= 1 ;\n+1 ~s1 +1 ~s2 >= 1 ;\n"
+                       "+1 t1 +1 s1 >= 1 ;\n+1 t1 +1 s2 >= 1 ;\n")
+    prefix = str(tmp_path / "out")
+    rc = cli.main(["break", str(formula), sym_file(tmp_path, "(s1 s2)\n"),
+                   "-o", prefix, "--method", method, "--selfcheck", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (rc, payload["verdict"]) == (0, "BROKEN")
+    assert payload["selfcheck"] == "VERIFIED-DERIVATION"
+    assert cli.main(["check", str(formula), prefix + ".pbp"]) == 0
+    cons, _ = parsing.parse_opb(formula.read_text())
+    broken, _ = parsing.parse_opb(pathlib.Path(prefix + ".opb").read_text())
+    assert oracle.equisat(cons, broken[len(cons):])
 
 
 def test_break_rejects_bad_symmetry(tmp_path, capsys):

@@ -15,16 +15,19 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _sources():
-    """(formula, proof text) pairs: the golden proof and breaker output."""
+    """(formula, proof text) pairs: the golden proof, breaker output and
+    the frozen cutting-planes proofs."""
     golden, _ = parsing.parse_opb((DATA / "php32.opb").read_text())
     out = [(golden, (DATA / "php32_lex.pbp").read_text())]
     php = bench.generate("php", (3,))
-    gens = bench.known_generators(php)
-    for method, cp in (("new", False), ("old", False), ("new", True)):
+    for method in ("new", "old"):
         b = breaker.break_symmetries(php.constraints, php.variables,
-                                     gens[:1] if cp else gens,
-                                     method=method, cp_variant=cp)
+                                     bench.known_generators(php), method=method)
         out.append((php.constraints, b.text()))
+    # frozen proofs with weakening and division inside dom scopes
+    for name in ("php4", "tseitin3"):
+        out.append((parsing.parse_cnf((DATA / (name + ".cnf")).read_text()),
+                    (DATA / (name + "_cp.pbp")).read_text()))
     tseitin = bench.generate("tseitin", (2,))
     b = breaker.break_symmetries(tseitin.constraints, tseitin.variables,
                                  bench.known_generators(tseitin))
