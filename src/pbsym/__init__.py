@@ -3,7 +3,8 @@
 Submodules:
   constraints  -- PB constraint algebra (normalize/negate/substitute/polish/RUP)
   parsing      -- OPB, DIMACS CNF, symmetry and proof parsers/serializers
-  orders       -- preorder definitions with auxiliary variables
+  orders       -- validation and instances of def_order steps (preorders
+                  with auxiliary variables)
   checker      -- the proof state machine
   breaker      -- proof-logging lex-leader breaking of witness-dict symmetries
   bench        -- crafted benchmark families and their symmetry generators

@@ -27,6 +27,9 @@ uses a name ``s<digits>`` (or ``t<digits>``), the prefix gets a trailing
 
 Proofs are built as the step dicts :func:`parsing.parse_proof` returns and
 printed by :func:`parsing.render_step`; this module writes no proof text.
+An order is its ``def_order`` step: :func:`build_lex_order` and
+:func:`build_big_order` return it, proofs included, and the builder reads
+the loaded order's spec layout and arity from it.
 """
 
 import collections
@@ -103,31 +106,16 @@ def _refute(key, steps):
     return [parsing.goal_block(key, steps, -1, None)]
 
 
-def _def_order_step(order, fresh_aux, transitivity, reflexivity):
-    """def_order step for `order`: `transitivity` lists the steps of the
-    transitivity proof's one goal, `reflexivity` the reflexivity proof's
-    goal blocks."""
-    return {"kind": "def_order", "line": None, "name": order.name,
-            "left": order.u_vars, "right": order.v_vars, "aux": order.aux_vars,
-            "spec": order.spec, "def": order.order_constraints,
-            "transitivity": {"fresh_right": ["w%d" % i
-                                             for i in range(1, order.n + 1)],
-                             "fresh_aux_1": fresh_aux[0],
-                             "fresh_aux_2": fresh_aux[1],
-                             "goals": _refute("#1", transitivity)},
-            "reflexivity": {"goals": reflexivity}}
-
-
 def _step_text(step):
     out = []
     parsing.render_step(out, step)
     return "\n".join(out)
 
 
-def _spec_index(order):
-    """Position of each spec row of `order`, by the (aux variable, value)
-    its witness sets."""
-    return {next(iter(w.items())): i for i, (_c, w) in enumerate(order.spec)}
+def _spec_index(spec):
+    """Position of each row of `spec`, by the (aux variable, value) its
+    witness sets."""
+    return {next(iter(w.items())): i for i, (_c, w) in enumerate(spec)}
 
 
 def _spec_ids(index, base):
@@ -135,6 +123,10 @@ def _spec_ids(index, base):
     spec instance whose first row has ID `base`, from its `_spec_index`."""
     return (lambda i, h: base + index["$a%d" % i, h - 1],
             lambda i, h: base + index["$d%d" % i, h - 1])
+
+
+def _fresh_right(n):
+    return ["w%d" % i for i in range(1, n + 1)]
 
 
 # -------------------------------------------------- lexicographic order
@@ -169,13 +161,9 @@ def _reification(cur, pair):
             for value, half in enumerate(pair)]
 
 
-def lex_order_name(n):
-    return "lex%d" % n
-
-
 def build_lex_order(n):
-    """The lexicographic OrderDefinition over n variables (not validated);
-    its 4n-2 specification rows reify $a_i and $d_i."""
+    """The def_order step of the lexicographic order lex<n>; its 4n-2
+    specification rows reify $a_i and $d_i."""
     u = lambda i: "u%d" % i
     v = lambda i: "v%d" % i
     a = lambda i: "$a%d" % i
@@ -189,26 +177,30 @@ def build_lex_order(n):
                                             a(i - 1) if i > 1 else None,
                                             u(i), v(i)))
     aux = [a(i) for i in range(1, n)] + [d(i) for i in range(1, n + 1)]
-    order = [pb.normalize([(1, d(n))], 1)]
-    return orders.OrderDefinition(lex_order_name(n),
-                                  [u(i) for i in range(1, n + 1)],
-                                  [v(i) for i in range(1, n + 1)],
-                                  aux, spec, order)
+    fresh = (_fresh_right(n),
+             [s.replace("$a", "$b").replace("$d", "$e") for s in aux],
+             [s.replace("$a", "$c").replace("$d", "$f") for s in aux])
+    return parsing.def_order_step(
+        "lex%d" % n, [u(i) for i in range(1, n + 1)],
+        [v(i) for i in range(1, n + 1)], aux, spec,
+        [pb.normalize([(1, d(n))], 1)], fresh,
+        _refute("#1", _lex_transitivity_steps(n, spec)),
+        _refute("#1", [_rup()]), None)
 
 
-def _lex_transitivity_steps(order):
+def _lex_transitivity_steps(n, spec):
     """Steps of goal #1 of the transitivity proof: O(u,w) from the three
     chained spec instances, by induction over the levels.
 
     Constraint IDs inside the obligation frame: spec S(u,v) occupies
-    1..len(order.spec), S(v,w) and S(u,w) the next two blocks, then O(u,v),
+    1..len(spec), S(v,w) and S(u,w) the next two blocks, then O(u,v),
     O(v,w) and the negated goal.  Level i derives P_i = ~$d_i v ~$e_i v
     $f_i and, below the last level, Qa_i = ~$d_i v ~$e_i v ~$c_i v $a_i
     and Qb_i, the same clause with $b_i, each by RUP over hints: its
     level's spec rows and the lemmas of the level before.  Without hints,
     unit propagation would walk the whole $c or $f chain for every lemma.
     """
-    n, S, index = order.n, len(order.spec), _spec_index(order)
+    S, index = len(spec), _spec_index(spec)
     (A, D), (B, E), (C, F) = (_spec_ids(index, block * S + 1)
                               for block in range(3))
     o_uv, o_vw, neg_goal = 3 * S + 1, 3 * S + 2, 3 * S + 3
@@ -231,47 +223,32 @@ def _lex_transitivity_steps(order):
     return steps
 
 
-def _lex_order_step(order):
-    fresh = ([s.replace("$a", "$b").replace("$d", "$e") for s in order.aux_vars],
-             [s.replace("$a", "$c").replace("$d", "$f") for s in order.aux_vars])
-    return _def_order_step(order, fresh,
-                           _lex_transitivity_steps(order),
-                           _refute("#1", [_rup()]))
-
-
 def lex_order_definition(n):
     """def_order text for lex(n), without a trailing newline."""
-    return _step_text(_lex_order_step(build_lex_order(n)))
+    return _step_text(build_lex_order(n))
 
 
 # -------------------------------------------------- aggregate (old) order
 
-def big_order_name(n):
-    return "biglex%d" % n
-
-
 def build_big_order(n):
+    """The def_order step of biglex<n>, one order constraint with
+    exponential coefficients and no aux variables."""
     terms = []
     for i in range(1, n + 1):
         terms.append((2 ** (n - i), "v%d" % i))
         terms.append((2 ** (n - i), "~u%d" % i))
-    order = [pb.normalize(terms, 2 ** n - 1)]
-    return orders.OrderDefinition(big_order_name(n),
-                                  ["u%d" % i for i in range(1, n + 1)],
-                                  ["v%d" % i for i in range(1, n + 1)],
-                                  [], [], order)
-
-
-def _big_order_step(order):
     # transitivity premises: O(u,v) = 1, O(v,w) = 2; their sum dominates
     # O(u,w).  O(u,u) normalizes to a tautology, so reflexivity needs no goal.
-    return _def_order_step(order, ([], []),
-                           [_pol(1, 2, "+"), _pol(-1, 3, "+")], [])
+    return parsing.def_order_step(
+        "biglex%d" % n, ["u%d" % i for i in range(1, n + 1)],
+        ["v%d" % i for i in range(1, n + 1)], [], [],
+        [pb.normalize(terms, 2 ** n - 1)], (_fresh_right(n), [], []),
+        _refute("#1", [_pol(1, 2, "+"), _pol(-1, 3, "+")]), [], None)
 
 
 def big_order_definition(n):
     """def_order text for biglex(n), without a trailing newline."""
-    return _step_text(_big_order_step(build_big_order(n)))
+    return _step_text(build_big_order(n))
 
 
 # ------------------------------------------------------------ the builder
@@ -316,7 +293,7 @@ class ProofBuilder:
         self.frame = checker.Frame(counter=[len(formula) + 1])
         self.s_count = 0
         self.binding = None
-        self.order = None       # the loaded OrderDefinition, set by begin
+        self.order = None       # the loaded def_order step, set by begin
         self.kept = []          # derived breaking clauses, in proof order
         self.stats = []         # per-symmetry {"support": k, "chars": ...}
 
@@ -348,17 +325,11 @@ class ProofBuilder:
 
     def begin(self, syms):
         self.binding = choose_binding(self.variables, syms)
-        n = len(self.variables)
-        if self.method == "new":
-            self.order = build_lex_order(n)
-            step = _lex_order_step(self.order)
-        else:
-            self.order = build_big_order(n)
-            step = _big_order_step(self.order)
-        parsing.render_step(self.lines, step)
-        parsing.render_step(self.lines,
-                            parsing.load_order_step(step["name"], self.binding,
-                                                    None))
+        build = build_lex_order if self.method == "new" else build_big_order
+        self.order = build(len(self.variables))
+        parsing.render_step(self.lines, self.order)
+        parsing.render_step(self.lines, parsing.load_order_step(
+            self.order["name"], self.binding, None))
 
     def break_symmetry(self, sym):
         if not sym:
@@ -418,7 +389,7 @@ class ProofBuilder:
     # -- chain method
 
     def _break_new(self, fr):
-        S = len(self.order.spec)
+        S = len(self.order["spec"])
         frag_start = self.frame.counter[0]
         self._emit_circuit(fr)
         fr.neg_c = self.skip(1)
@@ -523,7 +494,7 @@ class ProofBuilder:
         tokens = [big_id]
         cur = big
         for m in range(1, j):
-            coef = 2 ** (self.order.n - fr.pos[m - 1])
+            coef = 2 ** (len(self.order["left"]) - fr.pos[m - 1])
             tokens += [lemma[j, m], coef, "*", "+"]
             cur = pb.add(cur, pb.multiply(self.frame.get(lemma[j, m]), coef))
         wanted = {pb.var_of(xs[j - 1]), pb.var_of(imgs[j - 1])}

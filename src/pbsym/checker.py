@@ -353,7 +353,7 @@ class Checker:
 
     def step_dom(self, step):
         c, w, line = step["constraint"], step["witness"], step["line"]
-        if self.loaded.n == 0:
+        if not self.loaded["left"]:
             raise CheckError("dominance requires a loaded non-trivial order",
                              line=line, reason="no-order")
         self._check_rule_constraint(c, w, line)
@@ -401,29 +401,30 @@ class Checker:
 
     def step_def_order(self, step):
         try:
-            order = ordmod.OrderDefinition(
-                step["name"], step["left"], step["right"], step["aux"],
-                step["spec"], step["def"])
-            ordmod.validate(order, step["transitivity"], step["reflexivity"],
-                            run_obligation)
+            ordmod.validate(step, run_obligation)
         except ordmod.OrderError as e:
             raise CheckError(str(e), line=step["line"], reason="bad-order")
         except CheckError as e:
             if e.line is None:  # an obligation goal left without a block
                 e.line = step["line"]
             raise
-        self.orders[step["name"]] = order
+        self.orders[step["name"]] = step
 
     def step_load_order(self, step):
         name, zvars, line = step["name"], step["vars"], step["line"]
         order = self.orders.get(name)
-        if order is None or not order.validated:
+        if order is None:
             raise CheckError("order %r is not defined and validated" % name,
                              line=line, reason="unknown-order")
-        if len(zvars) != order.n:
+        if len(zvars) != len(order["left"]):
             raise CheckError("order %s needs %d variables, got %d"
-                             % (name, order.n, len(zvars)),
+                             % (name, len(order["left"]), len(zvars)),
                              line=line, reason="arity-mismatch")
+        # `red` and `dom` compare witness variables with the bound names
+        bad = [z for z in zvars if not pb.is_positive(z) or pb.is_aux_var(z)]
+        if bad:
+            raise CheckError("bound names %s are not plain variables" % bad,
+                             line=line, reason="bad-binding")
         if self._derived_ids():
             raise CheckError("cannot change order with a non-empty derived set",
                              line=line, reason="derived-not-empty")

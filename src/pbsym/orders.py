@@ -1,43 +1,28 @@
 """Preorders with auxiliary variables.
 
-An order definition consists of placeholder variable lists u/v, auxiliary
-variables, a specification (an ordered list of constraints introduced by
-redundance with witnesses over the aux variables only) and the order
-constraints themselves.  Validation checks the specification obligations
-plus reflexivity and transitivity subproofs; only validated orders may be
-loaded by the checker.
+An order is its ``def_order`` step, the dict :func:`parsing.def_order_step`
+builds and :func:`parsing.parse_proof` returns: placeholder variable lists
+``left``/``right`` (u/v), auxiliary variables ``aux``, a specification
+``spec`` (an ordered list of (constraint, witness) rows, each introduced by
+redundance with a witness over the aux variables only), the order
+constraints ``def``, and the transitivity and reflexivity proofs.
+:func:`validate` checks the declared names, the specification obligations
+and both proofs; the checker stores, and so loads, only orders that pass.
 """
 
 import collections
 
 from . import constraints as pb
+from . import parsing
 
 
 class OrderError(Exception):
     pass
 
 
-class OrderDefinition:
-
-    def __init__(self, name, u_vars, v_vars, aux_vars, spec, order_constraints):
-        if len(u_vars) != len(v_vars):
-            raise OrderError("left/right lists differ in length")
-        self.name = name
-        self.u_vars = list(u_vars)
-        self.v_vars = list(v_vars)
-        self.aux_vars = list(aux_vars)
-        self.spec = list(spec)  # [(Constraint, Witness)]
-        self.order_constraints = list(order_constraints)
-        self.validated = False
-
-    @property
-    def n(self):
-        return len(self.u_vars)
-
-
 # Initial configuration: the trivial order over zero variables.
-TRIVIAL = OrderDefinition("trivial", [], [], [], [], [])
-TRIVIAL.validated = True
+TRIVIAL = parsing.def_order_step("trivial", [], [], [], [], [], ([], [], []),
+                                 [], [], None)
 
 
 def _engine(premises, negc):
@@ -97,11 +82,11 @@ def verify_specification(spec, aux_vars):
 
 
 def _mapping(order, left, right, aux_map=None):
-    m = {}
-    for u, img in zip(order.u_vars, left):
-        m[u] = img
-    for v, img in zip(order.v_vars, right):
-        m[v] = img
+    n = len(order["left"])
+    if len(left) != n or len(right) != n:
+        raise OrderError("arity mismatch: expected %d variables" % n)
+    m = dict(zip(order["left"], left))
+    m.update(zip(order["right"], right))
     if aux_map:
         m.update(aux_map)
     return m
@@ -114,37 +99,27 @@ def spec_instance(order, left, right, aux_map=None):
     left/right are literal (or 0/1 constant) lists of length n; building
     is deferred so the checker builds, and counts, only the rows it reads.
     """
-    if len(left) != order.n or len(right) != order.n:
-        raise OrderError("arity mismatch: expected %d variables" % order.n)
     m = _mapping(order, left, right, aux_map)
-    return [(lambda c=c: pb.substitute(c, m)) for c, _w in order.spec]
+    return [(lambda c=c: pb.substitute(c, m)) for c, _w in order["spec"]]
 
 
 def order_instance(order, left, right, aux_map=None):
     """O(left, right, aux), eagerly computed (the list is small)."""
-    if len(left) != order.n or len(right) != order.n:
-        raise OrderError("arity mismatch: expected %d variables" % order.n)
     m = _mapping(order, left, right, aux_map)
-    return [pb.substitute(c, m) for c in order.order_constraints]
+    return [pb.substitute(c, m) for c in order["def"]]
 
 
-def _aux_renaming(order, fresh_aux):
-    if len(fresh_aux) != len(order.aux_vars):
-        raise OrderError("fresh aux list length mismatch")
-    return dict(zip(order.aux_vars, fresh_aux))
-
-
-def transitivity_obligation(order, fresh_right, fresh_aux_1, fresh_aux_2):
+def transitivity_obligation(order):
     """Premises (in ID assignment order) and goals of the transitivity check.
 
     Premises: S(u,v,a), S(v,w,b), S(u,w,c), O(u,v,a), O(v,w,b);
-    goals: O(u,w,c).
+    goals: O(u,w,c), where w, b and c are the transitivity proof's
+    fresh_right, fresh_aux_1 and fresh_aux_2 names.
     """
-    if len(fresh_right) != order.n:
-        raise OrderError("fresh_right length mismatch")
-    u, v, w = order.u_vars, order.v_vars, list(fresh_right)
-    ren_b = _aux_renaming(order, fresh_aux_1)
-    ren_c = _aux_renaming(order, fresh_aux_2)
+    trans = order["transitivity"]
+    u, v, w = order["left"], order["right"], trans["fresh_right"]
+    ren_b = dict(zip(order["aux"], trans["fresh_aux_1"]))
+    ren_c = dict(zip(order["aux"], trans["fresh_aux_2"]))
     premises = []
     premises.extend(c() for c in spec_instance(order, u, v))
     premises.extend(c() for c in spec_instance(order, v, w, ren_b))
@@ -157,49 +132,59 @@ def transitivity_obligation(order, fresh_right, fresh_aux_1, fresh_aux_2):
 
 def reflexivity_obligation(order):
     """Premises S(u,u,a) and goals O(u,u,a) of the reflexivity check."""
-    u = order.u_vars
+    u = order["left"]
     premises = [c() for c in spec_instance(order, u, u)]
     goals = order_instance(order, u, u)
     return premises, goals
 
 
-def check_reflexivity(order, subproof_goals, run):
+def check_reflexivity(order, run):
     premises, goals = reflexivity_obligation(order)
-    run(premises, goals, subproof_goals, "reflexivity")
+    run(premises, goals, order["reflexivity"]["goals"], "reflexivity")
     return True
 
 
-def check_transitivity(order, fresh_right, fresh_aux_1, fresh_aux_2,
-                       subproof_goals, run):
-    premises, goals = transitivity_obligation(
-        order, fresh_right, fresh_aux_1, fresh_aux_2)
-    run(premises, goals, subproof_goals, "transitivity")
+def check_transitivity(order, run):
+    premises, goals = transitivity_obligation(order)
+    run(premises, goals, order["transitivity"]["goals"], "transitivity")
     return True
 
 
-def check_names(order, transitivity):
-    """The variables a def_order declares are pairwise distinct, else the
-    transitivity goal is a weaker statement, and its aux and fresh-aux ones
-    are `$` names, else dom's spec rows may constrain formula variables."""
-    aux = (order.aux_vars + transitivity["fresh_aux_1"]
-           + transitivity["fresh_aux_2"])
-    names = order.u_vars + order.v_vars + transitivity["fresh_right"] + aux
-    twice = sorted(v for v, k in collections.Counter(names).items() if k > 1)
+def check_names(order):
+    """The names a def_order declares.  Left, right and fresh_right are
+    equally long, and so are aux and the two fresh-aux lists.  All are
+    pairwise distinct, else the transitivity goal is a weaker statement.
+    Aux and fresh-aux names start with `$`, else dom's spec rows may
+    constrain formula variables.  Spec and def constraints use only left,
+    right and aux names, else an order instance constrains variables that
+    no binding or renaming replaces."""
+    trans = order["transitivity"]
+    n, k = len(order["left"]), len(order["aux"])
+    if len(order["right"]) != n or len(trans["fresh_right"]) != n:
+        raise OrderError("left, right and fresh_right lists differ in length")
+    if len(trans["fresh_aux_1"]) != k or len(trans["fresh_aux_2"]) != k:
+        raise OrderError("aux and fresh aux lists differ in length")
+    aux = order["aux"] + trans["fresh_aux_1"] + trans["fresh_aux_2"]
+    names = order["left"] + order["right"] + trans["fresh_right"] + aux
+    twice = sorted(v for v, c in collections.Counter(names).items() if c > 1)
     if twice:
         raise OrderError("variables %s are declared twice" % twice)
     plain = [v for v in aux if not pb.is_aux_var(v)]
     if plain:
         raise OrderError("aux variables %s do not start with '$'" % plain)
+    used = {v for c, _w in order["spec"] for v in c.variables()}
+    used.update(v for c in order["def"] for v in c.variables())
+    free = sorted(used.difference(order["left"], order["right"], order["aux"]))
+    if free:
+        raise OrderError("spec or def constraints use undeclared variables %s"
+                         % free)
 
 
-def validate(order, transitivity, reflexivity, run):
-    """Full validation pipeline for a parsed def_order block.  `run`
-    (premises, goals, blocks, label) runs each obligation's subproof."""
-    check_names(order, transitivity)
-    verify_specification(order.spec, order.aux_vars)
-    check_transitivity(order, transitivity["fresh_right"],
-                       transitivity["fresh_aux_1"], transitivity["fresh_aux_2"],
-                       transitivity["goals"], run)
-    check_reflexivity(order, reflexivity["goals"], run)
-    order.validated = True
+def validate(order, run):
+    """Full validation of a def_order step.  `run` (premises, goals,
+    blocks, label) runs each obligation's subproof."""
+    check_names(order)
+    verify_specification(order["spec"], order["aux"])
+    check_transitivity(order, run)
+    check_reflexivity(order, run)
     return order

@@ -230,6 +230,22 @@ def dom_step(constraint, witness, leq, geq, line):
             "witness": witness, "leq": leq, "geq": geq}
 
 
+_FRESH = ("fresh_right", "fresh_aux_1", "fresh_aux_2")
+
+
+def def_order_step(name, left, right, aux, spec, order, fresh, transitivity,
+                   reflexivity, line):
+    """An order: `spec` lists its (constraint, witness) rows, `order` the
+    constraints of its `def`, `fresh` the fresh_right, fresh_aux_1 and
+    fresh_aux_2 names of its transitivity proof, and `transitivity` and
+    `reflexivity` the goal blocks of its two proofs."""
+    trans = dict(zip(_FRESH, fresh))
+    trans["goals"] = transitivity
+    return {"kind": "def_order", "line": line, "name": name, "left": left,
+            "right": right, "aux": aux, "spec": spec, "def": order,
+            "transitivity": trans, "reflexivity": {"goals": reflexivity}}
+
+
 def load_order_step(name, zvars, line):
     return {"kind": "load_order", "line": line, "name": name, "vars": zvars}
 
@@ -397,9 +413,6 @@ def _parse_spec_row(toks, lineno):
     return step["constraint"], step["witness"]
 
 
-_FRESH = ("fresh_right", "fresh_aux_1", "fresh_aux_2")
-
-
 def _parse_var_decls(lines, expected_heads):
     decls = {}
     for head in expected_heads:
@@ -420,19 +433,18 @@ def _parse_def_order(lines, lineno0, args):
     order_cons = _parse_until(lines, ("end", "def"), _parse_constraint)
     lines.expect("transitivity")
     lines.expect("vars")
-    transitivity = _parse_var_decls(lines, _FRESH)
+    fresh = _parse_var_decls(lines, _FRESH)
     lines.expect("proof")
-    transitivity["goals"] = _parse_proofgoals(lines, ("qed", "proof"))
+    trans_goals = _parse_proofgoals(lines, ("qed", "proof"))
     lines.expect("end", "transitivity")
     lines.expect("reflexivity")
     lines.expect("proof")
     refl_goals = _parse_proofgoals(lines, ("qed", "proof"))
     lines.expect("end", "reflexivity")
     lines.expect("end", "def_order")
-    return {"kind": "def_order", "line": lineno0, "name": args[0],
-            "left": decls["left"], "right": decls["right"], "aux": decls["aux"],
-            "spec": spec, "def": order_cons, "transitivity": transitivity,
-            "reflexivity": {"goals": refl_goals}}
+    return def_order_step(args[0], decls["left"], decls["right"], decls["aux"],
+                          spec, order_cons, [fresh[h] for h in _FRESH],
+                          trans_goals, refl_goals, lineno0)
 
 
 def _parse_dom(lines, lineno, args):

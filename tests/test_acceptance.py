@@ -178,11 +178,11 @@ def test_criterion_3_spec_encodes_lex_exactly():
         order = breaker.build_lex_order(n)
         for ub in itertools.product((0, 1), repeat=n):
             for vb in itertools.product((0, 1), repeat=n):
-                base = dict(zip(order.u_vars, ub))
-                base.update(zip(order.v_vars, vb))
-                sols = [ext for ext in assignments(order.aux_vars)
+                base = dict(zip(order["left"], ub))
+                base.update(zip(order["right"], vb))
+                sols = [ext for ext in assignments(order["aux"])
                         if all(oracle.con_holds(c, {**base, **ext})
-                               for c, _ in order.spec)]
+                               for c, _ in order["spec"])]
                 assert len(sols) == 1
                 assert ((sols[0]["$d%d" % n] == 1)
                         == oracle.lex_leq(list(ub), list(vb)))
@@ -207,7 +207,7 @@ def test_criterion_4_order_definition_scaling():
     assert 0.9 <= slope(ns, lines) <= 1.1
 
     coef_bytes = [sum(_coefficient_bytes(c) for c in
-                      breaker.build_big_order(n).order_constraints)
+                      breaker.build_big_order(n)["def"])
                   for n in ns]
     assert 1.8 <= slope(ns, coef_bytes) <= 2.2
     assert time.perf_counter() - t0 < 30.0
@@ -351,30 +351,36 @@ def _random_document(rng):
     return inst, text
 
 
-def _check_weak_validity(formula, chk):
+def _check_weak_validity(formula, chk, line=None):
+    """Criterion 7's invariant on the state of `chk`; a failure names
+    `line`, the step after which it was checked."""
     core = [chk.root.get(cid) for cid in sorted(chk.core_ids)]
     derived = [chk.root.get(cid) for cid in chk._derived_ids()]
+    # a bound name is evaluated as a literal, so a `~x` binding is handled
     z = list(chk.z_binding)
-    fvars = sorted({v for c in formula for v in c.variables()} | set(z))
+    zval = lambda m: [int(oracle.lit_holds(l, m)) for l in z]
+    fvars = sorted({v for c in formula for v in c.variables()}
+                   | {pb.var_of(l) for l in z})
     allvars = sorted({v for c in core + derived for v in c.variables()}
                      | set(fvars))
-    assert len(allvars) <= 17
+    assert len(allvars) <= 17, "oracle is exponential; keep instances small"
+    where = "weak validity fails after line %s" % line
 
     # condition 1: satisfiability of the input implies that of the core
     if oracle.satisfiable(formula, fvars) is not None:
-        assert oracle.satisfiable(core, fvars) is not None
+        assert oracle.satisfiable(core, fvars) is not None, where
 
     # condition 2: every core model is dominated by a full model
     models = [m for m in assignments(allvars)
               if all(oracle.con_holds(c, m) for c in core + derived)]
     if z:
-        best = min((tuple(m[v] for v in z) for m in models), default=None)
+        best = min((zval(m) for m in models), default=None)
     for alpha in assignments(fvars):
         if not all(oracle.con_holds(c, alpha) for c in core):
             continue
-        assert models
+        assert models, where
         if z:
-            assert oracle.lex_leq(list(best), [alpha[v] for v in z])
+            assert oracle.lex_leq(best, zval(alpha)), where
 
 
 def test_criterion_7_weak_validity_of_random_proofs():
@@ -387,6 +393,62 @@ def test_criterion_7_weak_validity_of_random_proofs():
         assert verdict == checker.VERIFIED
         _check_weak_validity(inst.constraints, chk)
     assert time.perf_counter() - t0 < 120.0
+
+
+def check_each_step(formula, doc):
+    """Run `doc` one top-level step at a time against the brute-force
+    oracle: an accepted pol or rup constraint follows from the live core
+    and derived constraints before it, and every accepted red, dom and
+    del range keeps the weak-validity invariant.  Returns the verdict."""
+    chk = checker.Checker(formula)
+    for step in doc["steps"]:
+        before = list(chk.root.cons.values())
+        getattr(chk, checker.Checker.STEPS[step["kind"]])(step)
+        if step["kind"] in ("pol", "rup"):
+            new = chk.root.cons[chk.root.counter[0] - 1]
+            assert oracle.implies(before, new), (
+                "line %s does not follow" % step["line"])
+        elif step["kind"] in ("red", "dom", "del_range"):
+            _check_weak_validity(formula, chk, step["line"])
+    return chk.conclude()
+
+
+def test_criterion_7_each_step_is_sound():
+    # criterion 7's draws over at most 14 variables at every step.  The
+    # PHP(3) and Count(5,3) draws are left to the final-state check above:
+    # at some step, some of them reach more variables than the oracle
+    # enumerates
+    t0 = time.perf_counter()
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(20):
+        inst, text = _random_document(rng)
+        if inst.family in ("flip", "tseitin") or inst.params == (4, 3):
+            assert check_each_step(inst.constraints,
+                                   parsing.parse_proof(text)) == checker.VERIFIED
+            checked += 1
+    assert checked
+    assert time.perf_counter() - t0 < 60.0
+
+
+@pytest.mark.parametrize("name,old,new", [
+    pytest.param("load_order_negated", None, None, id="negated"),
+    pytest.param("load_order_negated", "load_order lex1 ~x1;",
+                 "load_order lex1 x1;", id="negated-control"),
+    pytest.param("def_order_undeclared", None, None, id="undeclared"),
+    pytest.param("def_order_undeclared", "+1 v1 +1 ~u1 +1 x1 >= 1;",
+                 "+1 v1 +1 ~u1 >= 1;", id="undeclared-control"),
+])
+def test_criterion_7_steps_before_a_rejection_are_sound(name, old, new):
+    # proofs of UNSAT for satisfiable formulas, and the same proofs with
+    # the order bound or defined as it may be: each is rejected, some after
+    # red steps with order goals, and every step accepted before is sound
+    formula, _ = parsing.parse_opb((DATA / (name + ".opb")).read_text())
+    text = (DATA / (name + ".pbp")).read_text()
+    if old is not None:
+        text = text.replace(old + "\n", new + "\n")
+    with pytest.raises(checker.CheckError):
+        check_each_step(formula, parsing.parse_proof(text))
 
 
 # --------------------------------------------------------------------------
@@ -437,6 +499,6 @@ def test_criterion_9_desk_scale_substitutes_in_place():
     # replaying full-size benchmark runs.
     inst = bench.generate("php", (30,))
     assert len(inst.variables) == 870          # largest emitted instance
-    assert breaker.build_lex_order(1000).n == 1000
+    assert len(breaker.build_lex_order(1000)["left"]) == 1000
     with pytest.raises(AssertionError):        # oracle refuses beyond 20 vars
         oracle.equisat(inst.constraints, [])

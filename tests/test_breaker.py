@@ -144,12 +144,11 @@ def test_lex_definition_validates(n):
 def test_lex_transitivity_needs_every_step():
     # each mutant leaves one step out and renumbers the IDs cited after it,
     # so a step that cited the missing lemma loses that hint or pol term
-    order = breaker.build_lex_order(3)
-    step = breaker._lex_order_step(order)
+    step = breaker.build_lex_order(3)
     (goal,) = step["transitivity"]["goals"]
     steps = goal["steps"]
     assert len(steps) == 8
-    first = 3 * len(order.spec) + 4     # the first step's ID
+    first = 3 * len(step["spec"]) + 4   # the first step's ID
     for i in range(len(steps)):
         gone = first + i
         mutant = []
@@ -179,7 +178,7 @@ def test_big_definition_validates(n):
 
 def test_lex_spec_passes_specification_check():
     order = breaker.build_lex_order(3)
-    assert orders.verify_specification(order.spec, order.aux_vars)
+    assert orders.verify_specification(order["spec"], order["aux"])
 
 
 def test_lex_definition_line_count_linear():

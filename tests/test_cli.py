@@ -142,16 +142,21 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, formula, proof):
     assert "Traceback" not in err
 
 
+def _check_files(capsys, formula, proof):
+    """`pbsym check --json` of two files; returns (exit code, report)."""
+    rc = cli.main(["check", str(formula), str(proof), "--json"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return rc, json.loads(captured.out)
+
+
 def _check_texts(tmp_path, capsys, formula_text, proof_body):
     """`pbsym check --json` of a formula and a proof given as text (the
     proof without its header); returns (exit code, report)."""
     formula, proof = tmp_path / "f.opb", tmp_path / "p.pbp"
     formula.write_text(formula_text)
     proof.write_text(parsing.HEADER + "\n" + proof_body)
-    rc = cli.main(["check", str(formula), str(proof), "--json"])
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    return rc, json.loads(captured.out)
+    return _check_files(capsys, formula, proof)
 
 
 def _aux_proof(order=None):
@@ -285,6 +290,60 @@ def test_order_fresh_names_must_be_fresh(tmp_path, capsys):
     assert rc == 1
     assert payload["error"].startswith("line:2 goal:#1 "
                                        "reason:undischarged-goal")
+
+
+def _data_check(tmp_path, capsys, name, old=None, new=None):
+    """Check tests/data/NAME.pbp against NAME.opb, with the line `old` of
+    the proof replaced by `new` if given; returns (exit code, report, the
+    proof's lines)."""
+    proof = DATA / (name + ".pbp")
+    text = proof.read_text()
+    if old is not None:
+        assert old + "\n" in text
+        text = text.replace(old + "\n", new + "\n")
+        proof = tmp_path / "control.pbp"
+        proof.write_text(text)
+    rc, payload = _check_files(capsys, DATA / (name + ".opb"), proof)
+    return rc, payload, text.splitlines()
+
+
+def _line_of(lines, prefix, nth=1):
+    """Line number of the nth line that starts with `prefix`."""
+    hits = [i for i, l in enumerate(lines, 1) if l.startswith(prefix)]
+    return hits[nth - 1]
+
+
+def test_load_order_binds_variables_not_literals(tmp_path, capsys):
+    # bound to ~x1, a checker that compares witness variables with bound
+    # names takes the red below for one that leaves the order alone, and
+    # refutes the satisfiable formula x2 >= 1
+    rc, payload, lines = _data_check(tmp_path, capsys, "load_order_negated")
+    assert rc == 1
+    assert payload["error"].startswith(
+        "line:%d goal:- reason:bad-binding" % _line_of(lines, "load_order"))
+    # bound to x1, the same proof fails at its dom
+    rc, payload, lines = _data_check(tmp_path, capsys, "load_order_negated",
+                                     "load_order lex1 ~x1;",
+                                     "load_order lex1 x1;")
+    assert rc == 1
+    assert payload["error"].startswith(
+        "line:%d goal:#1 reason:undischarged-goal" % _line_of(lines, "dom "))
+
+
+def test_order_constraints_use_only_declared_variables(tmp_path, capsys):
+    # the def constraint over the formula's x1 keeps x1 as it stands in
+    # every order instance, which then refutes the satisfiable formula
+    # x1 + x2 >= 1
+    rc, payload, _ = _data_check(tmp_path, capsys, "def_order_undeclared")
+    assert rc == 1
+    assert payload["error"].startswith("line:2 goal:- reason:bad-order")
+    # without x1 the same proof fails at its second red
+    rc, payload, lines = _data_check(tmp_path, capsys, "def_order_undeclared",
+                                     "+1 v1 +1 ~u1 +1 x1 >= 1;",
+                                     "+1 v1 +1 ~u1 >= 1;")
+    assert rc == 1
+    assert payload["error"].startswith(
+        "line:%d goal:#1 reason:undischarged-goal" % _line_of(lines, "red ", 2))
 
 
 # ------------------------------------------------------------------- break

@@ -2,14 +2,17 @@
 
 Deleting, duplicating or swapping one token or one whole line of a valid
 proof must end in a verdict, a ParseError or a CheckError: no other
-exception may escape parse_proof + check_document.
+exception may escape parse_proof + check_document.  Two deterministic
+mutations of the order steps of every source proof must be rejected.
 """
 
 import pathlib
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbsym import bench, breaker, checker, parsing
+from pbsym import constraints as pb
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -74,3 +77,36 @@ def test_structural_mutations_raise_only_proof_errors(case):
         checker.check_document(formula, parsing.parse_proof(text))
     except (parsing.ParseError, checker.CheckError):
         pass
+
+
+def _first(doc, kind):
+    return next(s for s in doc["steps"] if s["kind"] == kind)
+
+
+def _rejection(formula, doc):
+    with pytest.raises(checker.CheckError) as e:
+        checker.check_document(formula, doc)
+    return e.value
+
+
+@pytest.mark.parametrize("index", range(len(SOURCES)))
+def test_negated_bound_variable_is_rejected(index):
+    formula, text = SOURCES[index]
+    doc = parsing.parse_proof(text)
+    load = _first(doc, "load_order")
+    load["vars"][-1] = pb.neg(load["vars"][-1])
+    e = _rejection(formula, doc)
+    assert (e.reason, e.line) == ("bad-binding", load["line"])
+
+
+@pytest.mark.parametrize("index", range(len(SOURCES)))
+def test_formula_variable_in_order_def_is_rejected(index):
+    formula, text = SOURCES[index]
+    doc = parsing.parse_proof(text)
+    order = _first(doc, "def_order")
+    con = order["def"][0]
+    x = min(formula[0].variables())
+    order["def"][0] = pb.normalize(
+        [(a, lit) for lit, a in con.terms.items()] + [(1, x)], con.degree)
+    e = _rejection(formula, doc)
+    assert (e.reason, e.line) == ("bad-order", order["line"])
