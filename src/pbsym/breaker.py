@@ -382,9 +382,13 @@ class ProofBuilder:
     def _emit_clauses(self, fr, pols):
         """Emit clause-producing pol steps, recording their evaluated content."""
         for step in pols:
-            con = pb.evaluate_polish(step["tokens"], self.frame.get_rel)
-            self.derive_known(fr.steps, step, con)
-            self.kept.append(con)
+            self._keep(fr, step, pb.evaluate_polish(step["tokens"],
+                                                    self.frame.get_rel))
+
+    def _keep(self, fr, step, con):
+        """Emit the pol step that derives the breaking clause `con`."""
+        self.derive_known(fr.steps, step, con)
+        self.kept.append(con)
 
     # -- chain method
 
@@ -481,15 +485,15 @@ class ProofBuilder:
                 lemma[j, m] = self.derive_known(
                     fr.steps, parsing.rup_step(con, None, None), con)
 
-        pols = self._s_clauses(fr)
-        for j in range(1, fr.k + 1):
-            pols.append(self._carve_clause(big, big_id, fr, lemma, j))
         first_clause = self.frame.counter[0]
-        self._emit_clauses(fr, pols)
+        self._emit_clauses(fr, self._s_clauses(fr))
+        for j in range(1, fr.k + 1):
+            self._keep(fr, *self._carve_clause(big, big_id, fr, lemma, j))
         fr.steps.append(parsing.del_range_step(frag_start, first_clause, None))
 
     def _carve_clause(self, big, big_id, fr, lemma, j):
-        """pol step extracting breaking clause j from the big constraint."""
+        """pol step extracting breaking clause j from the big constraint,
+        and the clause it derives."""
         xs, imgs = fr.xs, fr.imgs
         tokens = [big_id]
         cur = big
@@ -518,7 +522,7 @@ class ProofBuilder:
         if cur != pb.saturate(pb.normalize(want_terms, 1)):
             raise BreakError("aggregate clause %d came out as %s"
                              % (j, pb.render(cur)))
-        return _pol(*tokens)
+        return _pol(*tokens), cur
 
 
 def break_symmetries(formula, variables, syms, method="new"):

@@ -51,7 +51,7 @@ class Constraint:
     ``terms`` maps a literal string to its (positive) coefficient; each
     variable occurs under at most one polarity.  ``degree`` is the
     right-hand side, clamped at zero.  Instances are treated as immutable
-    once built; all algebra goes through :func:`normalize`.
+    once built; every operation returns what :func:`normalize` would.
     """
 
     __slots__ = ("terms", "degree", "_hash", "_variables")
@@ -139,24 +139,74 @@ def apply_witness_lit(witness, lit):
 
 
 def substitute(c, witness):
-    """Apply a substitution and renormalize; constants fold into the degree."""
+    """Apply a substitution; constants fold into the degree.
+
+    Returns exactly what :func:`normalize` returns for the images, term
+    order included.  When no two images share a variable, that is the
+    image dict itself, built in one pass over the terms; otherwise the
+    images go through :func:`normalize`.  O(len(c.terms)) either way.
+    """
+    terms = {}
+    degree = c.degree
+    for lit, a in c.terms.items():
+        img = apply_witness_lit(witness, lit)
+        if img == 1:
+            degree -= a
+        elif img != 0:
+            if img in terms or neg(img) in terms:
+                return _substitute_merging(c, witness)
+            terms[img] = a
+    return Constraint(terms, max(degree, 0))
+
+
+def _substitute_merging(c, witness):
+    """:func:`substitute` through :func:`normalize`, for images that share
+    a variable."""
     raw = []
     degree = c.degree
     for lit, a in c.terms.items():
         img = apply_witness_lit(witness, lit)
         if img == 1:
             degree -= a
-        elif img == 0:
-            pass
-        else:
+        elif img != 0:
             raw.append((a, img))
     return normalize(raw, degree)
 
 
 def add(c1, c2):
-    raw = [(a, l) for l, a in c1.terms.items()]
-    raw.extend((a, l) for l, a in c2.terms.items())
-    return normalize(raw, c1.degree + c2.degree)
+    """The sum of two normalized constraints.
+
+    Returns exactly what :func:`normalize` returns for the concatenated
+    terms, term order included: c1's variables keep their positions, even
+    when their polarity flips, and c2's new variables follow in c2's order.
+    Costs a copy of c1's dict plus O(len(c2.terms)) lookups, and one
+    rebuild of the dict when some polarity flips.
+    """
+    terms = c1.terms.copy()
+    degree = c1.degree + c2.degree
+    flipped = {}  # literal of c1 -> the opposite literal that replaces it
+    for lit, a in c2.terms.items():
+        b = terms.get(lit)
+        if b is not None:
+            terms[lit] = a + b
+            continue
+        other = neg(lit)
+        b = terms.get(other)
+        if b is None:
+            terms[lit] = a
+        elif b > a:
+            terms[other] = b - a
+            degree -= a
+        elif b == a:
+            del terms[other]
+            degree -= a
+        else:
+            terms[other] = a - b
+            flipped[other] = lit
+            degree -= b
+    if flipped:
+        terms = {flipped.get(l, l): a for l, a in terms.items()}
+    return Constraint(terms, max(degree, 0))
 
 
 def multiply(c, k):

@@ -9,7 +9,7 @@ from pbsym import breaker
 from pbsym import constraints as pb
 from pbsym import orders
 from pbsym import parsing
-from pbsym.checker import VERIFIED, CheckError, check_document
+from pbsym.checker import VERIFIED, Checker, CheckError, check_document
 
 import oracle
 
@@ -373,6 +373,29 @@ PROOF_TEXT_PINS = [
      "1bad729e43cb6ace6cb5835286f740e894e11920ce0dc5979d60b8acb231e87b"),
     ("tseitin", (3,), "old",
      "97d490f754fb7d7a8802cf643e10779e5339b6bab9fb9fd6076e426571d338d4"),
+    # long carving chains, with many polarity flips in their sums
+    ("php", (9,), "old",
+     "d5f959ed3d7a3f2befcd915f86142ea3963340ae7dd81d32c50c23fa9571b78f"),
+]
+
+# sha256 of the augmented formula text (formula, then kept clauses) of the
+# same cases, as `pbsym break` writes it to .opb: kept clauses render in
+# term order
+FORMULA_TEXT_PINS = [
+    ("php", (5,), "new",
+     "60fa2a05985337ba953a9d00126f1bcb59d849de117de8d275222d299a536931"),
+    ("php", (5,), "old",
+     "25249d960912cf919d51e4180de1321bda9e8f7dff76d372fff97e22def630ee"),
+    ("count", (6, 3), "new",
+     "e341c65fd00231822334f41f230e73f4d9b478b7cb7957ac8d19b3252d58b1c3"),
+    ("count", (6, 3), "old",
+     "920cf01f902d5b4b85add09d13aa96de102290bf97700d37ed4b9af95a5a6763"),
+    ("tseitin", (3,), "new",
+     "08d18e5367fd452736ce5f27568685e5dfe8c55ef661564c6a2155975cdb8b66"),
+    ("tseitin", (3,), "old",
+     "adfc3dbc6200fd11660170b3deee345b147ca8b5d9e6871cc6adb1daf1cd209d"),
+    ("php", (9,), "old",
+     "39c6e7bf5d03916089a523ac9f8fda1bfc67d8531f99d431c390a242a4f849aa"),
 ]
 
 
@@ -386,6 +409,50 @@ def test_breaker_proof_text_pinned(family, params, method, sha):
     b = breaker.break_symmetries(inst.constraints, inst.variables,
                                  bench.known_generators(inst), method=method)
     assert hashlib.sha256(b.text().encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize(
+    "family,params,method,sha", FORMULA_TEXT_PINS,
+    ids=["%s%s-%s" % (fam, params, method)
+         for fam, params, method, _sha in FORMULA_TEXT_PINS])
+def test_breaker_formula_text_pinned(family, params, method, sha):
+    inst = bench.generate(family, params)
+    b = breaker.break_symmetries(inst.constraints, inst.variables,
+                                 bench.known_generators(inst), method=method)
+    text = "".join("%s ;\n" % pb.render(c)
+                   for c in list(inst.constraints) + list(b.kept))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+def _printed_clauses(formula, text):
+    """What each top-level pol step of the proof `text` derives: its
+    program evaluated over the constraints that the IDs it cites hold in
+    a checker run up to that step."""
+    chk = Checker(formula)
+    out = []
+    for step in parsing.parse_proof(text)["steps"]:
+        if step["kind"] == "pol":
+            out.append(pb.evaluate_polish(step["tokens"], chk.root.get_rel))
+        getattr(chk, Checker.STEPS[step["kind"]])(step)
+    assert chk.conclude() == VERIFIED
+    return out
+
+
+@pytest.mark.parametrize("method", ["new", "old"])
+@pytest.mark.parametrize("family,params", [
+    ("php", (5,)), ("count", (6, 3)), ("tseitin", (3,)), ("rphp", (2,)),
+    ("clqcl", (6, 3, 2))])
+def test_kept_clauses_are_what_the_proof_derives(family, params, method):
+    # the top-level pol steps are exactly the kept clauses' derivations;
+    # a carved clause is kept as the breaker computed it, so it must equal,
+    # term order included, what its printed program derives
+    inst = bench.generate(family, params)
+    b = breaker.break_symmetries(inst.constraints, inst.variables,
+                                 bench.known_generators(inst), method=method)
+    got = [(list(c.terms.items()), c.degree) for c in b.kept]
+    want = [(list(c.terms.items()), c.degree)
+            for c in _printed_clauses(inst.constraints, b.text())]
+    assert got == want
 
 
 def test_stats_track_support_and_size():

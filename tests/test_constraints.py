@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pbsym import constraints as pb
 from pbsym.constraints import (
@@ -85,6 +85,72 @@ def test_substitute_distributes_over_addition(c1, c2):
     parts = (summed, lhs, substitute(c1, w), substitute(c2, w))
     if all(p.degree > 0 for p in parts):
         assert lhs == rhs
+
+
+# ------------------------------------ add and substitute against normalize
+
+def reference_add(c1, c2):
+    """:func:`add` as one pass of normalize over both operands' terms."""
+    raw = [(a, l) for l, a in c1.terms.items()]
+    raw.extend((a, l) for l, a in c2.terms.items())
+    return normalize(raw, c1.degree + c2.degree)
+
+
+def reference_substitute(c, witness):
+    """:func:`substitute` as normalize over the images."""
+    raw = []
+    degree = c.degree
+    for lit, a in c.terms.items():
+        img = pb.apply_witness_lit(witness, lit)
+        if img == 1:
+            degree -= a
+        elif img == 0:
+            pass
+        else:
+            raw.append((a, img))
+    return normalize(raw, degree)
+
+
+def assert_same(got, want):
+    # term order too: kept clauses are written in it
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.degree == want.degree
+
+
+BIG = 2 ** 70
+# few variables, and big coefficients that often coincide, so that sums
+# cancel exactly, flip polarity and clamp their degree at 0
+big_coeffs = st.one_of(st.integers(1, 3), st.sampled_from([BIG, BIG + 1]),
+                       st.integers(BIG, 4 * BIG))
+few_vars = ["x%d" % i for i in range(1, 5)]
+few_lits = st.sampled_from(few_vars + ["~" + v for v in few_vars])
+wide_cons = st.builds(normalize, st.lists(st.tuples(big_coeffs, few_lits),
+                                          max_size=6),
+                      st.one_of(st.integers(0, 4), big_coeffs))
+witnesses = st.dictionaries(st.sampled_from(few_vars),
+                            st.one_of(st.sampled_from([0, 1]), few_lits))
+
+
+@settings(max_examples=300)
+@given(wide_cons, wide_cons)
+@example(C((BIG, "x1"), (1, "x2"), ge=1), C((BIG, "~x1"), ge=0))  # cancel
+@example(C((1, "x1"), (2, "x2"), (1, "~x3"), ge=1),               # flips
+         C((2, "x4"), (3 * BIG, "~x1"), (5, "x3"), ge=BIG))
+@example(C((5, "x1"), ge=2), C((5, "~x1"), (1, "x2"), ge=1))     # clamp
+def test_add_is_normalize_of_both_terms(c1, c2):
+    assert_same(add(c1, c2), reference_add(c1, c2))
+
+
+@settings(max_examples=300)
+@given(wide_cons, witnesses)
+@example(C((1, "x1"), (BIG, "~x2"), (1, "x3"), ge=BIG),          # constants
+         {"x1": 0, "x2": 1})
+@example(C((1, "x1"), (2, "~x2"), (BIG, "x3"), (1, "~x4"), ge=2),
+         {"x1": "x4", "x2": "x4", "x3": "~x4"})                  # three to one
+@example(C((3, "x1"), (3, "x2"), (1, "x4"), (1, "x3"), ge=3),    # x3 cancels,
+         {"x1": "x3", "x2": "~x3", "x3": "~x3"})                 # then returns
+def test_substitute_is_normalize_of_images(c, witness):
+    assert_same(substitute(c, witness), reference_substitute(c, witness))
 
 
 def test_substitute_swap():

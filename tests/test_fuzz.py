@@ -7,12 +7,15 @@ mutations of the order steps of every source proof must be rejected.
 """
 
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbsym import bench, breaker, checker, parsing
 from pbsym import constraints as pb
+
+from test_acceptance import check_each_step
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -53,9 +56,20 @@ def _edit(items, op, i, j):
     return items
 
 
+def _tseitin_sources():
+    """Tseitin(2), 7 variables, broken by both methods: small enough for
+    the brute-force oracle at every step."""
+    inst = bench.generate("tseitin", (2,))
+    return [(inst.constraints,
+             breaker.break_symmetries(inst.constraints, inst.variables,
+                                      bench.known_generators(inst),
+                                      method=method).text())
+            for method in ("new", "old")]
+
+
 @st.composite
-def mutated_proofs(draw):
-    formula, text = draw(st.sampled_from(SOURCES))
+def mutated_proofs(draw, sources=SOURCES):
+    formula, text = draw(st.sampled_from(sources))
     lines = text.split("\n")
     op = draw(st.sampled_from(["delete", "duplicate", "swap"]))
     index = lambda n: draw(st.integers(0, n - 1))
@@ -77,6 +91,53 @@ def test_structural_mutations_raise_only_proof_errors(case):
         checker.check_document(formula, parsing.parse_proof(text))
     except (parsing.ParseError, checker.CheckError):
         pass
+
+
+TSEITIN = _tseitin_sources()
+
+
+def _check_step_by_step(formula, text):
+    """Run the per-step oracle over `text`, which may be rejected."""
+    try:
+        check_each_step(formula, parsing.parse_proof(text))
+    except (parsing.ParseError, checker.CheckError):
+        pass
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(mutated_proofs(TSEITIN))
+def _check_mutation_step_by_step(case):
+    _check_step_by_step(*case)
+
+
+def test_steps_accepted_before_a_mutation_is_rejected_are_sound():
+    # the per-step oracle over invalid proofs: a mutation may be rejected,
+    # but every step the checker accepted before that must be sound
+    t0 = time.perf_counter()
+    _check_mutation_step_by_step()
+    assert time.perf_counter() - t0 < 60.0
+
+
+@pytest.mark.parametrize("at", ["first", "last"])
+@pytest.mark.parametrize("forged", ["red +1 x1 >= 1 : x1 -> 1;",
+                                    "red +1 ~x1 >= 1 : x1 -> 0;"],
+                         ids=["x1", "~x1"])
+@pytest.mark.parametrize("index", range(len(TSEITIN)), ids=["new", "old"])
+def test_forged_red_step_is_rejected_or_sound(index, forged, at):
+    # a red step that fixes a formula variable: the structural mutations
+    # only reorder the breaker's reds, which define fresh variables and so
+    # stay sound whatever their witness.  Where the witness does not map
+    # the formula onto itself, the step must be rejected, or the oracle
+    # sees a lost model
+    formula, text = TSEITIN[index]
+    lines = text.split("\n")
+    if at == "first":
+        where = 1 + next(i for i, line in enumerate(lines)
+                         if line.startswith("load_order"))
+    else:
+        where = len(lines) - 1
+    lines.insert(where, forged)
+    _check_step_by_step(formula, "\n".join(lines))
 
 
 def _first(doc, kind):
