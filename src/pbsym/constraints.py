@@ -129,48 +129,43 @@ def negate(c):
 
 def apply_witness_lit(witness, lit):
     """Image of a literal under a witness (variable -> literal | 0 | 1)."""
-    v = var_of(lit)
-    if v not in witness:
+    if not lit.startswith("~"):
+        return witness.get(lit, lit)
+    img = witness.get(lit[1:])
+    if img is None:
         return lit
-    img = witness[v]
     if img == 0 or img == 1:
-        return img if is_positive(lit) else 1 - img
-    return img if is_positive(lit) else neg(img)
+        return 1 - img
+    return neg(img)
 
 
 def substitute(c, witness):
     """Apply a substitution; constants fold into the degree.
 
     Returns exactly what :func:`normalize` returns for the images, term
-    order included.  When no two images share a variable, that is the
-    image dict itself, built in one pass over the terms; otherwise the
-    images go through :func:`normalize`.  O(len(c.terms)) either way.
+    order included.  While no two images share a variable, the result is
+    the image dict itself, built in one pass over the terms; from the first
+    image that meets an earlier one's variable, the images go through
+    :func:`normalize`.  O(len(c.terms)) either way.
     """
-    terms = {}
+    terms, raw = {}, None
     degree = c.degree
     for lit, a in c.terms.items():
         img = apply_witness_lit(witness, lit)
         if img == 1:
             degree -= a
-        elif img != 0:
-            if img in terms or neg(img) in terms:
-                return _substitute_merging(c, witness)
-            terms[img] = a
-    return Constraint(terms, max(degree, 0))
-
-
-def _substitute_merging(c, witness):
-    """:func:`substitute` through :func:`normalize`, for images that share
-    a variable."""
-    raw = []
-    degree = c.degree
-    for lit, a in c.terms.items():
-        img = apply_witness_lit(witness, lit)
-        if img == 1:
-            degree -= a
-        elif img != 0:
+        elif img == 0:
+            pass
+        elif raw is not None:
             raw.append((a, img))
-    return normalize(raw, degree)
+        elif img in terms or neg(img) in terms:
+            raw = [(b, l) for l, b in terms.items()]
+            raw.append((a, img))
+        else:
+            terms[img] = a
+    if raw is not None:
+        return normalize(raw, degree)
+    return Constraint(terms, max(degree, 0))
 
 
 def add(c1, c2):
