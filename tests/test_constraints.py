@@ -96,12 +96,23 @@ def reference_add(c1, c2):
     return normalize(raw, c1.degree + c2.degree)
 
 
+def reference_image(witness, lit):
+    """:func:`pb.apply_witness_lit` through var_of and is_positive."""
+    v = pb.var_of(lit)
+    if v not in witness:
+        return lit
+    img = witness[v]
+    if img == 0 or img == 1:
+        return img if pb.is_positive(lit) else 1 - img
+    return img if pb.is_positive(lit) else neg(img)
+
+
 def reference_substitute(c, witness):
     """:func:`substitute` as normalize over the images."""
     raw = []
     degree = c.degree
     for lit, a in c.terms.items():
-        img = pb.apply_witness_lit(witness, lit)
+        img = reference_image(witness, lit)
         if img == 1:
             degree -= a
         elif img == 0:

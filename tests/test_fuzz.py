@@ -3,7 +3,9 @@
 Deleting, duplicating or swapping one token or one whole line of a valid
 proof must end in a verdict, a ParseError or a CheckError: no other
 exception may escape parse_proof + check_document.  Two deterministic
-mutations of the order steps of every source proof must be rejected.
+mutations of the order steps of every source proof must be rejected.  On
+Tseitin(2) proofs, mutated or with a forged step, every step the checker
+accepts must pass the per-step semantic oracle.
 """
 
 import pathlib
@@ -57,8 +59,8 @@ def _edit(items, op, i, j):
 
 
 def _tseitin_sources():
-    """Tseitin(2), 7 variables, broken by both methods: small enough for
-    the brute-force oracle at every step."""
+    """Tseitin(2), 4 formula variables, broken by both methods: small
+    enough for the brute-force oracle at every step."""
     inst = bench.generate("tseitin", (2,))
     return [(inst.constraints,
              breaker.break_symmetries(inst.constraints, inst.variables,
