@@ -18,8 +18,9 @@ derivation strategies are provided:
 
 * the *aggregate* method ("old"): a one-constraint order with exponential
   coefficients sum 2^(n-i) (v_i + ~u_i) >= 2^n - 1.  Dominance introduces
-  the instantiated big constraint directly and the clauses are carved out
-  of it by weakening, which costs Theta(n) bits per symmetry.
+  the instantiated big constraint (k terms of up to n bits) directly, and
+  clause j is carved out of it by adding j - 1 chain lemmas and weakening
+  the rest: Theta(k) terms and big-integer operations per clause.
 
 The chain variables s_j and t_j are named fresh: when the formula already
 uses a name ``s<digits>`` (or ``t<digits>``), the prefix gets a trailing
@@ -42,26 +43,46 @@ from . import parsing
 
 
 class BreakError(Exception):
-    pass
+    verdict = "INVALID-SYMMETRY"    # what `pbsym break` reports
+
+
+class FormulaError(BreakError):
+    """The formula uses a `$` name, which orders reserve."""
+    verdict = "INVALID-FORMULA"
 
 
 # ------------------------------------------------------------- symmetries
 
-def verify_symmetry(formula, sym):
+def occurrences(formula):
+    """Each variable's positions in the formula, in order."""
+    index = collections.defaultdict(list)
+    for i, c in enumerate(formula):
+        for lit in c.terms:
+            index[pb.var_of(lit)].append(i)
+    return index
+
+
+def verify_symmetry(formula, sym, index=None):
     """The substituted formula must equal the formula as a multiset.
 
-    A constraint over unmoved variables is its own image, and the image of
-    one over moved variables is again over moved variables, so only those
-    are compared.
+    The witness must permute its support's literals, so an image is its
+    constraint renamed.  Through `index`, the formula's :func:`occurrences`,
+    a generator costs only the terms of the constraints it moves.
     """
-    moved = [c for c in formula if not sym.keys().isdisjoint(c.variables())]
-    want = collections.Counter(moved)
+    images = {pb.var_of(img) for img in sym.values() if isinstance(img, str)}
+    if images != sym.keys():
+        raise BreakError("witness does not permute its support's literals")
+    lits = {**sym, **{"~" + v: pb.neg(img) for v, img in sym.items()}}
+    index = occurrences(formula) if index is None else index
+    moved = [formula[i] for i in sorted({i for v in sym for i in index[v]})]
+    want = collections.Counter((frozenset(c.terms.items()), c.degree)
+                               for c in moved)
     for c in moved:
-        image = pb.substitute(c, sym)
+        image = (frozenset((lits.get(l, l), a) for l, a in c.terms.items()),
+                 c.degree)
         if not want[image]:
-            raise BreakError(
-                "image of constraint `%s` is missing from the formula"
-                % pb.render(c))
+            raise BreakError("image of constraint `%s` is missing from the "
+                             "formula" % pb.render(c))
         want[image] -= 1
     return True
 
@@ -478,10 +499,11 @@ class ProofBuilder:
         lemma = {}
         for j in range(2, fr.k + 1):
             for m in range(1, j):
+                lits = (pb.neg(fr.snames[j - 1]), fr.xs[m - 1],
+                        pb.neg(fr.imgs[m - 1]))
                 # a negation symmetry maps x to ~x: normalize merges the terms
-                con = pb.normalize([(1, pb.neg(fr.snames[j - 1])),
-                                    (1, fr.xs[m - 1]),
-                                    (1, pb.neg(fr.imgs[m - 1]))], 1)
+                con = (_clause(*lits) if pb.var_of(lits[2]) != lits[1]
+                       else pb.normalize([(1, l) for l in lits], 1))
                 lemma[j, m] = self.derive_known(
                     fr.steps, parsing.rup_step(con, None, None), con)
 
@@ -494,35 +516,48 @@ class ProofBuilder:
     def _carve_clause(self, big, big_id, fr, lemma, j):
         """pol step extracting breaking clause j from the big constraint,
         and the clause it derives."""
-        xs, imgs = fr.xs, fr.imgs
-        tokens = [big_id]
-        cur = big
+        tokens, lemmas = [big_id], []
         for m in range(1, j):
             coef = 2 ** (len(self.order["left"]) - fr.pos[m - 1])
             tokens += [lemma[j, m], coef, "*", "+"]
-            cur = pb.add(cur, pb.multiply(self.frame.get(lemma[j, m]), coef))
-        wanted = {pb.var_of(xs[j - 1]), pb.var_of(imgs[j - 1])}
+            lemmas.append((self.frame.get(lemma[j, m]), coef))
+        want_terms = [(1, pb.neg(fr.xs[j - 1])), (1, fr.imgs[j - 1])]
         if j > 1:
-            wanted.add(fr.snames[j - 1])
-        for var in [pb.var_of(l) for l in cur.terms]:
-            if var not in wanted:
-                tokens += [var, "w"]
-                cur = pb.weaken(cur, var)
+            want_terms.insert(0, (1, pb.neg(fr.snames[j - 1])))
+        cur, weakened = _carve(big, lemmas,
+                               {pb.var_of(l) for _, l in want_terms})
+        tokens += [t for var in weakened for t in (var, "w")]
         cur = pb.saturate(cur)
         tokens.append("s")
         delta = cur.degree
-        if delta < 1:
-            raise BreakError("aggregate clause %d degenerated to a tautology" % j)
         if delta > 1:
             tokens += [delta, "d"]
             cur = pb.divide(cur, delta)
-        want_terms = [(1, pb.neg(xs[j - 1])), (1, imgs[j - 1])]
-        if j > 1:
-            want_terms.insert(0, (1, pb.neg(fr.snames[j - 1])))
         if cur != pb.saturate(pb.normalize(want_terms, 1)):
             raise BreakError("aggregate clause %d came out as %s"
                              % (j, pb.render(cur)))
         return _pol(*tokens), cur
+
+
+def _carve(big, lemmas, wanted):
+    """`big` folded with pb.add(cur, pb.multiply(lemma, coef)), then pb.weaken
+    of each variable not in `wanted`, but in one dict; and those variables."""
+    acc, degree = {}, 0
+    for con, coef in [(big, 1)] + lemmas:
+        degree += coef * con.degree
+        for lit, a in con.terms.items():
+            var, a = (lit[1:], -coef * a) if lit[0] == "~" else (lit, coef * a)
+            b = acc.get(var, 0)
+            if a * b < 0:       # opposite literals cancel
+                degree -= min(abs(a), abs(b))
+            acc[var] = a + b
+            if not acc[var]:    # gone; if it comes back, it goes last
+                del acc[var]
+        degree = max(degree, 0)
+    weakened = [var for var in acc if var not in wanted]
+    degree -= sum(abs(acc.pop(var)) for var in weakened)
+    terms = {var if a > 0 else "~" + var: abs(a) for var, a in acc.items()}
+    return pb.Constraint(terms, max(degree, 0)), weakened
 
 
 def break_symmetries(formula, variables, syms, method="new"):
@@ -535,9 +570,14 @@ def break_symmetries(formula, variables, syms, method="new"):
     document, ``.kept`` for the derived clauses and ``.binding`` for the
     variable order used by the lexicographic comparison.
     """
+    aux = [v for v in variables if pb.is_aux_var(v)]
+    if aux:
+        raise FormulaError("the formula uses %s: `$` names are reserved for "
+                           "order-auxiliary variables" % ", ".join(aux))
+    index = occurrences(formula)
     for i, sym in enumerate(syms, start=1):
         try:
-            verify_symmetry(formula, sym)
+            verify_symmetry(formula, sym, index)
         except BreakError as e:
             raise BreakError("generator %d (%s): %s"
                              % (i, parsing.render_witness(sym), e))

@@ -6,8 +6,8 @@
     pbsym gen     <family> <params...> -o PREFIX
     pbsym compare <family> <start..stop> [--step K] [-o CSV]
 
-Exit codes: 0 success, 1 semantic rejection (bad proof / bad symmetry),
-2 I/O or parse failure.
+Exit codes: 0 success, 1 semantic rejection (bad proof, bad symmetry, or
+a formula over a reserved `$` name), 2 I/O or parse failure.
 """
 
 import argparse
@@ -110,7 +110,7 @@ def cmd_break(args):
         builder = breaker.break_symmetries(formula, variables, syms,
                                            method=args.method)
     except breaker.BreakError as e:
-        _report(args, {"verdict": "INVALID-SYMMETRY", "error": str(e)})
+        _report(args, {"verdict": e.verdict, "error": str(e)})
         return 1
     t1 = time.perf_counter()
 

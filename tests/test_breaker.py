@@ -3,6 +3,7 @@ import hashlib
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pbsym import bench
 from pbsym import breaker
@@ -83,6 +84,83 @@ def test_verify_symmetry_rejects_non_symmetry():
     cons, _ = php32()
     with pytest.raises(breaker.BreakError):
         breaker.verify_symmetry(cons, parsing.parse_symmetry("(x1 x2)"))
+
+
+def reference_verify(formula, sym):
+    """:func:`breaker.verify_symmetry` as it was before the variable index:
+    scan the whole formula and compare substituted constraints."""
+    moved = [c for c in formula if not sym.keys().isdisjoint(c.variables())]
+    return (collections.Counter(pb.substitute(c, sym) for c in moved)
+            == collections.Counter(moved))
+
+
+def test_verify_symmetry_counts_duplicates():
+    # (x1 x2) maps the set {x1 >= 1, x2 >= 1} onto itself, but the formula
+    # has x1 >= 1 twice and x2 >= 1 once
+    x1, x2 = (pb.normalize([(1, v)], 1) for v in ("x1", "x2"))
+    swap = parsing.parse_symmetry("(x1 x2)")
+    assert breaker.verify_symmetry([x1, x2, x1, x2], swap)
+    assert not reference_verify([x1, x1, x2], swap)
+    with pytest.raises(breaker.BreakError, match="missing"):
+        breaker.verify_symmetry([x1, x1, x2], swap)
+
+
+@pytest.mark.parametrize("sym", [
+    pytest.param({"x1": 0}, id="constant-0"),
+    pytest.param({"x1": 1, "x2": "x2"}, id="constant-1"),
+    pytest.param({"x1": "x3", "x2": "x3", "x3": "x1"}, id="two-onto-one"),
+    pytest.param({"x1": "~x3", "x3": "~x3"}, id="two-onto-one-negated"),
+    pytest.param({"x1": "x2"}, id="image-off-the-support"),
+])
+def test_verify_symmetry_requires_a_literal_permutation(sym):
+    # under such a witness an image could merge terms or fold constants,
+    # which comparing renamed (terms, degree) keys does not model
+    cons, _ = php32()
+    with pytest.raises(breaker.BreakError, match="permute"):
+        breaker.verify_symmetry(cons, sym)
+
+
+# one small instance of each family; a new family fails here until it has one
+SMALL_INSTANCES = {"php": (6,), "rphp": (3,), "clqcl": (6, 3, 2),
+                   "count": (6, 3), "tseitin": (3,)}
+
+
+@pytest.mark.parametrize("family", sorted(bench._FAMILIES))
+def test_verify_symmetry_accepts_every_known_generator(family):
+    inst = bench.generate(family, SMALL_INSTANCES[family])
+    index = breaker.occurrences(inst.constraints)
+    for g in bench.known_generators(inst):
+        assert breaker.verify_symmetry(inst.constraints, g, index)
+        assert reference_verify(inst.constraints, g)
+
+
+_vars = ["x%d" % i for i in range(1, 5)]
+_formulas = st.lists(st.builds(
+    pb.normalize,
+    st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(
+        _vars + ["~" + v for v in _vars])), max_size=3),
+    st.integers(-1, 2)), max_size=6)
+
+
+@st.composite
+def _literal_permutations(draw):
+    images = draw(st.permutations(_vars))
+    flips = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    return {v: ("~" + w if flip else w)
+            for v, w, flip in zip(_vars, images, flips) if flip or v != w}
+
+
+@settings(max_examples=300)
+@given(_formulas, _literal_permutations())
+def test_verify_symmetry_agrees_with_substitution(formula, sym):
+    # closing the formula under sym makes a symmetry of it more often
+    closed = formula + [pb.substitute(c, sym) for c in formula]
+    for f in (formula, closed):
+        try:
+            got = breaker.verify_symmetry(f, sym)
+        except breaker.BreakError:
+            got = False
+        assert got == reference_verify(f, sym)
 
 
 def test_choose_binding_puts_first_support_last():
@@ -331,6 +409,60 @@ def test_old_method_breaks_negation_symmetries():
     assert verdict == VERIFIED
     assert len(b.kept) == sum(3 * len(g) - 2 for g in gens) == 10
     assert oracle.equisat(inst.constraints, b.kept)
+
+
+# ------------------------------------------------------ aggregate carving
+
+def reference_carve(big, lemmas, wanted):
+    """:func:`breaker._carve` as it was: a fold of pb.add over pb.multiply,
+    then one pb.weaken per unwanted variable, in term order."""
+    cur = big
+    for lem, coef in lemmas:
+        cur = pb.add(cur, pb.multiply(lem, coef))
+    weakened = []
+    for var in [pb.var_of(l) for l in cur.terms]:
+        if var not in wanted:
+            cur = pb.weaken(cur, var)
+            weakened.append(var)
+    return cur, weakened
+
+
+BIG = 2 ** 70
+# few variables, and big coefficients that often coincide, so that sums
+# cancel exactly, flip polarity and clamp their degree at 0
+_coeffs = st.one_of(st.integers(1, 3), st.sampled_from([BIG, BIG + 1]),
+                    st.integers(BIG, 4 * BIG))
+_lits = st.sampled_from(_vars + ["~" + v for v in _vars])
+_wide = st.builds(pb.normalize, st.lists(st.tuples(_coeffs, _lits),
+                                         max_size=5),
+                  st.one_of(st.integers(0, 4), _coeffs))
+
+
+def C(*terms, ge):
+    return pb.normalize(list(terms), ge)
+
+
+@settings(max_examples=300)
+@given(_wide, st.lists(st.tuples(_wide, st.one_of(st.integers(1, 4),
+                                                  st.just(BIG))),
+                       max_size=4),
+       st.sets(st.sampled_from(_vars)))
+@example(C((BIG, "x1"), (1, "x2"), ge=1), [(C((1, "~x1"), ge=0), BIG)],
+         {"x2"})                                                 # cancel
+@example(C((BIG, "x1"), (1, "x2"), ge=1),                        # cancel,
+         [(C((1, "~x1"), ge=0), BIG), (C((2, "x1"), ge=1), 1)],  # then back
+         {"x1", "x2"})
+@example(C((1, "x1"), (2, "x2"), (1, "~x3"), ge=1),              # flips
+         [(C((2, "x4"), (3, "~x1"), (5, "x3"), ge=2), BIG)], {"x1", "x4"})
+@example(C((5, "x1"), ge=2), [(C((5, "~x1"), (1, "x2"), ge=1), 1),
+                              (C((1, "x3"), ge=1), 1)], {"x3"})  # clamp
+def test_carve_is_the_fold_of_add_and_weaken(big, lemmas, wanted):
+    got, got_weakened = breaker._carve(big, lemmas, wanted)
+    want, want_weakened = reference_carve(big, lemmas, wanted)
+    # term order too: a carved clause is kept, and written, in it
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.degree == want.degree
+    assert got_weakened == want_weakened
 
 
 ROUND_TRIP_INSTANCES = [("php", (n,)) for n in range(3, 7)] + [

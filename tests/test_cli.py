@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import re
@@ -401,6 +402,30 @@ def test_break_output_is_deterministic(tmp_path):
             == (tmp_path / "b.opb").read_bytes())
 
 
+# sha256 of the .pbp and .opb that `pbsym break` writes for `pbsym gen php
+# 13` with all the sidecar's generators, the benchmark's emit instance
+# before relabelling; a change to what the breaker writes must edit a pin
+EMIT_PINS = {
+    "new": ("ec031d4fe514c2934736531282d95bdeb2b9c4b2f2f11fb20ba85a45cc990525",
+            "7d716d8986baed70cdcbdc4822540471da3864d285896d588484e068e5e6d782"),
+    "old": ("08011b977b38cf7cd848fd275bc8dcb029388603bdaac6551e0c8b7b01b54506",
+            "fbe6f7ad043acc2c24cf8adc5d88262497d07a64b1f739f5a36062c1104a67be"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(EMIT_PINS))
+def test_break_php13_output_pinned(tmp_path, method):
+    prefix = str(tmp_path / "php13")
+    assert cli.main(["gen", "php", "13", "-o", prefix]) == 0
+    syms = json.loads(pathlib.Path(prefix + ".json").read_text())
+    sym_path = sym_file(tmp_path, "\n".join(syms["symmetries"]) + "\n")
+    out = str(tmp_path / method)
+    assert cli.main(["break", prefix + ".cnf", sym_path, "-o", out,
+                     "--method", method]) == 0
+    assert tuple(hashlib.sha256(pathlib.Path(out + ext).read_bytes())
+                 .hexdigest() for ext in (".pbp", ".opb")) == EMIT_PINS[method]
+
+
 def test_break_cp_variant_flag_is_ignored(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["break", "--help"])
@@ -442,6 +467,28 @@ def test_break_rejects_bad_symmetry(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "INVALID-SYMMETRY"
     assert "generator 1" in payload["error"]
+
+
+@pytest.mark.parametrize("syms", ["(x2 x3)\n", ""],
+                         ids=["a-generator", "no-generator"])
+def test_break_refuses_a_formula_over_a_dollar_name(tmp_path, capsys, syms):
+    # `pbsym check` refuses such a formula (aux-in-formula), so no proof
+    # the breaker could write for it would check
+    formula = tmp_path / "aux.opb"
+    formula.write_text("+1 $y +1 x2 >= 1 ;\n+1 $y +1 x3 >= 1 ;\n")
+    prefix = tmp_path / "out"
+    rc = cli.main(["break", str(formula), sym_file(tmp_path, syms),
+                   "-o", str(prefix), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert payload["verdict"] == "INVALID-FORMULA"
+    assert "$y" in payload["error"]
+    assert not list(tmp_path.glob("out*"))
+    assert cli.main(["check", str(formula), str(DATA / "php32_lex.pbp"),
+                     "--json"]) == 1
+    assert "reason:aux-in-formula" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text,line", [
