@@ -18,9 +18,8 @@ derivation strategies are provided:
 
 * the *aggregate* method ("old"): a one-constraint order with exponential
   coefficients sum 2^(n-i) (v_i + ~u_i) >= 2^n - 1.  Dominance introduces
-  the instantiated big constraint (k terms of up to n bits) directly, and
-  clause j is carved out of it by adding j - 1 chain lemmas and weakening
-  the rest: Theta(k) terms and big-integer operations per clause.
+  the instantiated big constraint directly; clause j adds j - 1 chain lemmas
+  to it and weakens the rest: Theta(k) operations on n-bit integers each.
 
 The chain variables s_j and t_j are named fresh: when the formula already
 uses a name ``s<digits>`` (or ``t<digits>``), the prefix gets a trailing
@@ -62,7 +61,7 @@ def occurrences(formula):
     return index
 
 
-def verify_symmetry(formula, sym, index=None):
+def verify_symmetry(formula, sym, index):
     """The substituted formula must equal the formula as a multiset.
 
     The witness must permute its support's literals, so an image is its
@@ -73,7 +72,6 @@ def verify_symmetry(formula, sym, index=None):
     if images != sym.keys():
         raise BreakError("witness does not permute its support's literals")
     lits = {**sym, **{"~" + v: pb.neg(img) for v, img in sym.items()}}
-    index = occurrences(formula) if index is None else index
     moved = [formula[i] for i in sorted({i for v in sym for i in index[v]})]
     want = collections.Counter((frozenset(c.terms.items()), c.degree)
                                for c in moved)
@@ -530,6 +528,8 @@ class ProofBuilder:
         cur = pb.saturate(cur)
         tokens.append("s")
         delta = cur.degree
+        if delta < 1:
+            raise BreakError("aggregate clause %d degenerated to a tautology" % j)
         if delta > 1:
             tokens += [delta, "d"]
             cur = pb.divide(cur, delta)

@@ -6,6 +6,7 @@ import pytest
 
 from pbsym import bench
 from pbsym import breaker
+from pbsym import constraints as pb
 from pbsym import parsing
 
 import oracle
@@ -92,9 +93,14 @@ def test_generators_are_symmetries(family, params):
     inst = bench.generate(family, params)
     gens = bench.known_generators(inst)
     assert gens
+    index = breaker.occurrences(inst.constraints)
+    whole = collections.Counter(inst.constraints)
     for g in gens:
-        assert breaker.verify_symmetry(inst.constraints, g)
+        assert breaker.verify_symmetry(inst.constraints, g, index)
         assert g
+        # the substituted formula, built independently of verify_symmetry
+        assert collections.Counter(
+            pb.substitute(c, g) for c in inst.constraints) == whole
 
 
 def test_php_generator_counts():
