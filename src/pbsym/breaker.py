@@ -71,7 +71,7 @@ def verify_symmetry(formula, sym, index):
     images = {pb.var_of(img) for img in sym.values() if isinstance(img, str)}
     if images != sym.keys():
         raise BreakError("witness does not permute its support's literals")
-    lits = {**sym, **{"~" + v: pb.neg(img) for v, img in sym.items()}}
+    lits = pb.witness_lits(sym)
     moved = [formula[i] for i in sorted({i for v in sym for i in index[v]})]
     want = collections.Counter((frozenset(c.terms.items()), c.degree)
                                for c in moved)
@@ -574,6 +574,8 @@ def break_symmetries(formula, variables, syms, method="new"):
     if aux:
         raise FormulaError("the formula uses %s: `$` names are reserved for "
                            "order-auxiliary variables" % ", ".join(aux))
+    # parsing.parse_symmetry drops identity pairs x -> x; so does a dict
+    syms = [{v: img for v, img in s.items() if img != v} for s in syms]
     index = occurrences(formula)
     for i, sym in enumerate(syms, start=1):
         try:

@@ -310,7 +310,8 @@ class Checker:
         return [cid for cid in self.root.cons if cid not in self.core_ids]
 
     def _witness_images(self, w):
-        return [pb.apply_witness_lit(w, zv) for zv in self.z_binding]
+        # bound names are plain variables
+        return [w.get(zv, zv) for zv in self.z_binding]
 
     # ---------------------------------------------------------------- steps
 
@@ -375,10 +376,11 @@ class Checker:
             ordmod.order_instance(self.loaded, left, self.z_binding), 1)}
         falsum_key = "#%d" % (len(pending) + 1)
         # a core constraint the witness does not touch is its own image
+        lits = pb.witness_lits(w)
         for cid, con in self.root.touched(w):
             if cid not in self.core_ids:
                 continue
-            goal = pb.substitute(con, w)
+            goal = pb.substitute(con, lits)
             if goal.is_tautology() or goal in self.core:
                 if self.trace is not None:
                     self.trace.append("core goal %d: auto" % cid)

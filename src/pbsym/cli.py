@@ -7,7 +7,8 @@
     pbsym compare <family> <start..stop> [--step K] [-o CSV]
 
 Exit codes: 0 success, 1 semantic rejection (bad proof, bad symmetry, or
-a formula over a reserved `$` name), 2 I/O or parse failure.
+a formula over a reserved `$` name), 2 I/O or parse failure (input that is
+not UTF-8 included).
 """
 
 import argparse
@@ -28,10 +29,13 @@ REPORT_SCHEMA = 1
 
 def _read(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise _IOFailure(str(e))
+    except UnicodeDecodeError as e:
+        raise _IOFailure("%s is not UTF-8 text: %s at byte %d"
+                         % (path, e.reason, e.start))
 
 
 class _IOFailure(Exception):

@@ -13,6 +13,10 @@ comes for free.
 Literals are strings at this module's API.  Inside the unit-propagation
 engine, :class:`Propagator`, they are ints: a variable is interned once to
 an int i, its positive literal is 2i and its negated literal 2i + 1.
+One-shot propagation (:func:`propagate`, so :func:`rup_check`) shares one
+module-level engine, which keeps its interned names from call to call and
+holds no constraint between calls; it is not re-entrant, and pbsym runs
+single-threaded.
 """
 
 
@@ -121,41 +125,50 @@ FALSUM = Constraint({}, 1)
 
 
 def negate(c):
-    """Negation: sum a_i ~l_i >= sum a_i - A + 1 (then renormalized)."""
-    total = sum(c.terms.values())
-    return normalize([(a, neg(l)) for l, a in c.terms.items()],
-                     total - c.degree + 1)
+    """Negation: sum a_i ~l_i >= sum a_i - A + 1.  Every literal of the
+    normalized `c` flips in place, so this is what :func:`normalize`
+    returns for the flipped terms."""
+    terms = {(l[1:] if l.startswith("~") else "~" + l): a
+             for l, a in c.terms.items()}
+    return Constraint(terms, max(sum(terms.values()) - c.degree + 1, 0))
 
 
-def apply_witness_lit(witness, lit):
-    """Image of a literal under a witness (variable -> literal | 0 | 1)."""
-    if not lit.startswith("~"):
-        return witness.get(lit, lit)
-    img = witness.get(lit[1:])
-    if img is None:
-        return lit
-    if img == 0 or img == 1:
-        return 1 - img
-    return neg(img)
+class LiteralMap(dict):
+    """What :func:`witness_lits` returns; :func:`substitute` reads it as is
+    and a plain witness dict through :func:`witness_lits`."""
+    __slots__ = ()
+
+
+def witness_lits(witness):
+    """Each literal `witness` (variable -> literal | 0 | 1) moves, in both
+    polarities, mapped to its image; build it once to apply one witness to
+    many constraints."""
+    lits = LiteralMap(witness)
+    for v, img in witness.items():
+        lits["~" + v] = 1 - img if img == 0 or img == 1 else neg(img)
+    return lits
 
 
 def substitute(c, witness):
-    """Apply a substitution; constants fold into the degree.
+    """Apply a substitution, a witness or its :func:`witness_lits`;
+    constants fold into the degree.
 
     Returns exactly what :func:`normalize` returns for the images, term
     order included.  While no two images share a variable, the result is
     the image dict itself, built in one pass over the terms; from the first
     image that meets an earlier one's variable, the images go through
-    :func:`normalize`.  O(len(c.terms)) either way.
+    :func:`normalize`.  O(len(c.terms)) given the literal map.
     """
+    if not isinstance(witness, LiteralMap):
+        witness = witness_lits(witness)
+    image = witness.get
     terms, raw = {}, None
     degree = c.degree
     for lit, a in c.terms.items():
-        img = apply_witness_lit(witness, lit)
-        if img == 1:
-            degree -= a
-        elif img == 0:
-            pass
+        img = image(lit, lit)
+        if isinstance(img, int):  # a constant, 0 or 1
+            if img:
+                degree -= a
         elif raw is not None:
             raw.append((a, img))
         elif img in terms or neg(img) in terms:
@@ -325,18 +338,15 @@ class Propagator:
         self.trail = []    # true literals, in assignment order
         self.conflict = False
 
-    def _lit(self, lit):
-        l = self.lits.get(lit)
-        if l is None:
-            var = var_of(lit)
-            l = 2 * len(self.names)
-            self.names.append(var)
-            self.lits[var], self.lits["~" + var] = l, l + 1
-            self.value += (None, None)
-            self.occ += ([], [])
-            if not is_positive(lit):
-                l += 1
-        return l
+    def _intern(self, lit):
+        """The int literal of `lit`, whose variable is new."""
+        var = var_of(lit)
+        l = 2 * len(self.names)
+        self.names.append(var)
+        self.lits[var], self.lits["~" + var] = l, l + 1
+        self.value += (None, None)
+        self.occ += ([], [])
+        return l if is_positive(lit) else l + 1
 
     def add(self, c):
         """Add constraint `c` and propagate; False if the database is in
@@ -346,11 +356,13 @@ class Propagator:
         if c.degree == 0:
             return True
         row = len(self.rows)
-        value, occ = self.value, self.occ
+        value, occ, interned = self.value, self.occ, self.lits
         lits = []
         s, top = -c.degree, 0
         for lit, a in c.terms.items():
-            l = self._lit(lit)
+            l = interned.get(lit)
+            if l is None:
+                l = self._intern(lit)
             lits.append((l, a))
             occ[l].append((row, a))
             if value[l] != 0:
@@ -360,7 +372,8 @@ class Propagator:
         self.rows.append(lits)
         self.slack.append(s)
         self.top.append(top)
-        return self._propagate([row])
+        # a row propagates or conflicts only when its slack is that low
+        return s >= top or self._propagate([row])
 
     def _propagate(self, pending):
         value, occ, rows = self.value, self.occ, self.rows
@@ -391,18 +404,19 @@ class Propagator:
         """Restore the rows, assignment, slacks and conflict of `mark`."""
         nrows, ntrail, self.conflict = mark
         value, occ, slack, trail = self.value, self.occ, self.slack, self.trail
-        while len(trail) > ntrail:
-            l = trail.pop()
+        rows = self.rows
+        for _ in range(len(rows) - nrows):
+            # rows go in the order they came, so each occurrence list ends
+            # with the entry of the last row
+            for l, _a in rows.pop():
+                occ[l].pop()
+        del slack[nrows:], self.top[nrows:]
+        # only the rows that stay need their slacks back
+        for l in trail[ntrail:]:
             value[l] = value[l ^ 1] = None
             for r, a in occ[l ^ 1]:
                 slack[r] += a
-        while len(self.rows) > nrows:
-            # rows go in the order they came, so each occurrence list ends
-            # with the entry of the last row
-            for l, _a in self.rows.pop():
-                occ[l].pop()
-            slack.pop()
-            self.top.pop()
+        del trail[ntrail:]
 
     def rup(self, goal):
         """Reverse unit propagation: whether the database plus not(goal)
@@ -417,18 +431,26 @@ class Propagator:
         return {self.names[l >> 1]: 1 - (l & 1) for l in self.trail}
 
 
+_scratch = Propagator()
+
+
 def propagate(constraints):
     """Unit propagation over a list of constraints to fixpoint, from the
-    empty assignment, with a fresh :class:`Propagator`.
+    empty assignment.
 
     Returns the assignment, or the string CONFLICT if some constraint's
     slack goes negative.  A literal l_i with a_i > slack is propagated to 1.
+    Runs on one module-level :class:`Propagator`, which keeps its interned
+    variables and is undone to empty on the way out; it is not re-entrant,
+    and pbsym runs single-threaded.
     """
-    engine = Propagator()
-    for c in constraints:
-        if not engine.add(c):
-            return CONFLICT
-    return engine.assignment()
+    try:
+        for c in constraints:
+            if not _scratch.add(c):
+                return CONFLICT
+        return _scratch.assignment()
+    finally:
+        _scratch.undo((0, 0, False))
 
 
 def rup_check(premises, goal):
@@ -443,9 +465,10 @@ def redundance_goals(premises, c, witness):
     `premises` are the pairs, in ID order, whose constraint is over a
     witness variable; every other premise is its own image and yields no
     goal."""
+    lits = witness_lits(witness)
     for cid, g in premises:
-        yield cid, substitute(g, witness)
-    yield "self", substitute(c, witness)
+        yield cid, substitute(g, lits)
+    yield "self", substitute(c, lits)
 
 
 def discharge(goal, premises, negc, rup):

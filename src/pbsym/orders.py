@@ -25,14 +25,6 @@ TRIVIAL = parsing.def_order_step("trivial", [], [], [], [], [], ([], [], []),
                                  [], [], None)
 
 
-def _engine(premises, negc):
-    engine = pb.Propagator()
-    for c in premises:
-        engine.add(c)
-    engine.add(negc)
-    return engine
-
-
 def verify_specification(spec, aux_vars):
     """Check the redundance obligations of a specification, in list order.
 
@@ -41,11 +33,11 @@ def verify_specification(spec, aux_vars):
     discharged by :func:`pb.discharge` against the earlier entries and
     neg(C_i).  Only the earlier entries over a witness variable, found
     through a variable -> entry index, are substituted; the others are
-    their own images.  A RUP goal is tried first in a fresh propagator
-    over those touched entries plus neg(C_i), and only if that fails over
+    their own images.  A RUP goal is proved by :func:`pb.rup_check` over
+    those touched entries plus neg(C_i) first, and only if that fails over
     all earlier entries plus neg(C_i).  RUP is monotone in its premises,
     so the first success is sound and the verdict is that of the full
-    check; the fallback engine is built when a goal needs it.
+    check.
     """
     aux = set(aux_vars)
     entries = []   # C_1..C_{i-1}
@@ -59,16 +51,11 @@ def verify_specification(spec, aux_vars):
         negc = pb.negate(con)
         touched = sorted({j for v in wit for j in occ.get(v, ())})
         near = [entries[j] for j in touched]
-        engines = [None, None]
+        local = near + [negc]
 
         def rup(goal):
-            # over the touched entries first, then over all of them
-            for k, premises in enumerate((near, entries)):
-                if engines[k] is None:
-                    engines[k] = _engine(premises, negc)
-                if engines[k].rup(goal):
-                    return True
-            return False
+            return (pb.rup_check(local, goal)
+                    or pb.rup_check(entries + [negc], goal))
 
         for _key, goal in pb.redundance_goals(zip(touched, near), con, wit):
             if pb.discharge(goal, known, negc, rup) is None:
@@ -82,6 +69,7 @@ def verify_specification(spec, aux_vars):
 
 
 def _mapping(order, left, right, aux_map=None):
+    """The :func:`pb.witness_lits` of the instance's substitution."""
     n = len(order["left"])
     if len(left) != n or len(right) != n:
         raise OrderError("arity mismatch: expected %d variables" % n)
@@ -89,7 +77,7 @@ def _mapping(order, left, right, aux_map=None):
     m.update(zip(order["right"], right))
     if aux_map:
         m.update(aux_map)
-    return m
+    return pb.witness_lits(m)
 
 
 def spec_instance(order, left, right, aux_map=None):

@@ -42,15 +42,15 @@ def test_parse_cycles():
 
 
 def test_parse_arrow_list():
-    t = tau()
-    assert pb.apply_witness_lit(t, "x5") == "x4"
-    assert pb.apply_witness_lit(t, "~x5") == "~x4"
+    lits = pb.witness_lits(tau())
+    assert lits["x5"] == "x4"
+    assert lits["~x5"] == "~x4"
 
 
 def test_parse_negation_cycle():
     s = parsing.parse_symmetry("(x1 ~x1)")
     assert s == {"x1": "~x1"}
-    assert pb.apply_witness_lit(s, "~x1") == "x1"
+    assert pb.witness_lits(s)["~x1"] == "x1"
 
 
 def test_parse_rejects_non_permutation():
@@ -375,14 +375,19 @@ def test_identity_symmetry_adds_nothing():
     assert b.text() == parsing.HEADER + "\n"
 
 
-def test_old_method_refuses_a_fixed_point_in_a_witness():
-    # parse_symmetry drops x -> x, but a witness dict may keep it; clause j
-    # of such a support variable is ~x + x >= 1, which the carve cannot yield
+def test_fixed_point_in_a_witness_is_dropped():
+    # parse_symmetry drops x -> x, and so does the breaker for a witness
+    # dict; kept, its clause would be ~x + x >= 1, a tautology
     cons, variables = parsing.parse_opb(
         "+1 x1 +1 x2 >= 1 ;\n+1 x1 +1 x3 >= 1 ;\n+1 x2 +1 x3 >= 1 ;\n")
-    sym = {"x1": "x1", "x2": "x3", "x3": "x2"}
-    with pytest.raises(breaker.BreakError, match="degenerated"):
-        breaker.break_symmetries(cons, variables, [sym], method="old")
+    fixed = {"x1": "x1", "x2": "x3", "x3": "x2"}
+    for method in ("new", "old"):
+        b = breaker.break_symmetries(cons, variables, [fixed], method=method)
+        want = breaker.break_symmetries(cons, variables,
+                                        [{"x2": "x3", "x3": "x2"}],
+                                        method=method)
+        assert b.kept == want.kept
+        assert not any(c.is_tautology() for c in b.kept)
 
 
 def test_breaking_satisfiable_formula_is_sound():

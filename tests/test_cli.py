@@ -63,6 +63,26 @@ def test_check_missing_file_is_io_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _non_utf8(tmp_path, name):
+    p = tmp_path / name
+    p.write_bytes(b"\xff\xfe\x00")
+    return str(p)
+
+
+@pytest.mark.parametrize("which", ["formula", "proof"])
+def test_check_non_utf8_input_is_io_error(tmp_path, capsys, which):
+    formula, proof = golden_pair(tmp_path)
+    if which == "formula":
+        formula = _non_utf8(tmp_path, "bin.opb")
+    else:
+        proof = _non_utf8(tmp_path, "bin.pbp")
+    assert cli.main(["check", formula, proof]) == 2
+    err = capsys.readouterr().err
+    bad = formula if which == "formula" else proof
+    assert err.startswith("error: %s is not UTF-8 text" % bad)
+    assert "Traceback" not in err
+
+
 def test_check_trace_goes_to_stderr(tmp_path, capsys):
     formula, proof = golden_pair(tmp_path)
     assert cli.main(["check", formula, proof, "--trace"]) == 0
@@ -512,6 +532,17 @@ def test_break_malformed_symmetry_file_is_a_parse_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: line %d: " % line)
     assert "Traceback" not in err
+
+
+def test_break_non_utf8_symmetry_file_is_io_error(tmp_path, capsys):
+    formula, _ = golden_pair(tmp_path)
+    syms = _non_utf8(tmp_path, "bin.sym")
+    prefix = tmp_path / "out"
+    assert cli.main(["break", formula, syms, "-o", str(prefix)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s is not UTF-8 text" % syms)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.pbp").exists()
 
 
 def test_break_empty_symmetry_file(tmp_path, capsys):

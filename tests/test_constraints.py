@@ -164,6 +164,80 @@ def test_substitute_is_normalize_of_images(c, witness):
     assert_same(substitute(c, witness), reference_substitute(c, witness))
 
 
+def old_apply_witness_lit(witness, lit):
+    """The image of one literal, as substitute looked it up before it read
+    a literal map."""
+    if not lit.startswith("~"):
+        return witness.get(lit, lit)
+    img = witness.get(lit[1:])
+    if img is None:
+        return lit
+    if img == 0 or img == 1:
+        return 1 - img
+    return neg(img)
+
+
+def old_substitute(c, witness):
+    """substitute's body before the literal map: one old_apply_witness_lit
+    per term."""
+    terms, raw = {}, None
+    degree = c.degree
+    for lit, a in c.terms.items():
+        img = old_apply_witness_lit(witness, lit)
+        if img == 1:
+            degree -= a
+        elif img == 0:
+            pass
+        elif raw is not None:
+            raw.append((a, img))
+        elif img in terms or neg(img) in terms:
+            raw = [(b, l) for l, b in terms.items()]
+            raw.append((a, img))
+        else:
+            terms[img] = a
+    if raw is not None:
+        return normalize(raw, degree)
+    return Constraint(terms, max(degree, 0))
+
+
+@settings(max_examples=300)
+@given(wide_cons, witnesses)
+@example(C((1, "x1"), (BIG, "~x2"), (1, "~x3"), ge=BIG),         # 0/1 images
+         {"x1": 1, "x2": 0, "x3": 1})
+@example(C((2, "~x1"), (1, "x2"), ge=2), {"x1": "~x2", "x2": "~x1"})
+@example(C((1, "~x1"), (2, "x2"), (3, "~x3"), ge=3),             # collide
+         {"x1": "x4", "x2": "~x4", "x3": "x4"})
+def test_literal_map_substitute_equals_the_old_loop(c, witness):
+    want = old_substitute(c, witness)
+    lits = pb.witness_lits(witness)
+    assert_same(substitute(c, lits), want)
+    assert_same(substitute(c, witness), want)
+    assert lits == {**witness, **{"~" + v: old_apply_witness_lit(
+        witness, "~" + v) for v in witness}}
+
+
+def test_plain_witness_is_not_read_as_a_literal_map():
+    # a plain dict has no `~x1` key, so read as a map it would keep ~x1
+    assert substitute(C((1, "~x1"), ge=1), {"x1": "x2"}) == C((1, "~x2"), ge=1)
+    assert substitute(C((1, "~x1"), ge=1), {"x1": 0}).is_tautology()
+
+
+def reference_negate(c):
+    """negate's body before it flipped the terms in place: normalize over
+    the flipped terms."""
+    total = sum(c.terms.values())
+    return normalize([(a, neg(l)) for l, a in c.terms.items()],
+                     total - c.degree + 1)
+
+
+@settings(max_examples=300)
+@given(wide_cons)
+@example(C((1, "x1"), ge=2))                                     # clamps at 0
+@example(C((BIG, "~x1"), (1, "x2"), (3, "~x3"), ge=0))
+def test_negate_is_normalize_of_flipped_terms(c):
+    assert_same(negate(c), reference_negate(c))
+
+
 def test_substitute_swap():
     c = C((1, "~x1"), (1, "~x3"), ge=1)
     got = substitute(c, {"x1": "x3", "x3": "x1"})

@@ -1,8 +1,10 @@
 """The incremental propagation engine, `constraints.Propagator`, against a
 reference slack sweep, the one-shot `rup_check` and the brute-force oracle."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from pbsym import constraints
 from pbsym.constraints import (
     CONFLICT, Propagator, negate, normalize, propagate, rup_check,
 )
@@ -170,3 +172,56 @@ def test_accepted_rup_is_implied(f, goal):
         e.add(c)
     if e.rup(goal):
         assert oracle.implies(f, goal)
+
+
+# ------------------------------------------- the shared one-shot engine
+
+def fresh_propagate(constraints):
+    """propagate's body before the shared engine: a fresh Propagator per
+    call."""
+    engine = Propagator()
+    for c in constraints:
+        if not engine.add(c):
+            return CONFLICT
+    return engine.assignment()
+
+
+def assert_scratch_empty():
+    """The shared engine holds no row, no assignment and no conflict."""
+    e = constraints._scratch
+    assert (e.rows, e.slack, e.top, e.trail, e.conflict) == (
+        [], [], [], [], False)
+    assert all(v is None for v in e.value)
+    assert not any(e.occ)
+
+
+X1, X2 = normalize([(1, "x1")], 1), normalize([(1, "x2")], 1)
+NOT_X1 = normalize([(1, "~x1")], 1)
+X1_TO_X2 = normalize([(1, "~x1"), (1, "x2")], 1)
+
+
+@given(st.lists(st.tuples(formulas, cons), min_size=1, max_size=4))
+@small
+@example([([X1, NOT_X1], X2)])                  # premises conflict alone
+@example([([X1, X1_TO_X2], X2)])                # a refuted goal
+@example([([X1], X2), ([X1, NOT_X1], X2), ([X1_TO_X2], X1)])  # not refuted
+def test_shared_engine_equals_a_fresh_engine(calls):
+    # calls in a row: nothing one call leaves may change the next
+    for f, goal in calls:
+        assert propagate(f) == fresh_propagate(f)
+        assert_scratch_empty()
+        assert rup_check(f, goal) == (
+            fresh_propagate(f + [negate(goal)]) == CONFLICT)
+        assert_scratch_empty()
+
+
+def test_shared_engine_is_emptied_when_propagation_raises():
+    def premises():
+        yield X1
+        yield X1_TO_X2
+        raise RuntimeError("premise list broke off")
+
+    with pytest.raises(RuntimeError):
+        propagate(premises())
+    assert_scratch_empty()
+    assert propagate([NOT_X1]) == {"x1": 0}

@@ -119,16 +119,17 @@ def test_spec_goal_needing_an_untouched_entry_uses_the_fallback(monkeypatch):
     # follows only with entry 1, $a >= 1
     spec = [(pb.normalize([(1, "$a")], 1), {"$a": 1}),
             (pb.normalize([(1, "$b"), (1, "u1")], 1), {"$b": "$a"})]
-    built = []
-    real = orders._engine
+    seen = []
+    real = pb.rup_check
 
-    def engine(premises, negc):
-        built.append(list(premises))
-        return real(premises, negc)
+    def rup_check(premises, goal):
+        seen.append(list(premises))
+        return real(premises, goal)
 
-    monkeypatch.setattr(orders, "_engine", engine)
+    monkeypatch.setattr(pb, "rup_check", rup_check)
     assert orders.verify_specification(spec, ["$a", "$b"])
-    assert built == [[], [spec[0][0]]]
+    negc = pb.negate(spec[1][0])
+    assert seen == [[negc], [spec[0][0], negc]]
 
 
 def reference_verify(spec, aux_vars):
