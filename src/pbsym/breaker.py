@@ -564,7 +564,8 @@ def break_symmetries(formula, variables, syms, method="new"):
     """Emit breaking clauses plus proof for every symmetry, in order.
 
     `syms` are witness dicts that permute literals, as
-    :func:`parsing.parse_symmetries` returns them.  Every generator is
+    :func:`parsing.parse_symmetries` returns them; identity pairs x -> x
+    are dropped first, as the parser drops them.  Every generator is
     checked with :func:`verify_symmetry` first; a failure names the
     generator.  Returns the :class:`ProofBuilder`; use ``.text()`` for the
     document, ``.kept`` for the derived clauses and ``.binding`` for the
@@ -574,7 +575,6 @@ def break_symmetries(formula, variables, syms, method="new"):
     if aux:
         raise FormulaError("the formula uses %s: `$` names are reserved for "
                            "order-auxiliary variables" % ", ".join(aux))
-    # parsing.parse_symmetry drops identity pairs x -> x; so does a dict
     syms = [{v: img for v, img in s.items() if img != v} for s in syms]
     index = occurrences(formula)
     for i, sym in enumerate(syms, start=1):

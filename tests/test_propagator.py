@@ -176,11 +176,11 @@ def test_accepted_rup_is_implied(f, goal):
 
 # ------------------------------------------- the shared one-shot engine
 
-def fresh_propagate(constraints):
+def fresh_propagate(premises):
     """propagate's body before the shared engine: a fresh Propagator per
     call."""
     engine = Propagator()
-    for c in constraints:
+    for c in premises:
         if not engine.add(c):
             return CONFLICT
     return engine.assignment()
@@ -204,7 +204,7 @@ X1_TO_X2 = normalize([(1, "~x1"), (1, "x2")], 1)
 @small
 @example([([X1, NOT_X1], X2)])                  # premises conflict alone
 @example([([X1, X1_TO_X2], X2)])                # a refuted goal
-@example([([X1], X2), ([X1, NOT_X1], X2), ([X1_TO_X2], X1)])  # not refuted
+@example([([X1], X2), ([X1, NOT_X1], X2), ([X1_TO_X2], X1)])  # unrefuted
 def test_shared_engine_equals_a_fresh_engine(calls):
     # calls in a row: nothing one call leaves may change the next
     for f, goal in calls:
