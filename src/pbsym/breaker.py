@@ -86,10 +86,8 @@ def verify_symmetry(formula, sym, index):
 
 
 def choose_binding(variables, syms):
-    """Variable order for load_order: the first symmetry's support goes
-    last (contiguously), everything else keeps formula order."""
-    if not syms:
-        return list(variables)
+    """Variable order for load_order: the first of the (non-empty) `syms`'
+    support goes last (contiguously), everything else keeps formula order."""
     supp = set(syms[0])
     head = [v for v in variables if v not in supp]
     return head + [v for v in variables if v in supp]
@@ -351,9 +349,6 @@ class ProofBuilder:
             self.order["name"], self.binding, None))
 
     def break_symmetry(self, sym):
-        if not sym:
-            self.stats.append({"support": 0, "chars": 0})
-            return
         mark = len(self.lines)
         fr = _Fragment(self.binding, sym)
         if self.method == "new":
@@ -482,7 +477,7 @@ class ProofBuilder:
         self._emit_circuit(fr, with_t=False)
 
         left = [fr.witness.get(z, z) for z in self.binding]
-        big = orders.order_instance(self.order, self.binding, left)[0]
+        big = orders.instance(self.order, self.binding, left)[1][0]
         # each scope adds neg_c to the premise after it: the negated order
         # goal in leq, the order constraint O(z, sigma z) in geq
         neg_c = self.skip(1)

@@ -47,14 +47,16 @@ class Frame:
     read.  The ID counter may be shared with the parent (subproofs continue
     the global numbering) or local (def_order blocks restart at 1).
 
-    A root frame (no parent) owns the propagator of its chain, built on
-    the first hint-free RUP, and `synced`: one `[frame, mark, entries
-    added]` per frame whose entries the propagator holds, root first."""
+    `ids` lists every ID added, in order, and never shrinks.  A root frame
+    (no parent) owns the propagator of its chain, built on the first
+    hint-free RUP, and `synced`: one `[frame, mark, len(frame.ids)]` per
+    frame whose entries the propagator holds, root first."""
 
     def __init__(self, state=None, parent=None, counter=None):
         self.state = state or (parent.state if parent else None)
         self.parent = parent
         self.cons = {}
+        self.ids = []
         self.counter = counter or (parent.counter if parent else [1])
         self.engine = self.synced = None
 
@@ -66,6 +68,7 @@ class Frame:
     def add(self, con):
         cid = self.alloc()
         self.cons[cid] = con
+        self.ids.append(cid)
         return cid
 
     def _read(self, cid, con):
@@ -111,7 +114,7 @@ class Frame:
         both = min(len(synced), len(chain))
         k = 0
         while (k < both and synced[k][0] is chain[k]
-               and synced[k][2] == len(chain[k].cons)):
+               and synced[k][2] == len(chain[k].ids)):
             k += 1
         # a frame that has grown keeps its mark: the frames synced after
         # it are undone, then its new entries are added
@@ -122,17 +125,20 @@ class Frame:
             del synced[drop:]
         if grown:
             chain[k]._feed(engine, synced[k][2])
-            synced[k][2] = len(chain[k].cons)
+            synced[k][2] = len(chain[k].ids)
             k += 1
         for f in chain[k:]:
-            synced.append([f, engine.mark(), len(f.cons)])
+            synced.append([f, engine.mark(), len(f.ids)])
             f._feed(engine, 0)
         return engine
 
     def _feed(self, engine, start):
-        """Add this frame's entries from the `start`-th on to `engine`."""
-        for cid, con in itertools.islice(self.cons.items(), start, None):
-            engine.add(self._read(cid, con))
+        """Add the live entries of `ids` from the `start`-th on to `engine`,
+        in O(len(ids) - start)."""
+        for cid in self.ids[start:]:
+            con = self.cons.get(cid)
+            if con is not None:
+                engine.add(self._read(cid, con))
 
 
 class RootFrame(Frame):
@@ -334,10 +340,10 @@ class Checker:
         if set(w).isdisjoint(self.z_binding):
             self.counters["implicit_reflexivity_skips"] += 1
         else:
-            left = self._witness_images(w)
-            order_goals = [("#%d" % k, og) for k, og in enumerate(
-                ordmod.order_instance(self.loaded, left, self.z_binding), 1)]
-            for fn in ordmod.spec_instance(self.loaded, left, self.z_binding):
+            spec, ogs = ordmod.instance(self.loaded, self._witness_images(w),
+                                        self.z_binding)
+            order_goals = [("#%d" % k, og) for k, og in enumerate(ogs, 1)]
+            for fn in spec:
                 scope.add(fn)
         # a premise the witness does not touch is its own image
         goals = pb.redundance_goals(self.root.touched(w), c, w)
@@ -368,12 +374,12 @@ class Checker:
 
         # --- leq scope: S(z|w, z) premises; goals C|w plus each order constraint
         leqf = Frame(parent=sub)
-        for fn in ordmod.spec_instance(self.loaded, left, self.z_binding):
+        spec, ogs = ordmod.instance(self.loaded, left, self.z_binding)
+        for fn in spec:
             leqf.add(fn)
         # goals by key: "#k" for the order constraints, the ID for core ones;
         # an order goal without a block may be discharged by hint-free RUP
-        pending = {"#%d" % k: og for k, og in enumerate(
-            ordmod.order_instance(self.loaded, left, self.z_binding), 1)}
+        pending = {"#%d" % k: og for k, og in enumerate(ogs, 1)}
         falsum_key = "#%d" % (len(pending) + 1)
         # a core constraint the witness does not touch is its own image
         lits = pb.witness_lits(w)
@@ -392,10 +398,9 @@ class Checker:
 
         # --- geq scope: S(z, z|w) and O(z, z|w) premises; single falsum goal
         geqf = Frame(parent=sub)
-        for fn in ordmod.spec_instance(self.loaded, self.z_binding, left):
-            geqf.add(fn)
-        for og in ordmod.order_instance(self.loaded, self.z_binding, left):
-            geqf.add(og)
+        spec, ogs = ordmod.instance(self.loaded, self.z_binding, left)
+        for entry in spec + ogs:
+            geqf.add(entry)
         _prove_goals(geqf, {falsum_key: pb.FALSUM}, step["geq"],
                      "geq scope", line)
 

@@ -97,7 +97,8 @@ def normalize(raw_terms, raw_degree):
     """Build the unique normalized constraint from signed OPB-style input.
 
     Negative coefficients are flipped with a*l = a - a*~l, terms on the
-    same variable are merged, and the degree is clamped at >= 0.
+    same variable are merged in the order their variables first occur, and
+    the degree is clamped at >= 0.
     """
     acc = {}  # variable -> signed coefficient of the POSITIVE literal
     degree = raw_degree
@@ -109,16 +110,20 @@ def normalize(raw_terms, raw_degree):
             degree -= coeff
         else:
             acc[lit] = acc.get(lit, 0) + coeff
+    return _from_signed(acc, degree)
+
+
+def _from_signed(acc, degree):
+    """The tail of :func:`normalize` and :func:`substitute`: `acc` maps
+    each variable to the signed coefficient of its positive literal."""
     terms = {}
     for v, a in acc.items():
         if a > 0:
             terms[v] = a
-        elif a < 0:
+        elif a:
             terms["~" + v] = -a
             degree -= a
-    if degree < 0:
-        degree = 0
-    return Constraint(terms, degree)
+    return Constraint(terms, degree if degree > 0 else 0)
 
 
 FALSUM = Constraint({}, 1)
@@ -153,32 +158,28 @@ def substitute(c, witness):
     """Apply a substitution, a witness or its :func:`witness_lits`;
     constants fold into the degree.
 
-    Returns exactly what :func:`normalize` returns for the images, term
-    order included.  While no two images share a variable, the result is
-    the image dict itself, built in one pass over the terms; from the first
-    image that meets an earlier one's variable, the images go through
-    :func:`normalize`.  O(len(c.terms)) given the literal map.
+    One pass over the terms accumulates each image's signed coefficient per
+    variable, as :func:`normalize` does, so images that share a variable
+    merge and the result is exactly what :func:`normalize` returns for the
+    images, term order included.  O(len(c.terms)) given the literal map.
     """
     if not isinstance(witness, LiteralMap):
         witness = witness_lits(witness)
     image = witness.get
-    terms, raw = {}, None
+    acc = {}  # variable -> signed coefficient of the POSITIVE literal
     degree = c.degree
     for lit, a in c.terms.items():
         img = image(lit, lit)
         if isinstance(img, int):  # a constant, 0 or 1
             if img:
                 degree -= a
-        elif raw is not None:
-            raw.append((a, img))
-        elif img in terms or neg(img) in terms:
-            raw = [(b, l) for l, b in terms.items()]
-            raw.append((a, img))
+        elif img[0] == "~":
+            v = img[1:]
+            acc[v] = acc.get(v, 0) - a
+            degree -= a
         else:
-            terms[img] = a
-    if raw is not None:
-        return normalize(raw, degree)
-    return Constraint(terms, max(degree, 0))
+            acc[img] = acc.get(img, 0) + a
+    return _from_signed(acc, degree)
 
 
 def add(c1, c2):
@@ -384,8 +385,7 @@ class Propagator:
             if s < 0:
                 self.conflict = True
                 return False
-            if s >= top[r]:
-                continue
+            # queued below its top, and slacks only fall here
             for l, a in rows[r]:
                 if a > s and value[l] is None:
                     value[l], value[l ^ 1] = 1, 0

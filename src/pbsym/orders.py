@@ -8,6 +8,8 @@ redundance with a witness over the aux variables only), the order
 constraints ``def``, and the transitivity and reflexivity proofs.
 :func:`validate` checks the declared names, the specification obligations
 and both proofs; the checker stores, and so loads, only orders that pass.
+An instance substitutes for u, v and aux once, in :func:`instance`, for
+both the spec rows and the order constraints.
 """
 
 import collections
@@ -68,8 +70,10 @@ def verify_specification(spec, aux_vars):
     return True
 
 
-def _mapping(order, left, right, aux_map=None):
-    """The :func:`pb.witness_lits` of the instance's substitution."""
+def instance(order, left, right, aux_map=None):
+    """S and O under u -> left, v -> right (literal or 0/1 lists of length
+    n) and the aux renaming `aux_map`, through one literal map: the spec
+    rows as :func:`spec_instance` returns them, and the order constraints."""
     n = len(order["left"])
     if len(left) != n or len(right) != n:
         raise OrderError("arity mismatch: expected %d variables" % n)
@@ -77,24 +81,16 @@ def _mapping(order, left, right, aux_map=None):
     m.update(zip(order["right"], right))
     if aux_map:
         m.update(aux_map)
-    return pb.witness_lits(m)
+    lits = pb.witness_lits(m)
+    return (spec_instance(order, lits),
+            [pb.substitute(c, lits) for c in order["def"]])
 
 
-def spec_instance(order, left, right, aux_map=None):
-    """S(left, right, aux) as one zero-argument function per spec entry,
-    in spec order, each building its row.
-
-    left/right are literal (or 0/1 constant) lists of length n; building
-    is deferred so the checker builds, and counts, only the rows it reads.
-    """
-    m = _mapping(order, left, right, aux_map)
-    return [(lambda c=c: pb.substitute(c, m)) for c, _w in order["spec"]]
-
-
-def order_instance(order, left, right, aux_map=None):
-    """O(left, right, aux), eagerly computed (the list is small)."""
-    m = _mapping(order, left, right, aux_map)
-    return [pb.substitute(c, m) for c in order["def"]]
+def spec_instance(order, lits):
+    """The spec rows under the literal map `lits`, as one zero-argument
+    function per spec entry, in spec order, each building its row; building
+    is deferred so the checker builds, and counts, only the rows it reads."""
+    return [(lambda c=c: pb.substitute(c, lits)) for c, _w in order["spec"]]
 
 
 def transitivity_obligation(order):
@@ -106,24 +102,20 @@ def transitivity_obligation(order):
     """
     trans = order["transitivity"]
     u, v, w = order["left"], order["right"], trans["fresh_right"]
-    ren_b = dict(zip(order["aux"], trans["fresh_aux_1"]))
-    ren_c = dict(zip(order["aux"], trans["fresh_aux_2"]))
-    premises = []
-    premises.extend(c() for c in spec_instance(order, u, v))
-    premises.extend(c() for c in spec_instance(order, v, w, ren_b))
-    premises.extend(c() for c in spec_instance(order, u, w, ren_c))
-    premises.extend(order_instance(order, u, v))
-    premises.extend(order_instance(order, v, w, ren_b))
-    goals = order_instance(order, u, w, ren_c)
+    spec_uv, o_uv = instance(order, u, v)
+    spec_vw, o_vw = instance(order, v, w,
+                             dict(zip(order["aux"], trans["fresh_aux_1"])))
+    spec_uw, goals = instance(order, u, w,
+                              dict(zip(order["aux"], trans["fresh_aux_2"])))
+    premises = [c() for c in spec_uv + spec_vw + spec_uw] + o_uv + o_vw
     return premises, goals
 
 
 def reflexivity_obligation(order):
     """Premises S(u,u,a) and goals O(u,u,a) of the reflexivity check."""
     u = order["left"]
-    premises = [c() for c in spec_instance(order, u, u)]
-    goals = order_instance(order, u, u)
-    return premises, goals
+    spec, goals = instance(order, u, u)
+    return [c() for c in spec], goals
 
 
 def check_reflexivity(order, run):

@@ -479,7 +479,7 @@ def _value_parser(kind):
                                         "value": args}
 
 
-_SUBPROOF_PARSERS = {"pol": _parse_pol, "rup": _parse_rup, "red": _parse_red}
+_SUBPROOF_PARSERS = {"pol": _parse_pol, "rup": _parse_rup}
 _PARSERS = {"pol": _parse_pol, "rup": _parse_rup, "red": _parse_red,
             "def_order": _parse_def_order, "load_order": _parse_load_order,
             "dom": _parse_dom, "del": _parse_del,

@@ -6,7 +6,8 @@ import pytest
 from pbsym import bench, breaker
 from pbsym import constraints as pb
 from pbsym import parsing
-from pbsym.checker import Checker, CheckError, UNSAT, VERIFIED, check_document
+from pbsym.checker import (Checker, CheckError, Frame, UNSAT, VERIFIED,
+                           check_document)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -367,6 +368,43 @@ def test_rup_cannot_use_deleted_constraint():
     assert (e.value.reason, e.value.line) == ("rup-failed", 5)
     verdict, _ = check(formula, text.replace("del range 2 4;\n", ""))
     assert verdict == VERIFIED
+
+
+class _ReadCounter(dict):
+    """A frame's `cons` that counts the entries read from it."""
+
+    reads = 0
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+    def __iter__(self):
+        return (k for k, _v in self.items())
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_sync_reads_only_the_entries_added_since():
+    # a sync of a frame that holds 10,000 rows, after one more was added,
+    # reads that one row, not the rows the propagator already holds
+    root = Frame()
+    for i in range(10000):
+        root.add(pb.normalize([(1, "x%d" % i), (1, "y%d" % i)], 1))
+    engine = root.propagator()
+    assert len(engine.rows) == 10000
+    root.cons = _ReadCounter(root.cons)
+    root.add(pb.normalize([(1, "z"), (1, "~x0")], 1))
+    assert root.propagator() is engine
+    assert len(engine.rows) == 10001
+    assert root.cons.reads <= 2
 
 
 # u1 <= v1 as an implication, and (u2, u3) <= (v2, v3) when v's sum is at

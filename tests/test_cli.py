@@ -124,6 +124,9 @@ DOM_HEAD = "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\n"
                  id="qed-key-mismatch"),
     pytest.param("php32.opb", "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1;\n",
                  id="dom-without-subproof"),
+    pytest.param("php32.opb", DOM_HEAD + "scope leq\nproofgoal #1\n"
+                 "red +1 x1 >= 1 : x1 -> 1;\nqed #1;\n",
+                 id="red-in-proofgoal"),
     pytest.param("php32.opb",
                  "def_order lex1\nvars\nleft u1;\nright v1;\naux $d1;\n"
                  "end vars;\nspec\nrup +1 ~$d1 >= 1;\nend spec;\n",

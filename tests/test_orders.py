@@ -1,10 +1,16 @@
-import pytest
+import pathlib
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pbsym import breaker
 from pbsym import constraints as pb
 from pbsym import orders, parsing
 from pbsym.checker import Checker, CheckError, run_obligation
 
 from oracle import implies
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def con(terms, degree):
@@ -94,20 +100,109 @@ def test_spec_instance_is_lazy_and_substitutes():
         [(con([(1, "$a1")], 1), {"$a1": 1}),
          (con([(1, "v1"), (1, "~u1")], 1), {})],
         [], (["w1"], ["$b1"], ["$c1"]))
-    thunks = orders.spec_instance(order, ["x2"], ["~x7"])
+    thunks, _ = orders.instance(order, ["x2"], ["~x7"])
     assert all(callable(t) for t in thunks)
     assert thunks[1]() == con([(1, "~x7"), (1, "~x2")], 1)
 
 
 def test_spec_instance_arity_checked():
     with pytest.raises(orders.OrderError):
-        orders.spec_instance(leq1(), ["x1", "x2"], ["x3"])
+        orders.instance(leq1(), ["x1", "x2"], ["x3"])
 
 
 def test_order_instance_substitutes_constants():
-    got = orders.order_instance(leq1(), [0], ["x4"])
+    _, got = orders.instance(leq1(), [0], ["x4"])
     assert got == [con([(1, "x4")], 0)]
     assert got[0].is_tautology()
+
+
+def old_instance(order, left, right, aux_map=None):
+    """spec_instance and order_instance as they were before one literal map
+    served both: each built its own map of the substitution."""
+    def mapping():
+        m = dict(zip(order["left"], left))
+        m.update(zip(order["right"], right))
+        if aux_map:
+            m.update(aux_map)
+        return pb.witness_lits(m)
+
+    spec_map = mapping()
+    spec = [pb.substitute(c, spec_map) for c, _w in order["spec"]]
+    order_map = mapping()
+    return spec, [pb.substitute(c, order_map) for c in order["def"]]
+
+
+_LEX3 = breaker.build_lex_order(3)
+
+
+def _image():
+    """A literal over x1..x3, either polarity, or a 0/1 constant."""
+    return st.one_of(st.sampled_from([0, 1]),
+                     st.builds(lambda v, p: p + "x%d" % v,
+                               st.integers(1, 3), st.sampled_from(["", "~"])))
+
+
+@st.composite
+def _instance_args(draw):
+    """lex3 or biglex3, images for u and v where some positions of v
+    repeat u's, and the aux renaming of the transitivity proof or none."""
+    order = draw(st.sampled_from([_LEX3, breaker.build_big_order(3)]))
+    left = draw(st.lists(_image(), min_size=3, max_size=3))
+    right = [l if draw(st.booleans()) else draw(_image()) for l in left]
+    trans = order["transitivity"]
+    aux_map = draw(st.sampled_from([
+        None, dict(zip(order["aux"], trans["fresh_aux_1"]))]))
+    return order, left, right, aux_map
+
+
+def _exact(cons):
+    return [(list(c.terms.items()), c.degree) for c in cons]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_instance_args())
+@example((_LEX3, ["x1", "~x2", 0], ["x1", "~x2", 0],
+          dict(zip(_LEX3["aux"], _LEX3["transitivity"]["fresh_aux_2"]))))
+def test_instance_equals_the_old_two_map_bodies(args):
+    order, left, right, aux_map = args
+    want_spec, want_order = old_instance(order, left, right, aux_map)
+    spec, got_order = orders.instance(order, left, right, aux_map)
+    assert _exact(c() for c in spec) == _exact(want_spec)
+    assert _exact(got_order) == _exact(want_order)
+
+
+def test_obligations_build_one_map_per_instance(monkeypatch):
+    calls = []
+    real = pb.witness_lits
+    monkeypatch.setattr(pb, "witness_lits",
+                        lambda w: calls.append(w) or real(w))
+    orders.transitivity_obligation(_LEX3)
+    assert len(calls) == 3
+    orders.reflexivity_obligation(_LEX3)
+    assert len(calls) == 4
+
+
+def test_dom_step_builds_two_order_maps(monkeypatch):
+    """Each order instance builds one literal map: a dom step instantiates
+    the loaded order twice (leq and geq scope), and maps its own witness
+    once for the core goals."""
+    formula, _ = parsing.parse_opb((DATA / "php32.opb").read_text())
+    doc = parsing.parse_proof((DATA / "php32_lex.pbp").read_text())
+    chk = Checker(formula)
+    maps = []
+    real = pb.witness_lits
+    monkeypatch.setattr(pb, "witness_lits",
+                        lambda w: maps.append(w) or real(w))
+    doms = 0
+    for step in doc["steps"]:
+        maps.clear()
+        getattr(chk, Checker.STEPS[step["kind"]])(step)
+        if step["kind"] == "dom":
+            doms += 1
+            placeholders = set(chk.loaded["left"])
+            assert sum(placeholders <= m.keys() for m in maps) == 2
+            assert len(maps) == 3
+    assert doms == 2
 
 
 def test_transitivity_obligation_shape():

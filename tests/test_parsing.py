@@ -104,6 +104,23 @@ def test_unknown_keyword_rejected():
         parsing.parse_proof(parsing.HEADER + "\nfrobnicate 1;\n")
 
 
+@pytest.mark.parametrize("kind,step", [
+    ("red", "red +1 x1 >= 1 : x1 -> 1;"),
+    ("dom", "dom +1 x1 >= 1 : x1 -> x3;"),
+    ("del", "del range 1 2;"),
+    ("load_order", "load_order lex1 x1;"),
+])
+def test_proofgoal_block_holds_only_pol_and_rup(kind, step):
+    text = (parsing.HEADER + "\n"
+            "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\n"
+            "scope leq\nproofgoal #1\n" + step + "\nqed #1;\n")
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_proof(text)
+    assert e.value.line == 5
+    assert str(e.value) == ("line 5: unknown keyword %r inside subproof"
+                            % kind)
+
+
 def test_unbalanced_scope_rejected():
     text = (parsing.HEADER + "\n"
             "dom +1 t4 >= 1 : x1 -> x3 : subproof\nscope leq\n")
