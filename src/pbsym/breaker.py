@@ -86,8 +86,8 @@ def verify_symmetry(formula, sym, index):
 
 
 def choose_binding(variables, syms):
-    """Variable order for load_order: the first of the (non-empty) `syms`'
-    support goes last (contiguously), everything else keeps formula order."""
+    """Variable order for load_order: the support of `syms[0]` goes last
+    (contiguously), everything else keeps formula order."""
     supp = set(syms[0])
     head = [v for v in variables if v not in supp]
     return head + [v for v in variables if v in supp]
