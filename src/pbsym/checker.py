@@ -41,24 +41,27 @@ def _is_falsum(c):
 
 
 class Frame:
-    """One visibility scope.  `cons` maps each ID to a Constraint or to the
-    zero-argument function that builds a specification row; the row is
-    built, and counted in `spec_materializations`, the first time it is
-    read.  The ID counter may be shared with the parent (subproofs continue
-    the global numbering) or local (def_order blocks restart at 1).
+    """One visibility scope, given its `premises` when built.  `cons` maps
+    each ID to a Constraint or to the zero-argument function that builds a
+    specification row; the row is built the first time it is read, and
+    counted in `spec_materializations` if the frame has a `state`.  The ID
+    counter may be shared with the parent (subproofs continue the global
+    numbering) or local (def_order blocks restart at 1).
 
     `ids` lists every ID added, in order, and never shrinks.  A root frame
     (no parent) owns the propagator of its chain, built on the first
     hint-free RUP, and `synced`: one `[frame, mark, len(frame.ids)]` per
     frame whose entries the propagator holds, root first."""
 
-    def __init__(self, state=None, parent=None, counter=None):
+    def __init__(self, state=None, parent=None, counter=None, premises=()):
         self.state = state or (parent.state if parent else None)
         self.parent = parent
         self.cons = {}
         self.ids = []
         self.counter = counter or (parent.counter if parent else [1])
         self.engine = self.synced = None
+        for con in premises:
+            self.add(con)
 
     def alloc(self):
         cid = self.counter[0]
@@ -245,10 +248,9 @@ def _prove_goals(frame, goals, blocks, label, line, auto=None):
             raise CheckError("proofgoal %s is not pending in %s" % (key, label),
                              line=block["line"], goal=key,
                              reason="unknown-goal")
-        g = Frame(parent=frame)
         goalcon = pending.pop(key)
-        if not _is_falsum(goalcon):
-            g.add(pb.negate(goalcon))
+        g = Frame(parent=frame, premises=() if _is_falsum(goalcon)
+                  else [pb.negate(goalcon)])
         _run_simple_steps(g, block["steps"])
         _qed(g, block["qed_hint"], block["line"], key)
     for key, goalcon in pending.items():
@@ -260,14 +262,13 @@ def _prove_goals(frame, goals, blocks, label, line, auto=None):
 def run_obligation(premises, goals, blocks, label):
     """Run the proofgoal blocks of a reflexivity/transitivity subproof.
 
-    Premises get IDs 1..len(premises) in a frame of their own; goal #k is
-    proved by the block of that key with :func:`_prove_goals`, the runner
-    dominance scopes use, and needs none if it is a tautology.  A goal left
+    Premises get IDs 1..len(premises) in a frame of their own and no
+    checker state, so no spec row is counted; goal #k is proved by the
+    block of that key with :func:`_prove_goals`, the runner dominance
+    scopes use, and needs none if it is a tautology.  A goal left
     undischarged cites no line; `Checker.step_def_order` adds its own.
     """
-    frame = Frame()
-    for p in premises:
-        frame.add(p)
+    frame = Frame(premises=premises)
     _prove_goals(frame, {"#%d" % k: g for k, g in enumerate(goals, 1)},
                  blocks, label, None)
 
@@ -331,20 +332,17 @@ class Checker:
         c, w, line = step["constraint"], step["witness"], step["line"]
         self._check_rule_constraint(c, w, line)
         negc = pb.negate(c)
-        # the scope holds not(c) and, when the witness moves a bound
-        # variable, the spec rows the order goals are proved over; the next
-        # sync of the root's propagator drops it, as after a dom scope
-        scope = Frame(parent=self.root, counter=[1])
-        scope.add(negc)
-        order_goals = []
+        spec, order_goals = [], []
         if set(w).isdisjoint(self.z_binding):
             self.counters["implicit_reflexivity_skips"] += 1
         else:
             spec, ogs = ordmod.instance(self.loaded, self._witness_images(w),
                                         self.z_binding)
             order_goals = [("#%d" % k, og) for k, og in enumerate(ogs, 1)]
-            for fn in spec:
-                scope.add(fn)
+        # the scope holds not(c) and, when the witness moves a bound
+        # variable, the spec rows the order goals are proved over; the next
+        # sync of the root's propagator drops it, as after a dom scope
+        scope = Frame(parent=self.root, counter=[1], premises=[negc] + spec)
         # a premise the witness does not touch is its own image
         goals = pb.redundance_goals(self.root.touched(w), c, w)
         for key, goal in itertools.chain(goals, order_goals):
@@ -369,14 +367,11 @@ class Checker:
             raise CheckError("witness acts as identity on the z-binding",
                              line=line, reason="identity-witness")
 
-        sub = Frame(parent=self.root)
-        sub.add(pb.negate(c))
+        sub = Frame(parent=self.root, premises=[pb.negate(c)])
 
         # --- leq scope: S(z|w, z) premises; goals C|w plus each order constraint
-        leqf = Frame(parent=sub)
         spec, ogs = ordmod.instance(self.loaded, left, self.z_binding)
-        for fn in spec:
-            leqf.add(fn)
+        leqf = Frame(parent=sub, premises=spec)
         # goals by key: "#k" for the order constraints, the ID for core ones;
         # an order goal without a block may be discharged by hint-free RUP
         pending = {"#%d" % k: og for k, og in enumerate(ogs, 1)}
@@ -397,10 +392,8 @@ class Checker:
                      and _run_rup(leqf, goal, None, line))
 
         # --- geq scope: S(z, z|w) and O(z, z|w) premises; single falsum goal
-        geqf = Frame(parent=sub)
         spec, ogs = ordmod.instance(self.loaded, self.z_binding, left)
-        for entry in spec + ogs:
-            geqf.add(entry)
+        geqf = Frame(parent=sub, premises=spec + ogs)
         _prove_goals(geqf, {falsum_key: pb.FALSUM}, step["geq"],
                      "geq scope", line)
 

@@ -8,7 +8,7 @@
 
 Exit codes: 0 success, 1 semantic rejection (bad proof, bad symmetry, or
 a formula over a reserved `$` name), 2 I/O or parse failure (input that is
-not UTF-8 included).
+not UTF-8 included).  Files are read and written as UTF-8.
 """
 
 import argparse
@@ -97,8 +97,8 @@ def cmd_check(args):
 # ------------------------------------------------------------------- break
 
 def _write_streamed(path, chunks):
-    """Write an iterable of text chunks with a buffered writer."""
-    with open(path, "w", buffering=1 << 16) as fh:
+    """Write an iterable of text chunks as UTF-8 with a buffered writer."""
+    with open(path, "w", encoding="utf-8", buffering=1 << 16) as fh:
         for chunk in chunks:
             fh.write(chunk)
         fh.flush()
@@ -257,6 +257,9 @@ def build_parser():
 
 
 def main(argv=None):
+    # a report escapes what the locale cannot encode, as stderr already does
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

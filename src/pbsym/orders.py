@@ -8,8 +8,8 @@ redundance with a witness over the aux variables only), the order
 constraints ``def``, and the transitivity and reflexivity proofs.
 :func:`validate` checks the declared names, the specification obligations
 and both proofs; the checker stores, and so loads, only orders that pass.
-An instance substitutes for u, v and aux once, in :func:`instance`, for
-both the spec rows and the order constraints.
+An instance substitutes for u, v and aux once, in :func:`instance`; a
+proof builds only the spec rows it reads.
 """
 
 import collections
@@ -93,13 +93,12 @@ def spec_instance(order, lits):
     return [(lambda c=c: pb.substitute(c, lits)) for c, _w in order["spec"]]
 
 
-def transitivity_obligation(order):
-    """Premises (in ID assignment order) and goals of the transitivity check.
-
-    Premises: S(u,v,a), S(v,w,b), S(u,w,c), O(u,v,a), O(v,w,b);
-    goals: O(u,w,c), where w, b and c are the transitivity proof's
-    fresh_right, fresh_aux_1 and fresh_aux_2 names.
-    """
+def check_transitivity(order, run):
+    """Run the transitivity proof.  Its premises get IDs in this order:
+    S(u,v,a), S(v,w,b), S(u,w,c), O(u,v,a), O(v,w,b), the spec rows as the
+    zero-argument functions of :func:`instance`, so that only the rows a
+    step reads are built; its goals are O(u,w,c), where w, b and c are the
+    proof's fresh_right, fresh_aux_1 and fresh_aux_2 names."""
     trans = order["transitivity"]
     u, v, w = order["left"], order["right"], trans["fresh_right"]
     spec_uv, o_uv = instance(order, u, v)
@@ -107,26 +106,16 @@ def transitivity_obligation(order):
                              dict(zip(order["aux"], trans["fresh_aux_1"])))
     spec_uw, goals = instance(order, u, w,
                               dict(zip(order["aux"], trans["fresh_aux_2"])))
-    premises = [c() for c in spec_uv + spec_vw + spec_uw] + o_uv + o_vw
-    return premises, goals
-
-
-def reflexivity_obligation(order):
-    """Premises S(u,u,a) and goals O(u,u,a) of the reflexivity check."""
-    u = order["left"]
-    spec, goals = instance(order, u, u)
-    return [c() for c in spec], goals
-
-
-def check_reflexivity(order, run):
-    premises, goals = reflexivity_obligation(order)
-    run(premises, goals, order["reflexivity"]["goals"], "reflexivity")
+    run(spec_uv + spec_vw + spec_uw + o_uv + o_vw, goals, trans["goals"],
+        "transitivity")
     return True
 
 
-def check_transitivity(order, run):
-    premises, goals = transitivity_obligation(order)
-    run(premises, goals, order["transitivity"]["goals"], "transitivity")
+def check_reflexivity(order, run):
+    """Run the reflexivity proof: premises S(u,u,a), goals O(u,u,a)."""
+    u = order["left"]
+    spec, goals = instance(order, u, u)
+    run(spec, goals, order["reflexivity"]["goals"], "reflexivity")
     return True
 
 
@@ -162,7 +151,7 @@ def check_names(order):
 
 def validate(order, run):
     """Full validation of a def_order step.  `run` (premises, goals,
-    blocks, label) runs each obligation's subproof."""
+    blocks, label) runs each obligation's subproof over lazy spec rows."""
     check_names(order)
     verify_specification(order["spec"], order["aux"])
     check_transitivity(order, run)

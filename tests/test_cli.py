@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -585,6 +588,42 @@ def test_break_old_method(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["selfcheck"] == "VERIFIED-DERIVATION"
+
+
+def _pbsym_ascii_locale(cwd, *argv):
+    """``pbsym <argv>`` in a fresh interpreter whose locale encodes ASCII
+    only and whose streams and files follow the locale."""
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run([sys.executable, "-m", "pbsym.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_non_ascii_names_under_an_ascii_locale(tmp_path, flags):
+    # output files are UTF-8 whatever the locale, and a report escapes what
+    # the locale cannot encode instead of ending in a traceback
+    (tmp_path / "f.opb").write_text(
+        "+1 xé1 +1 xé2 >= 1 ;\n+1 ~xé1 +1 ~xé2 >= 1 ;\n", encoding="utf-8")
+    (tmp_path / "s.sym").write_text("(xé1 xé2)\n", encoding="utf-8")
+    run = _pbsym_ascii_locale(tmp_path, "break", "f.opb", "s.sym", "-o", "b",
+                              *flags)
+    assert run.returncode == 0, run.stderr
+    assert b"Traceback" not in run.stderr
+    proof = (tmp_path / "b.pbp").read_bytes().decode("utf-8")
+    assert "load_order lex2 xé1 xé2;" in proof
+    run = _pbsym_ascii_locale(tmp_path, "check", "f.opb", "b.pbp", *flags)
+    assert run.returncode == 0, run.stderr
+    assert b"VERIFIED-DERIVATION" in run.stdout
+
+    (tmp_path / "bad.pbp").write_text(
+        parsing.HEADER + "\nrup +1 xé1 >= 1;\n", encoding="utf-8")
+    run = _pbsym_ascii_locale(tmp_path, "check", "f.opb", "bad.pbp", *flags)
+    assert run.returncode == 1
+    assert b"reason:rup-failed" in run.stdout
+    assert b"Traceback" not in run.stderr
 
 
 # --------------------------------------------------------------------- gen

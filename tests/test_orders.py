@@ -3,7 +3,7 @@ import pathlib
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pbsym import breaker
+from pbsym import breaker, checker
 from pbsym import constraints as pb
 from pbsym import orders, parsing
 from pbsym.checker import Checker, CheckError, run_obligation
@@ -171,14 +171,25 @@ def test_instance_equals_the_old_two_map_bodies(args):
     assert _exact(got_order) == _exact(want_order)
 
 
+def obligation(check, order):
+    """The premises, each built, and the goals that `check` hands its
+    `run`, which records them and runs no proof."""
+    seen = []
+    check(order, lambda premises, goals, blocks, label:
+          seen.append((premises, goals)))
+    [(premises, goals)] = seen
+    built = [p if isinstance(p, pb.Constraint) else p() for p in premises]
+    return built, goals
+
+
 def test_obligations_build_one_map_per_instance(monkeypatch):
     calls = []
     real = pb.witness_lits
     monkeypatch.setattr(pb, "witness_lits",
                         lambda w: calls.append(w) or real(w))
-    orders.transitivity_obligation(_LEX3)
+    obligation(orders.check_transitivity, _LEX3)
     assert len(calls) == 3
-    orders.reflexivity_obligation(_LEX3)
+    obligation(orders.check_reflexivity, _LEX3)
     assert len(calls) == 4
 
 
@@ -206,7 +217,7 @@ def test_dom_step_builds_two_order_maps(monkeypatch):
 
 
 def test_transitivity_obligation_shape():
-    premises, goals = orders.transitivity_obligation(leq1())
+    premises, goals = obligation(orders.check_transitivity, leq1())
     # no spec entries, so just O(u,v) and O(v,w)
     assert premises == [con([(1, "v1"), (1, "~u1")], 1),
                         con([(1, "w1"), (1, "~v1")], 1)]
@@ -225,10 +236,71 @@ def test_transitivity_missing_goal_rejected():
 
 
 def test_reflexivity_goal_is_tautological_here():
-    premises, goals = orders.reflexivity_obligation(leq1())
+    premises, goals = obligation(orders.check_reflexivity, leq1())
     assert premises == []
     assert goals[0].is_tautology()
     assert orders.check_reflexivity(leq1(), run_obligation)
+
+
+def test_lex_transitivity_builds_only_the_spec_rows_it_cites():
+    # the hinted lemmas of lex56's transitivity proof cite half of the
+    # spec rows of its three instances, and only those are built
+    order = breaker.build_lex_order(56)
+    rows = 3 * len(order["spec"])
+    built = set()
+
+    def recorded(cid, premise):
+        if isinstance(premise, pb.Constraint):  # built before any read
+            built.add(cid)
+            return premise
+        return lambda: built.add(cid) or premise()
+
+    def run(premises, goals, blocks, label):
+        run_obligation([recorded(cid, p) for cid, p in
+                        enumerate(premises[:rows], 1)] + premises[rows:],
+                       goals, blocks, label)
+
+    assert orders.check_transitivity(order, run)
+    cited = set()
+    for block in order["transitivity"]["goals"]:
+        for step in block["steps"]:
+            ids = (step["hints"] if step["kind"] == "rup" else
+                   [int(t) for t in step["tokens"] if t.lstrip("-").isdigit()])
+            cited.update(cid for cid in ids if 0 < cid <= rows)
+    assert rows == 666
+    assert len(cited) == 333
+    assert built == cited
+
+
+@pytest.mark.parametrize("order", [
+    *(pytest.param(breaker.build_lex_order(n), id="lex%d" % n)
+      for n in (1, 2)),
+    *(pytest.param(breaker.build_big_order(n), id="biglex%d" % n)
+      for n in (1, 2, 3)),
+])
+def test_obligation_steps_follow_from_what_their_frame_sees(monkeypatch,
+                                                            order):
+    # the per-step oracle inside proofgoal blocks: an accepted pol or rup
+    # follows from the obligation's premises, the negated goal and the
+    # block's earlier steps, at most 15 variables here
+    audited = []
+
+    def audit(handler):
+        def run_step(frame, step):
+            seen, f = [], frame
+            while f is not None:
+                seen += [f.get(cid) for cid in f.ids]
+                f = f.parent
+            handler(frame, step)
+            assert implies(seen, frame.get(frame.ids[-1])), step
+            audited.append(step)
+        return run_step
+
+    for kind, handler in list(checker._SUBPROOF_STEPS.items()):
+        monkeypatch.setitem(checker._SUBPROOF_STEPS, kind, audit(handler))
+    assert orders.validate(order, run_obligation) is order
+    blocks = order["transitivity"]["goals"] + order["reflexivity"]["goals"]
+    assert len(audited) == sum(len(b["steps"]) for b in blocks) > 0
 
 
 def test_only_validated_orders_are_stored():
