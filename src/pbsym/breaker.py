@@ -4,22 +4,26 @@ Given a formula F and a syntactic symmetry sigma, we derive the standard
 lex-leader breaking clauses together with a proof that the checker in
 :mod:`pbsym.checker` accepts.  A symmetry is the witness it is in the
 proof: the dict of its moved variables to their image literals, as
-:func:`parsing.parse_symmetries` reads it from a symmetry file.  Two
-derivation strategies are provided:
+:func:`parsing.parse_symmetries` reads it from a symmetry file.  The
+order binds U, the union of the generators' supports, and no other
+variable (:func:`choose_binding`), so its size follows the symmetry's,
+not the formula's n variables.  Two derivation strategies are provided:
 
 * the *chain* method ("new"): a lexicographic order whose specification
   introduces prefix-equality variables $a_i and prefix-comparison
   variables $d_i.  Per symmetry we introduce a small reified circuit over
   the support (variables s_j, t_j), derive ``t_k >= 1`` by dominance and
   turn it into clauses.  Every generator's fragment is O(k) for support
-  size k, whatever the total variable count n: the hint-free proof writes
-  no step that restates a row in scope or that unit propagation finds
-  anyway, so its line count is affine in k.
+  size k, whatever n: the hint-free proof writes no step that restates a
+  row in scope or that unit propagation finds anyway, so its line count
+  is affine in k.  The order's ``def_order`` is O(|U|), so the whole
+  proof is O(|U|) plus the fragments: O(|U|) for one generator.
 
 * the *aggregate* method ("old"): a one-constraint order with exponential
-  coefficients sum 2^(n-i) (v_i + ~u_i) >= 2^n - 1.  Dominance introduces
-  the instantiated big constraint directly; clause j adds j - 1 chain lemmas
-  to it and weakens the rest: Theta(k) operations on n-bit integers each.
+  coefficients sum 2^(m-i) (v_i + ~u_i) >= 2^m - 1 over m = |U| bound
+  variables.  Dominance introduces the instantiated big constraint
+  directly; clause j adds j - 1 chain lemmas to it and weakens the rest:
+  Theta(k) operations on |U|-bit integers each.
 
 The chain variables s_j and t_j are named fresh: when the formula already
 uses a name ``s<digits>`` (or ``t<digits>``), the prefix gets a trailing
@@ -86,10 +90,16 @@ def verify_symmetry(formula, sym, index):
 
 
 def choose_binding(variables, syms):
-    """Variable order for load_order: the support of `syms[0]` goes last
-    (contiguously), everything else keeps formula order."""
+    """Variable order for load_order: U, the union of the supports of
+    `syms`, and no other variable.  The variables the other generators
+    move come first, in formula order; the support of `syms[0]` goes last
+    (contiguously).  A variable no generator moves is its own image under
+    every witness, so leaving it out of the order changes no kept clause,
+    and the order, its spec instances and `old`'s coefficients are sized
+    |U|, not len(variables)."""
     supp = set(syms[0])
-    head = [v for v in variables if v not in supp]
+    moved = set().union(*syms)
+    head = [v for v in variables if v in moved and v not in supp]
     return head + [v for v in variables if v in supp]
 
 
@@ -309,7 +319,7 @@ class ProofBuilder:
         self.lines = [parsing.HEADER]
         self.frame = checker.Frame(counter=[len(formula) + 1])
         self.s_count = 0
-        self.binding = None
+        self.binding = []       # load_order's names, set by begin
         self.order = None       # the loaded def_order step, set by begin
         self.kept = []          # derived breaking clauses, in proof order
         self.stats = []         # per-symmetry {"support": k, "chars": ...}
@@ -343,7 +353,7 @@ class ProofBuilder:
     def begin(self, syms):
         self.binding = choose_binding(self.variables, syms)
         build = build_lex_order if self.method == "new" else build_big_order
-        self.order = build(len(self.variables))
+        self.order = build(len(self.binding))
         parsing.render_step(self.lines, self.order)
         parsing.render_step(self.lines, parsing.load_order_step(
             self.order["name"], self.binding, None))
@@ -564,7 +574,9 @@ def break_symmetries(formula, variables, syms, method="new"):
     checked with :func:`verify_symmetry` first; a failure names the
     generator.  Returns the :class:`ProofBuilder`; use ``.text()`` for the
     document, ``.kept`` for the derived clauses and ``.binding`` for the
-    variable order used by the lexicographic comparison.
+    names ``load_order`` binds: the variables the generators move, in
+    :func:`choose_binding`'s order, or ``[]`` when no generator moves a
+    variable of the formula and no order is loaded.
     """
     aux = [v for v in variables if pb.is_aux_var(v)]
     if aux:
@@ -585,6 +597,4 @@ def break_symmetries(formula, variables, syms, method="new"):
         builder.begin(active)
         for sym in active:
             builder.break_symmetry(sym)
-    else:
-        builder.binding = list(variables)
     return builder

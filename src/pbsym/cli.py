@@ -130,7 +130,7 @@ def cmd_break(args):
     payload = {"verdict": "BROKEN",
                "clauses": len(builder.kept),
                "proof": proof_path, "formula": out_path,
-               "binding": " ".join(builder.binding or []),
+               "binding": " ".join(builder.binding),
                "timings": {"emit_s": round(t1 - t0, 6),
                            "write_s": round(t2 - t1, 6)}}
     if args.selfcheck:

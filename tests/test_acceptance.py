@@ -251,6 +251,24 @@ def test_criterion_5_per_symmetry_scaling():
     assert time.perf_counter() - t0 < 30.0
 
 
+def test_criterion_5_whole_proof_affine_in_support():
+    # one hole swap moves k = 2n of PHP(n)'s n(n + 1) variables, and the
+    # order binds only those, so the whole proof, def_order included, has
+    # a line count affine in k
+    t0 = time.perf_counter()
+    points = []
+    for n in [5, 10, 15, 20, 25, 30]:
+        inst = bench.generate("php", (n,))
+        sym = _hole_swap(inst, n)
+        b = breaker.break_symmetries(inst.constraints, inst.variables, [sym])
+        assert len(b.binding) == len(sym)
+        points.append((len(sym), b.text().count("\n")))
+    (k0, l0), (k1, l1) = points[0], points[-1]
+    assert all((l - l0) * (k1 - k0) == (l1 - l0) * (k - k0)
+               for k, l in points)
+    assert time.perf_counter() - t0 < 30.0
+
+
 def test_criterion_5_every_fragment_affine_in_support():
     # every generator, first or later, after a prefix of fixed variables or
     # not, negation symmetries included: one affine line count in k

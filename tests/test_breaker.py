@@ -154,8 +154,20 @@ def test_verify_symmetry_agrees_with_substitution(formula, sym):
 
 
 def test_choose_binding_puts_first_support_last():
+    # only the variables a generator moves are bound: x5 and x6 are not
     got = breaker.choose_binding(["x%d" % i for i in range(1, 7)], [sigma()])
-    assert got == ["x5", "x6", "x1", "x2", "x3", "x4"]
+    assert got == ["x1", "x2", "x3", "x4"]
+
+
+def test_choose_binding_binds_the_union_of_supports():
+    # the second generator's support comes first, in formula order, then
+    # the first generator's; x6 and x8, which neither moves, are left out
+    variables = ["x3", "x1", "x6", "x2", "x5", "x4", "x7", "x8"]
+    first = parsing.parse_symmetry("(x7 x5)")
+    got = breaker.choose_binding(variables, [first, sigma()])
+    assert got == ["x3", "x1", "x2", "x4", "x5", "x7"]
+    assert breaker.choose_binding(variables, [sigma(), first]) == [
+        "x5", "x7", "x3", "x1", "x2", "x4"]
 
 
 # -------------------------------------------------------- order definition
@@ -517,22 +529,41 @@ PROOF_TEXT_PINS = [
 
 # sha256 of the augmented formula text (formula, then kept clauses) of the
 # same cases, as `pbsym break` writes it to .opb: kept clauses render in
-# term order
+# term order.  The "first" entries break the first known generator alone,
+# which leaves variables out of the order; their sha256 were computed with
+# an order over every formula variable, so they pin that the .opb does not
+# depend on which variables the order binds
 FORMULA_TEXT_PINS = [
-    ("php", (5,), "new",
+    ("php", (5,), "all", "new",
      "60fa2a05985337ba953a9d00126f1bcb59d849de117de8d275222d299a536931"),
-    ("php", (5,), "old",
+    ("php", (5,), "all", "old",
      "25249d960912cf919d51e4180de1321bda9e8f7dff76d372fff97e22def630ee"),
-    ("count", (6, 3), "new",
+    ("count", (6, 3), "all", "new",
      "e341c65fd00231822334f41f230e73f4d9b478b7cb7957ac8d19b3252d58b1c3"),
-    ("count", (6, 3), "old",
+    ("count", (6, 3), "all", "old",
      "920cf01f902d5b4b85add09d13aa96de102290bf97700d37ed4b9af95a5a6763"),
-    ("tseitin", (3,), "new",
+    ("tseitin", (3,), "all", "new",
      "08d18e5367fd452736ce5f27568685e5dfe8c55ef661564c6a2155975cdb8b66"),
-    ("tseitin", (3,), "old",
+    ("tseitin", (3,), "all", "old",
      "adfc3dbc6200fd11660170b3deee345b147ca8b5d9e6871cc6adb1daf1cd209d"),
-    ("php", (9,), "old",
+    ("php", (9,), "all", "old",
      "39c6e7bf5d03916089a523ac9f8fda1bfc67d8531f99d431c390a242a4f849aa"),
+    ("php", (5,), "first", "new",
+     "044c771d1131e19f05615f575ddc2dea9fe9726cd33346a810e76a9eaed49b70"),
+    ("php", (5,), "first", "old",
+     "8b87a3a82fcb945d96bea886eddf27716a5e5044c4e1ae95514cb007236667ba"),
+    ("php", (8,), "first", "new",
+     "f40c2f67e89b89dd9fab7a467e33203509202f26b410e2575fecf18131dcfb25"),
+    ("php", (8,), "first", "old",
+     "069863def501e38c4f8e7328fbea3a476ae35801b340c35500376db37b65fa50"),
+    ("count", (6, 3), "first", "new",
+     "9a209538e5b0114d448ee729c9e98df26d9327b9f895da76eafa8fbe333c9311"),
+    ("count", (6, 3), "first", "old",
+     "26768eea7777f609814e16e1a4ae6e1c39934476ecfd9a2d65c276836b199a34"),
+    ("tseitin", (3,), "first", "new",
+     "5a57fbe94d2e634968f31d614c6fdf51f62c6e41633c7bedf7d98e83c2352f7f"),
+    ("tseitin", (3,), "first", "old",
+     "e5a14358f74de995c743616ea6c327ce5750c13a2a5fe7ae5722a3ede3079869"),
 ]
 
 
@@ -549,16 +580,56 @@ def test_breaker_proof_text_pinned(family, params, method, sha):
 
 
 @pytest.mark.parametrize(
-    "family,params,method,sha", FORMULA_TEXT_PINS,
-    ids=["%s%s-%s" % (fam, params, method)
-         for fam, params, method, _sha in FORMULA_TEXT_PINS])
-def test_breaker_formula_text_pinned(family, params, method, sha):
+    "family,params,gens,method,sha", FORMULA_TEXT_PINS,
+    ids=["%s%s-%s%s" % (fam, params, "" if gens == "all" else "first-", method)
+         for fam, params, gens, method, _sha in FORMULA_TEXT_PINS])
+def test_breaker_formula_text_pinned(family, params, gens, method, sha):
     inst = bench.generate(family, params)
+    syms = bench.known_generators(inst)
     b = breaker.break_symmetries(inst.constraints, inst.variables,
-                                 bench.known_generators(inst), method=method)
+                                 syms if gens == "all" else syms[:1],
+                                 method=method)
     text = "".join("%s ;\n" % pb.render(c)
                    for c in list(inst.constraints) + list(b.kept))
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+def _all_variables_binding(variables, syms):
+    """The binding of an order over every formula variable, the first
+    generator's support last: the reference that the kept clauses of the
+    order over U are compared with."""
+    supp = set(syms[0])
+    return ([v for v in variables if v not in supp]
+            + [v for v in variables if v in supp])
+
+
+@pytest.mark.parametrize("method", ["new", "old"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family,params", [
+    ("php", (5,)), ("php", (8,)), ("count", (6, 3)), ("tseitin", (3,))])
+def test_kept_clauses_do_not_depend_on_unmoved_variables(
+        family, params, m, method, monkeypatch):
+    # the first m known generators; the order binds U, the union of their
+    # supports, and the kept clauses, term order included, are those of an
+    # order over every variable
+    inst = bench.generate(family, params)
+    syms = bench.known_generators(inst)[:m]
+    moved = set().union(*syms)
+    b = breaker.break_symmetries(inst.constraints, inst.variables, syms,
+                                 method=method)
+    load, = [s for s in parsing.parse_proof(b.text())["steps"]
+             if s["kind"] == "load_order"]
+    assert len(load["vars"]) == len(moved) and set(load["vars"]) == moved
+    assert b.binding == load["vars"]
+    monkeypatch.setattr(breaker, "choose_binding", _all_variables_binding)
+    ref = breaker.break_symmetries(inst.constraints, inst.variables, syms,
+                                   method=method)
+    assert len(ref.binding) == len(inst.variables)
+    assert ([(list(c.terms.items()), c.degree) for c in b.kept]
+            == [(list(c.terms.items()), c.degree) for c in ref.kept])
+    for built in (b, ref):
+        verdict, _ = checked(inst.constraints, built)
+        assert verdict == VERIFIED
 
 
 def _printed_clauses(formula, text):

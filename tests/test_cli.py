@@ -564,20 +564,41 @@ def test_break_empty_symmetry_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", ["new", "old"])
 def test_break_generator_off_the_formula_is_skipped(tmp_path, capsys, method):
-    # (x7 x8) moves no variable of PHP(3), so it breaks nothing
+    # (x7 x8) moves no variable of PHP(3), so it breaks nothing, loads no
+    # order and binds no variable
     prefix = str(tmp_path / "php3")
     assert cli.main(["gen", "php", "3", "-o", prefix]) == 0
+    capsys.readouterr()
     outputs = []
     for name, text in (("off", "(x7 x8)\n"), ("none", "")):
         syms = tmp_path / (name + ".sym")
         syms.write_text(text)
         out = str(tmp_path / name)
         assert cli.main(["break", prefix + ".cnf", str(syms), "-o", out,
-                         "--method", method, "--selfcheck"]) == 0
+                         "--method", method, "--selfcheck", "--json"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["binding"] == ""
         outputs.append([pathlib.Path(out + ext).read_text()
                         for ext in (".pbp", ".opb")])
     assert outputs[0] == outputs[1]
-    assert "Traceback" not in capsys.readouterr().err
+    assert "load_order" not in outputs[0][0]
+
+
+@pytest.mark.parametrize("method", ["new", "old"])
+def test_break_binding_lists_the_moved_variables(tmp_path, capsys, method):
+    # (x1 x3)(x2 x4) on PHP(3, 2): x5 and x6 stay out of the order
+    formula, _ = golden_pair(tmp_path)
+    out = str(tmp_path / "out")
+    assert cli.main(["break", formula, sym_file(tmp_path), "-o", out,
+                     "--method", method, "--selfcheck", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["binding"] == "x1 x2 x3 x4"
+    assert payload["selfcheck"] == "VERIFIED-DERIVATION"
+    load = [l for l in pathlib.Path(out + ".pbp").read_text().splitlines()
+            if l.startswith("load_order ")]
+    assert load == ["load_order %s4 x1 x2 x3 x4;"
+                    % ("lex" if method == "new" else "biglex")]
 
 
 def test_break_old_method(tmp_path, capsys):
