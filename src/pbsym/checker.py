@@ -9,9 +9,14 @@ whose local constraints become invisible once the scope is closed.
 Hint-free RUP runs on one incremental :class:`constraints.Propagator` per
 frame chain, owned by the chain's root frame: it holds what the frames on
 the chain hold, and leaving a frame undoes that frame's constraints.
+
+:func:`redundance` is the redundance rule, for ``red`` steps over the root
+frame and for ``def_order`` spec rows over a root frame of their own.
 """
 
+import functools
 import itertools
+import re
 from collections import Counter, defaultdict
 
 from . import constraints as pb
@@ -273,6 +278,50 @@ def run_obligation(premises, goals, blocks, label):
                  blocks, label, None)
 
 
+def redundance(root, c, w, order_goals=(), spec=(), trace=None):
+    """Derive `c` under the witness `w` and add it to the root frame
+    `root`; else return (key, goal) of the first goal that fails.
+
+    Goals: G|w keyed by ID for each live entry G over a witness variable
+    (the others are their own images), c|w keyed "self", `order_goals`.
+    One holds as a tautology, a syntactic premise (a live entry or not(c))
+    or by RUP: over the touched entries plus not(c) first, and only if that
+    fails over a scope holding not(c) and the `spec` rows above `root`,
+    where not(goal) may propagate far.  RUP is monotone, so the verdict is
+    the scope's; each RUP goal counts once in the `rup_calls` of the root's
+    `state`.  `trace` gets "goal KEY: HOW" per goal that holds."""
+    negc, touched, lits = pb.negate(c), root.touched(w), pb.witness_lits(w)
+    local = [g for _cid, g in touched] + [negc]
+    goals = itertools.chain(
+        ((cid, pb.substitute(g, lits)) for cid, g in touched),
+        [("self", pb.substitute(c, lits))], order_goals)
+    scope = None
+    for key, goal in goals:
+        if goal.is_tautology():
+            how = "tautology"
+        elif goal in root.live or goal == negc:
+            how = "syntactic premise"
+        else:
+            how = "rup"
+            if root.state is not None:
+                root.state.counters["rup_calls"] += 1
+            if not pb.rup_check(local, goal):
+                if scope is None:
+                    scope = Frame(parent=root, counter=[1],
+                                  premises=[negc, *spec])
+                if not scope.propagator().rup(goal):
+                    return key, goal
+        if trace is not None:
+            trace.append("goal %s: %s" % (key, how))
+    root.add(c)
+
+
+def spec_rule():
+    """:func:`redundance` over a fresh root frame without checker state, so
+    no counter moves: the `derive` that :func:`orders.validate` takes."""
+    return functools.partial(redundance, RootFrame(None))
+
+
 def _refuse_aux(c, line, reason):
     aux = sorted(v for v in c.variables() if pb.is_aux_var(v))
     if aux:
@@ -331,7 +380,6 @@ class Checker:
     def step_red(self, step):
         c, w, line = step["constraint"], step["witness"], step["line"]
         self._check_rule_constraint(c, w, line)
-        negc = pb.negate(c)
         spec, order_goals = [], []
         if set(w).isdisjoint(self.z_binding):
             self.counters["implicit_reflexivity_skips"] += 1
@@ -339,22 +387,11 @@ class Checker:
             spec, ogs = ordmod.instance(self.loaded, self._witness_images(w),
                                         self.z_binding)
             order_goals = [("#%d" % k, og) for k, og in enumerate(ogs, 1)]
-        # the scope holds not(c) and, when the witness moves a bound
-        # variable, the spec rows the order goals are proved over; the next
-        # sync of the root's propagator drops it, as after a dom scope
-        scope = Frame(parent=self.root, counter=[1], premises=[negc] + spec)
-        # a premise the witness does not touch is its own image
-        goals = pb.redundance_goals(self.root.touched(w), c, w)
-        for key, goal in itertools.chain(goals, order_goals):
-            how = pb.discharge(goal, self.root.live, negc,
-                               lambda g: _run_rup(scope, g, None, line))
-            if how is None:
-                raise CheckError("goal %s not derivable" % pb.render(goal),
-                                 line=line, goal=key,
-                                 reason="undischarged-goal")
-            if self.trace is not None:
-                self.trace.append("goal %s: %s" % (key, how))
-        self.root.add(c)
+        failed = redundance(self.root, c, w, order_goals, spec, self.trace)
+        if failed is not None:
+            key, goal = failed
+            raise CheckError("goal %s not derivable" % pb.render(goal),
+                             line=line, goal=key, reason="undischarged-goal")
 
     def step_dom(self, step):
         c, w, line = step["constraint"], step["witness"], step["line"]
@@ -401,7 +438,7 @@ class Checker:
 
     def step_def_order(self, step):
         try:
-            ordmod.validate(step, run_obligation)
+            ordmod.validate(step, run_obligation, spec_rule())
         except ordmod.OrderError as e:
             raise CheckError(str(e), line=step["line"], reason="bad-order")
         except CheckError as e:
@@ -433,9 +470,10 @@ class Checker:
 
     def step_delete(self, step):
         line = step["line"]
-        # IDs at or above the counter were never assigned
+        # IDs at or above the counter were never assigned, and none below 1
+        start = max(step["start"], 1)
         stop = min(step["stop"], self.root.counter[0])
-        for cid in range(step["start"], stop):
+        for cid in range(start, stop):
             if cid in self.core_ids:
                 raise CheckError("cannot delete core constraint %d" % cid,
                                  line=line, reason="core-delete")
@@ -447,10 +485,23 @@ class Checker:
         """An output section carries no obligation."""
 
     def step_conclusion(self, step):
-        claim = " ".join(step["value"]).upper()
-        if claim == "UNSAT" and self.conclude() != UNSAT:
-            raise CheckError("conclusion UNSAT but no contradiction "
-                             "was derived", line=step["line"],
+        """An UNSAT claim must hold, and `UNSAT : ID` must cite a visible
+        top-level contradiction.  Other claims are not checked."""
+        line = step["line"]
+        # `UNSAT:1` is `UNSAT : 1`
+        toks = " ".join(step["value"]).replace(":", " : ").split()
+        if not toks or toks[0].upper() != UNSAT:
+            return
+        if len(toks) == 1:
+            held = self.conclude() == UNSAT
+        else:
+            held = (len(toks) == 3 and toks[1] == ":"
+                    and re.fullmatch(r"-?[0-9]+", toks[2]) is not None
+                    and self.root.get_rel(int(toks[2]), line)
+                    .is_contradiction())
+        if not held:
+            raise CheckError("no contradiction backs conclusion %s"
+                             % " ".join(toks), line=line,
                              reason="bad-conclusion")
 
     def conclude(self):

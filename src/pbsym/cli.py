@@ -75,22 +75,23 @@ def cmd_check(args):
     doc = parsing.parse_proof(proof_text)
     t1 = time.perf_counter()
     trace = [] if args.trace else None
+    error = None
     try:
         verdict, counters = checker.check_document(formula, doc, trace=trace)
     except checker.CheckError as e:
-        t2 = time.perf_counter()
-        _report(args, {"verdict": "REJECTED", "error": str(e),
-                       "timings": {"parse_s": round(t1 - t0, 6),
-                                   "check_s": round(t2 - t1, 6)}})
-        return 1
+        error = e
     t2 = time.perf_counter()
-    if trace:
-        for line in trace:
-            print("trace: %s" % line, file=sys.stderr)
+    # the notes of the goals discharged before a rejection print too
+    for line in trace or ():
+        print("trace: %s" % line, file=sys.stderr)
+    timings = {"parse_s": round(t1 - t0, 6), "check_s": round(t2 - t1, 6)}
+    if error is not None:
+        _report(args, {"verdict": "REJECTED", "error": str(error),
+                       "timings": timings})
+        return 1
     counters["proof_bytes"] = len(proof_text.encode())
     _report(args, {"verdict": verdict, "counters": counters,
-                   "timings": {"parse_s": round(t1 - t0, 6),
-                               "check_s": round(t2 - t1, 6)}})
+                   "timings": timings})
     return 0
 
 

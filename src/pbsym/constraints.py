@@ -1,4 +1,5 @@
-"""Pseudo-Boolean constraint algebra.
+"""Pseudo-Boolean constraint algebra and unit propagation; the proof rules
+built on them are the checker's.
 
 A constraint is a normalized integer-linear inequality
 
@@ -457,31 +458,6 @@ def rup_check(premises, goal):
     """Reverse unit propagation: the list `premises` plus not(goal) must
     propagate to a conflict."""
     return propagate(premises + [negate(goal)]) == CONFLICT
-
-
-def redundance_goals(premises, c, witness):
-    """Goals of the redundance rule for deriving `c` under `witness`:
-    (ID, G|w) for each (ID, G) of `premises`, then ("self", c|w).
-    `premises` are the pairs, in ID order, whose constraint is over a
-    witness variable; every other premise is its own image and yields no
-    goal."""
-    lits = witness_lits(witness)
-    for cid, g in premises:
-        yield cid, substitute(g, lits)
-    yield "self", substitute(c, lits)
-
-
-def discharge(goal, premises, negc, rup):
-    """How a redundance goal holds: "tautology", "syntactic premise" (it is
-    in the container `premises` or equals `negc`), "rup" (`rup(goal)` is
-    true), or None when it does not."""
-    if goal.is_tautology():
-        return "tautology"
-    if goal in premises or goal == negc:
-        return "syntactic premise"
-    if rup(goal):
-        return "rup"
-    return None
 
 
 def render(c):

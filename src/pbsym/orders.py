@@ -8,6 +8,8 @@ redundance with a witness over the aux variables only), the order
 constraints ``def``, and the transitivity and reflexivity proofs.
 :func:`validate` checks the declared names, the specification obligations
 and both proofs; the checker stores, and so loads, only orders that pass.
+The redundance rule and the subproof runner are the checker's, passed in,
+so a spec row is derived by the same code as a ``red`` step.
 An instance substitutes for u, v and aux once, in :func:`instance`; a
 proof builds only the spec rows it reads.
 """
@@ -27,46 +29,24 @@ TRIVIAL = parsing.def_order_step("trivial", [], [], [], [], [], ([], [], []),
                                  [], [], None)
 
 
-def verify_specification(spec, aux_vars):
+def verify_specification(spec, aux_vars, derive):
     """Check the redundance obligations of a specification, in list order.
 
-    Entry i is derived by the redundance rule from C_1..C_{i-1}, the rule
-    ``red`` applies: the goals of :func:`pb.redundance_goals` are
-    discharged by :func:`pb.discharge` against the earlier entries and
-    neg(C_i).  Only the earlier entries over a witness variable, found
-    through a variable -> entry index, are substituted; the others are
-    their own images.  A RUP goal is proved by :func:`pb.rup_check` over
-    those touched entries plus neg(C_i) first, and only if that fails over
-    all earlier entries plus neg(C_i).  RUP is monotone in its premises,
-    so the first success is sound and the verdict is that of the full
-    check.
+    Entry i witnesses aux variables only and is derived from C_1..C_{i-1}
+    by `derive` (constraint, witness), the redundance rule ``red`` applies:
+    it returns None once the entry is a premise of the entries after it,
+    else the (key, goal) it could not prove.
     """
     aux = set(aux_vars)
-    entries = []   # C_1..C_{i-1}
-    occ = {}       # variable -> indices into `entries`, ascending
-    known = set()
     for i, (con, wit) in enumerate(spec, start=1):
         bad = set(wit) - aux
         if bad:
             raise OrderError(
                 "spec entry %d witnesses non-aux variables %s" % (i, sorted(bad)))
-        negc = pb.negate(con)
-        touched = sorted({j for v in wit for j in occ.get(v, ())})
-        near = [entries[j] for j in touched]
-        local = near + [negc]
-
-        def rup(goal):
-            return (pb.rup_check(local, goal)
-                    or pb.rup_check(entries + [negc], goal))
-
-        for _key, goal in pb.redundance_goals(zip(touched, near), con, wit):
-            if pb.discharge(goal, known, negc, rup) is None:
-                raise OrderError("spec entry %d: goal %s not derivable"
-                                 % (i, pb.render(goal)))
-        for v in con.variables():
-            occ.setdefault(v, []).append(len(entries))
-        entries.append(con)
-        known.add(con)
+        failed = derive(con, wit)
+        if failed is not None:
+            raise OrderError("spec entry %d: goal %s not derivable"
+                             % (i, pb.render(failed[1])))
     return True
 
 
@@ -149,11 +129,13 @@ def check_names(order):
                          % free)
 
 
-def validate(order, run):
-    """Full validation of a def_order step.  `run` (premises, goals,
-    blocks, label) runs each obligation's subproof over lazy spec rows."""
+def validate(order, run, derive):
+    """Full validation of a def_order step.  `derive` (constraint, witness)
+    derives each spec row by the redundance rule, as
+    :func:`verify_specification` takes it; `run` (premises, goals, blocks,
+    label) runs each obligation's subproof over lazy spec rows."""
     check_names(order)
-    verify_specification(order["spec"], order["aux"])
+    verify_specification(order["spec"], order["aux"], derive)
     check_transitivity(order, run)
     check_reflexivity(order, run)
     return order

@@ -46,6 +46,26 @@ def implies(premises, goal):
     return True
 
 
+def redundant(premises, c, witness):
+    """The redundance condition for deriving `c` from `premises` under
+    `witness` (variable -> literal | 0 | 1): every total assignment that
+    satisfies the premises and falsifies `c`, composed with the witness,
+    satisfies the premises and `c`."""
+    cons = list(premises) + [c]
+    vs = vars_of(cons) | set(witness) | {
+        img.lstrip("~") for img in witness.values() if isinstance(img, str)}
+    assert len(vs) <= 16, "oracle is exponential; keep instances small"
+    for rho in all_assignments(vs):
+        if all(con_holds(p, rho) for p in premises) and not con_holds(c, rho):
+            moved = dict(rho)
+            for v, img in witness.items():
+                moved[v] = img if isinstance(img, int) else int(
+                    lit_holds(img, rho))
+            if not all(con_holds(g, moved) for g in cons):
+                return False
+    return True
+
+
 def satisfiable(cons, extra_vars=()):
     vs = vars_of(cons) | set(extra_vars)
     assert len(vs) <= 20

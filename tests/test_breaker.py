@@ -10,7 +10,9 @@ from pbsym import breaker
 from pbsym import constraints as pb
 from pbsym import orders
 from pbsym import parsing
-from pbsym.checker import VERIFIED, Checker, CheckError, check_document
+from pbsym.checker import (
+    VERIFIED, Checker, CheckError, check_document, spec_rule,
+)
 
 import oracle
 
@@ -258,7 +260,8 @@ def test_big_definition_validates(n):
 
 def test_lex_spec_passes_specification_check():
     order = breaker.build_lex_order(3)
-    assert orders.verify_specification(order["spec"], order["aux"])
+    assert orders.verify_specification(order["spec"], order["aux"],
+                                       spec_rule())
 
 
 def test_lex_definition_line_count_linear():

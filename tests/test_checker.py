@@ -3,11 +3,13 @@ import time
 
 import pytest
 
-from pbsym import bench, breaker
+from pbsym import bench, breaker, checker
 from pbsym import constraints as pb
 from pbsym import parsing
-from pbsym.checker import (Checker, CheckError, Frame, UNSAT, VERIFIED,
-                           check_document)
+from pbsym.checker import (Checker, CheckError, Frame, RootFrame, UNSAT,
+                           VERIFIED, check_document)
+
+from oracle import implies
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -525,3 +527,93 @@ def test_breaker_proof_counters_pinned(source, counters):
     verdict, got = check_document(formula, parsing.parse_proof(text))
     assert verdict == VERIFIED
     assert got == counters
+
+
+@pytest.mark.parametrize("value,reason", [
+    ("UNSAT : 3", None),
+    ("UNSAT : -1", None),
+    ("unsat : 3", None),
+    ("UNSAT:3", None),
+    ("UNSAT : 1", "bad-conclusion"),
+    ("UNSAT:1", "bad-conclusion"),
+    ("UNSAT :", "bad-conclusion"),
+    ("UNSAT : 7", "invisible-id"),
+    ("UNSAT 3", "bad-conclusion"),
+    ("UNSAT : x", "bad-conclusion"),
+    ("SAT : 1", None),
+])
+def test_hinted_conclusion_cites_a_visible_contradiction(value, reason):
+    # ID 3 is the falsum the rup derives; ID 1 is a formula clause
+    formula, _ = parsing.parse_opb("+1 x1 >= 1 ;\n+1 ~x1 >= 1 ;\n")
+    text = parsing.HEADER + "\nrup >= 1;\nconclusion %s;\n" % value
+    if reason is None:
+        check(formula, text)
+        return
+    with pytest.raises(CheckError) as e:
+        check(formula, text)
+    assert (e.value.reason, e.value.line) == (reason, 3)
+
+
+def test_del_range_from_below_one_walks_no_unassigned_id(monkeypatch):
+    # no ID below 1 is ever assigned, so a range from -10**15 removes what
+    # one from 1 removes, and no more
+    removed = []
+    real = RootFrame.remove
+
+    def remove(self, cid):
+        removed.append(cid)
+        assert len(removed) <= 10, "del range walks unassigned IDs"
+        real(self, cid)
+
+    monkeypatch.setattr(RootFrame, "remove", remove)
+    formula, _ = parsing.parse_opb(
+        (DATA / "del_range_negative.opb").read_text())
+    proof = (DATA / "del_range_negative.pbp").read_text()
+    assert "del range -1000000000000000 1;" in proof
+    assert check(formula, proof)[0] == VERIFIED
+    assert removed == []
+    chk = Checker([])
+    chk.run(parsing.parse_proof(parsing.HEADER + "\n"
+                                "red +1 x1 >= 1 : x1 -> 1;\n"
+                                "red +1 x2 >= 1 : x2 -> 1;\n"
+                                "del range -1000000000000000 3;\n"))
+    assert removed == [1, 2]
+    assert chk.root.cons == {}
+
+
+@pytest.mark.parametrize("method", ["new", "old"])
+def test_dom_scope_steps_follow_from_what_their_frame_sees(monkeypatch,
+                                                           method):
+    # the per-step oracle inside dom scopes: an accepted pol or rup follows
+    # from the live top-level entries, the negated dom constraint, the
+    # scope's spec rows and order constraints, the negated goal and the
+    # block's earlier steps; three variables and one swap keep every frame
+    # small enough to enumerate
+    formula, _ = parsing.parse_opb("+1 x1 +1 x2 +1 x3 >= 1 ;\n"
+                                   "+1 ~x1 +1 ~x2 >= 1 ;\n")
+    built = breaker.break_symmetries(formula, ["x1", "x2", "x3"],
+                                     [{"x1": "x2", "x2": "x1"}],
+                                     method=method)
+    doc = parsing.parse_proof(built.text())
+    audited = []
+
+    def audit(handler):
+        def run_step(frame, step):
+            if frame.state is None:  # a def_order obligation
+                return handler(frame, step)
+            seen, f = [], frame
+            while f is not None:
+                seen += [f.get(cid) for cid in f.ids if cid in f.cons]
+                f = f.parent
+            handler(frame, step)
+            assert implies(seen, frame.get(frame.ids[-1])), step
+            audited.append(step)
+        return run_step
+
+    for kind, handler in list(checker._SUBPROOF_STEPS.items()):
+        monkeypatch.setitem(checker._SUBPROOF_STEPS, kind, audit(handler))
+    assert check_document(formula, doc)[0] == VERIFIED
+    in_dom = sum(len(block["steps"]) for step in doc["steps"]
+                 if step["kind"] == "dom"
+                 for block in step["leq"] + step["geq"])
+    assert len(audited) == in_dom > 0

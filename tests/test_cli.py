@@ -92,6 +92,22 @@ def test_check_trace_goes_to_stderr(tmp_path, capsys):
     assert "trace:" in capsys.readouterr().err
 
 
+def test_check_trace_prints_notes_before_a_rejection(tmp_path, capsys):
+    # the last red fails at its goal `self` after the goals of both reds
+    # before it were discharged; their notes are what a user reads then
+    formula, proof = tmp_path / "f.opb", tmp_path / "p.pbp"
+    formula.write_text("+1 x1 +1 x2 >= 1 ;\n")
+    proof.write_text(parsing.HEADER + "\n"
+                     "red +1 x3 >= 1 : x3 -> 1;\n"
+                     "red +1 x1 >= 1 : x1 -> 0;\n")
+    assert cli.main(["check", str(formula), str(proof), "--trace"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["trace: goal self: tautology",
+                                         "trace: goal 1: rup"]
+    assert "verdict: REJECTED" in captured.out
+    assert "goal:self reason:undischarged-goal" in captured.out
+
+
 DOM_HEAD = "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\n"
 
 
@@ -355,6 +371,14 @@ def test_load_order_binds_variables_not_literals(tmp_path, capsys):
     assert rc == 1
     assert payload["error"].startswith(
         "line:%d goal:#1 reason:undischarged-goal" % _line_of(lines, "dom "))
+
+
+def test_hinted_conclusion_is_checked(tmp_path, capsys):
+    # `conclusion UNSAT : 1` on a satisfiable formula cites its one clause,
+    # which is no contradiction
+    rc, payload, _ = _data_check(tmp_path, capsys, "conclusion_hinted")
+    assert rc == 1
+    assert payload["error"].startswith("line:2 goal:- reason:bad-conclusion")
 
 
 def test_order_constraints_use_only_declared_variables(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from pbsym import breaker, checker
 from pbsym import constraints as pb
 from pbsym import orders, parsing
-from pbsym.checker import Checker, CheckError, run_obligation
+from pbsym.checker import Checker, CheckError, run_obligation, spec_rule
 
 from oracle import implies
 
@@ -71,19 +71,19 @@ def test_rejects_undeclared_variable(spec, order):
 
 def test_specification_accepts_settable_entry():
     spec = [(con([(1, "$a1")], 1), {"$a1": 1})]
-    assert orders.verify_specification(spec, ["$a1"])
+    assert orders.verify_specification(spec, ["$a1"], spec_rule())
 
 
 def test_specification_rejects_unsettable_entry():
     spec = [(con([(1, "$a1")], 1), {"$a1": 0})]
     with pytest.raises(orders.OrderError):
-        orders.verify_specification(spec, ["$a1"])
+        orders.verify_specification(spec, ["$a1"], spec_rule())
 
 
 def test_specification_rejects_non_aux_witness():
     spec = [(con([(1, "$a1")], 1), {"u1": 1})]
     with pytest.raises(orders.OrderError):
-        orders.verify_specification(spec, ["$a1"])
+        orders.verify_specification(spec, ["$a1"], spec_rule())
 
 
 def test_specification_uses_earlier_entries_as_premises():
@@ -91,7 +91,7 @@ def test_specification_uses_earlier_entries_as_premises():
     # discharge by identity with premise C_1
     c = con([(1, "$a1"), (1, "$a2")], 1)
     spec = [(c, {"$a1": 1}), (c, {})]
-    assert orders.verify_specification(spec, ["$a1", "$a2"])
+    assert orders.verify_specification(spec, ["$a1", "$a2"], spec_rule())
 
 
 def test_spec_instance_is_lazy_and_substitutes():
@@ -298,7 +298,7 @@ def test_obligation_steps_follow_from_what_their_frame_sees(monkeypatch,
 
     for kind, handler in list(checker._SUBPROOF_STEPS.items()):
         monkeypatch.setitem(checker._SUBPROOF_STEPS, kind, audit(handler))
-    assert orders.validate(order, run_obligation) is order
+    assert orders.validate(order, run_obligation, spec_rule()) is order
     blocks = order["transitivity"]["goals"] + order["reflexivity"]["goals"]
     assert len(audited) == sum(len(b["steps"]) for b in blocks) > 0
 
@@ -311,6 +311,6 @@ def test_only_validated_orders_are_stored():
         chk.step_def_order(leq1())
     assert "leq1" not in chk.orders
     order = leq1([empty_block("#1")])
-    assert orders.validate(order, run_obligation) is order
+    assert orders.validate(order, run_obligation, spec_rule()) is order
     chk.step_def_order(order)
     assert chk.orders["leq1"] is order

@@ -1,6 +1,8 @@
 """Witness-local redundance: the checker's occurrence index and live
-multiset against a full scan of the database, and the local-first RUP of
-`orders.verify_specification` against a check over every earlier entry."""
+multiset against a full scan of the database, and the redundance rule
+`checker.redundance`, which `red` steps and specification rows share: its
+local-first RUP against a check over every earlier entry, and the rows it
+accepts against the brute-force redundance condition."""
 
 import math
 from collections import Counter
@@ -11,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 from pbsym import breaker, orders, parsing
 from pbsym import constraints as pb
 from pbsym.checker import (
-    Checker, CheckError, VERIFIED, check_document, run_obligation,
+    Checker, CheckError, RootFrame, VERIFIED, check_document, redundance,
+    run_obligation, spec_rule,
 )
+
+from oracle import redundant
 
 small = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -37,11 +42,11 @@ ops = st.lists(st.one_of(
 ), max_size=25)
 
 
-def reference_goals(chk, c, w):
-    """The goals of `red c : w` by a scan of every live top-level entry."""
-    goals = [(cid, pb.substitute(g, w)) for cid, g in chk.root.cons.items()
-             if not set(w).isdisjoint(g.variables())]
-    return goals + [("self", pb.substitute(c, w))]
+def reference_touched(chk, w):
+    """The premises `red c : w` has goals for, by a scan of every live
+    top-level entry: those over a witness variable, in ID order."""
+    return [(cid, g) for cid, g in chk.root.cons.items()
+            if not set(w).isdisjoint(g.variables())]
 
 
 def _run_op(chk, op, ncore):
@@ -76,9 +81,8 @@ def test_indexed_goals_match_full_scan(formula, script, probes):
         assert chk.root.live == Counter(chk.root.cons.values())
         # no key is left at count zero: `in` is the syntactic-premise test
         assert set(chk.root.live) == set(chk.root.cons.values())
-    for c, w in probes:
-        got = list(pb.redundance_goals(chk.root.touched(w), c, w))
-        assert got == reference_goals(chk, c, w)
+    for _c, w in probes:
+        assert chk.root.touched(w) == reference_touched(chk, w)
 
 
 def _dup_proof(deletion):
@@ -119,17 +123,25 @@ def test_spec_goal_needing_an_untouched_entry_uses_the_fallback(monkeypatch):
     # follows only with entry 1, $a >= 1
     spec = [(pb.normalize([(1, "$a")], 1), {"$a": 1}),
             (pb.normalize([(1, "$b"), (1, "u1")], 1), {"$b": "$a"})]
-    seen = []
-    real = pb.rup_check
+    seen, engine_goals = [], []
+    real, real_rup = pb.rup_check, pb.Propagator.rup
 
     def rup_check(premises, goal):
         seen.append(list(premises))
         return real(premises, goal)
 
+    def rup(self, goal):
+        engine_goals.append(goal)
+        return real_rup(self, goal)
+
     monkeypatch.setattr(pb, "rup_check", rup_check)
-    assert orders.verify_specification(spec, ["$a", "$b"])
+    monkeypatch.setattr(pb.Propagator, "rup", rup)
+    assert orders.verify_specification(spec, ["$a", "$b"], spec_rule())
     negc = pb.negate(spec[1][0])
-    assert seen == [[negc], [spec[0][0], negc]]
+    goal = pb.normalize([(1, "$a"), (1, "u1")], 1)
+    # the local step sees not(C_2) alone; the scope's engine proves the goal
+    assert seen == [[negc]]
+    assert engine_goals == [goal]
 
 
 def reference_verify(spec, aux_vars):
@@ -199,6 +211,11 @@ def specs(draw):
     return spec
 
 
+def shared_verify(spec, aux_vars):
+    """verify_specification with the redundance rule `red` steps use."""
+    return orders.verify_specification(spec, aux_vars, spec_rule())
+
+
 def _outcome(fn, spec):
     try:
         return fn(spec, AUX)
@@ -209,8 +226,42 @@ def _outcome(fn, spec):
 @small
 @given(specs())
 def test_local_first_spec_check_matches_full_reference(spec):
-    assert (_outcome(orders.verify_specification, spec)
+    assert (_outcome(shared_verify, spec)
             == _outcome(reference_verify, spec))
+
+
+def _audited_rule(accepted):
+    """The shared rule over a fresh root frame; each row it accepts is
+    checked against the brute-force redundance condition over the rows
+    accepted before it, then appended to `accepted`."""
+    root = RootFrame(None)
+
+    def derive(c, w):
+        failed = redundance(root, c, w)
+        if failed is None:
+            assert redundant(accepted, c, w), (c, w)
+            accepted.append(c)
+        return failed
+    return derive
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lex_spec_rows_accepted_by_the_rule_are_redundant(n):
+    order = breaker.build_lex_order(n)
+    accepted = []
+    assert orders.verify_specification(order["spec"], order["aux"],
+                                       _audited_rule(accepted))
+    assert accepted == [c for c, _w in order["spec"]]
+
+
+@small
+@given(specs())
+def test_spec_rows_accepted_by_the_rule_are_redundant(spec):
+    accepted = []
+    try:
+        orders.verify_specification(spec, AUX, _audited_rule(accepted))
+    except orders.OrderError:
+        pass
 
 
 def test_lex_order_validation_is_linear(monkeypatch):
@@ -230,7 +281,8 @@ def test_lex_order_validation_is_linear(monkeypatch):
     sizes, seen = (250, 500, 1000), []
     for n in sizes:
         counts.update(adds=0, assigned=0)
-        orders.validate(breaker.build_lex_order(n), run_obligation)
+        orders.validate(breaker.build_lex_order(n), run_obligation,
+                        spec_rule())
         seen.append(dict(counts))
     for key in ("adds", "assigned"):
         for (n1, c1), (n2, c2) in zip(zip(sizes, seen), zip(sizes[1:], seen[1:])):
