@@ -528,7 +528,9 @@ class Checker:
 
 
 def check_document(formula, doc, trace=None):
-    """Convenience wrapper: returns (verdict, counters)."""
+    """Check `doc` against `formula`; returns (verdict, counters).
+    `doc["steps"]` may be any iterable of steps, such as the stream of
+    :func:`parsing.iter_proof`: each step is checked as it comes."""
     chk = Checker(formula)
     chk.trace = trace
     verdict = chk.run(doc)

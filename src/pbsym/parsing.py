@@ -1,9 +1,11 @@
 """Parsers and serializers for OPB formulas, DIMACS CNF and proof documents.
 
-The proof AST is a list of dict-shaped steps (key ``kind``), each carrying
-the source line number under ``line`` so checker rejections can cite the
-offending statement.  Relative constraint IDs (negative integers) are kept
-symbolic; they only make sense against the live counter at check time.
+A proof is read as a stream of dict-shaped steps (key ``kind``), one
+top-level step at a time (:func:`iter_proof`); :func:`parse_proof` lists
+them.  Each step carries the source line number under ``line`` so checker
+rejections can cite the offending statement.  Relative constraint IDs
+(negative integers) are kept symbolic; they only make sense against the
+live counter at check time.
 """
 
 from . import constraints as pb
@@ -291,29 +293,34 @@ def _witness_put(w, var, img, lineno):
 
 
 class _Lines:
-    """Token stream over the significant lines of a proof document."""
+    """Token stream over the significant lines of a proof document, read
+    one line at a time: a line is split into tokens, and the literal rule
+    applied to it, only when it is taken, so errors come in file order."""
 
     def __init__(self, text):
-        self.items = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        self._lines = enumerate(text.splitlines(), start=1)
+        self.last = None    # the line number of the line last taken
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        for lineno, line in self._lines:
             stripped = line.strip()
             if not stripped or stripped.startswith("*"):
                 continue
             toks = stripped.replace(";", " ").split()
-            _check_literals(stripped, toks, lineno)
             if toks:
-                self.items.append((lineno, toks))
-        self.pos = 0
-
-    def done(self):
-        return self.pos >= len(self.items)
+                _check_literals(stripped, toks, lineno)
+                self.last = lineno
+                return lineno, toks
+        raise StopIteration
 
     def take(self):
-        if self.done():
-            last = self.items[-1][0] if self.items else None
-            raise ParseError("unexpected end of proof", last)
-        self.pos += 1
-        return self.items[self.pos - 1]
+        item = next(self, None)
+        if item is None:
+            raise ParseError("unexpected end of proof", self.last)
+        return item
 
     def expect(self, *head):
         lineno, toks = self.take()
@@ -495,20 +502,40 @@ def _parse_step(lines, lineno, toks, parsers):
     return parse(lines, lineno, toks[1:])
 
 
-def parse_proof(text):
-    """Parse a proof document into {"header":..., "steps": [...]}."""
+_TRAILER = ["end", "pseudo-Boolean", "proof"]
+
+
+def iter_proof(text):
+    """Parse a proof document one step at a time.
+
+    Checks the header, then yields each top-level step as soon as its
+    last line is read, so a caller that drops the steps it has used holds
+    one step, not the proof.  A `ParseError` is raised when the stream
+    reaches the first malformed line, after every step above it.  A proof
+    ends at the end of the text or at the `end pseudo-Boolean proof`
+    trailer, which only blank or `*` comment lines may follow; any other
+    top-level `end` line is malformed."""
     lines = _Lines(text)
     lineno, toks = lines.take()
     if " ".join(toks) != HEADER:
         raise ParseError("missing proof header", lineno)
-    steps = []
-    while not lines.done():
-        lineno, toks = lines.take()
+    for lineno, toks in lines:
         if toks[0] == "end":
-            # `end pseudo-Boolean proof` trailer
-            break
-        steps.append(_parse_step(lines, lineno, toks, _PARSERS))
-    return {"header": HEADER, "steps": steps}
+            if toks != _TRAILER:
+                raise ParseError("%r at top level: only %r ends a proof"
+                                 % (" ".join(toks), " ".join(_TRAILER)),
+                                 lineno)
+            for lineno, toks in lines:
+                raise ParseError("%r after the end of the proof"
+                                 % " ".join(toks), lineno)
+            return
+        yield _parse_step(lines, lineno, toks, _PARSERS)
+
+
+def parse_proof(text):
+    """Parse a proof document into {"header":..., "steps": [...]}, the
+    steps :func:`iter_proof` yields."""
+    return {"header": HEADER, "steps": list(iter_proof(text))}
 
 
 # -------------------------------------------------------------- serializer

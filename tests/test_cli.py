@@ -5,11 +5,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from pbsym import bench
 from pbsym import breaker
+from pbsym import checker
 from pbsym import cli
 from pbsym import parsing
 
@@ -106,6 +108,78 @@ def test_check_trace_prints_notes_before_a_rejection(tmp_path, capsys):
                                          "trace: goal 1: rup"]
     assert "verdict: REJECTED" in captured.out
     assert "goal:self reason:undischarged-goal" in captured.out
+
+
+# step 2 (line 3) fails its RUP; line 5 is malformed
+REJECTED_THEN_MALFORMED = (parsing.HEADER + "\n"
+                           "rup +1 x1 +1 x2 >= 1;\n"
+                           "rup +1 x1 >= 1;\n"
+                           "pol 1 2 +;\n"
+                           "rup +1 ~~x1 >= 1;\n")
+
+
+def test_stream_is_checked_before_it_is_read_to_the_end():
+    formula, _ = parsing.parse_opb("+1 x1 +1 x2 >= 1 ;\n")
+    doc = {"header": parsing.HEADER,
+           "steps": parsing.iter_proof(REJECTED_THEN_MALFORMED)}
+    with pytest.raises(checker.CheckError) as e:
+        checker.Checker(formula).run(doc)
+    assert (e.value.line, e.value.reason) == (3, "rup-failed")
+    # the rest of the stream is still there to be read
+    with pytest.raises(parsing.ParseError) as e:
+        list(doc["steps"])
+    assert e.value.line == 5
+
+
+@pytest.mark.parametrize("flags", [[], ["--trace"], ["--json"]])
+def test_malformed_line_below_a_rejected_step_is_a_parse_error(
+        tmp_path, capsys, flags):
+    formula, proof = tmp_path / "f.opb", tmp_path / "p.pbp"
+    formula.write_text("+1 x1 +1 x2 >= 1 ;\n")
+    proof.write_text(REJECTED_THEN_MALFORMED)
+    assert cli.main(["check", str(formula), str(proof)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: line 5: literal '~~x1' has more than "
+                            "one leading '~'\n")
+
+
+def test_stray_end_line_does_not_end_the_proof(tmp_path, capsys):
+    # `end scope;` at top level ended the proof, so the failing rup below
+    # it was never read and the proof was verified
+    formula, proof = DATA / "end_stray.opb", DATA / "end_stray.pbp"
+    assert cli.main(["check", str(formula), str(proof)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+    lines = proof.read_text().splitlines()
+    assert lines[1] == "end scope;"
+    control = tmp_path / "control.pbp"
+    control.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+    rc, payload = _check_files(capsys, formula, control)
+    assert rc == 1
+    assert payload["error"].startswith("line:2 goal:- reason:rup-failed")
+
+
+@pytest.mark.parametrize("method", ["new", "old"])
+def test_streamed_check_holds_less_than_the_parsed_proof(method):
+    # PHP(8) with all generators: parsing the proof first holds every
+    # step through the check; the stream holds the database and one step
+    inst = bench.generate("php", (8,))
+    text = breaker.break_symmetries(inst.constraints, inst.variables,
+                                    bench.known_generators(inst),
+                                    method=method).text()
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    two_phase = peak(lambda: checker.check_document(
+        inst.constraints, parsing.parse_proof(text)))
+    streamed = peak(lambda: cli._check_text(inst.constraints, text))
+    assert streamed < 0.7 * two_phase
 
 
 DOM_HEAD = "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\n"

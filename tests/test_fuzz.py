@@ -2,19 +2,26 @@
 
 Deleting, duplicating or swapping one token or one whole line of a valid
 proof must end in a verdict, a ParseError or a CheckError: no other
-exception may escape parse_proof + check_document.  Two deterministic
+exception may escape parse_proof + check_document, and the CLI, which
+checks the proof as a stream, must end as a check of the parsed proof
+does, with no traceback.  Two deterministic
 mutations of the order steps of every source proof must be rejected.  On
 Tseitin(2) proofs, mutated or with a forged step, every step the checker
 accepts must pass the per-step semantic oracle.
 """
 
+import contextlib
+import io
+import json
 import pathlib
+import re
+import tempfile
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbsym import bench, breaker, checker, parsing
+from pbsym import bench, breaker, checker, cli, parsing
 from pbsym import constraints as pb
 
 from test_acceptance import check_each_step
@@ -93,6 +100,52 @@ def test_structural_mutations_raise_only_proof_errors(case):
         checker.check_document(formula, parsing.parse_proof(text))
     except (parsing.ParseError, checker.CheckError):
         pass
+
+
+def _two_phase(formula, text):
+    """(exit code, verdict, reason, line) of a check of the parsed proof:
+    exit 2 whenever parse_proof raises."""
+    try:
+        doc = parsing.parse_proof(text)
+    except parsing.ParseError as e:
+        return 2, None, None, e.line
+    try:
+        verdict, _ = checker.check_document(formula, doc)
+    except checker.CheckError as e:
+        return 1, "REJECTED", e.reason, e.line
+    return 0, verdict, None, None
+
+
+def _streamed(formula_path, proof_path):
+    """(exit code, verdict, reason, line) of `pbsym check --json`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["check", str(formula_path), str(proof_path), "--json"])
+    if rc == 2:
+        m = re.match(r"error: (?:line (\d+): )?", err.getvalue())
+        assert m, err.getvalue()
+        return 2, None, None, m.group(1) and int(m.group(1))
+    report = json.loads(out.getvalue())
+    if rc == 1:
+        line, reason = re.match(r"line:(\S+) goal:\S+ reason:(\S+) ",
+                                report["error"]).groups()
+        return 1, report["verdict"], reason, None if line == "-" else int(line)
+    return rc, report["verdict"], None, None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mutated_proofs())
+def test_streamed_cli_check_matches_a_check_of_the_parsed_proof(case):
+    formula, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        formula_path = pathlib.Path(tmp, "f.opb")
+        proof_path = pathlib.Path(tmp, "p.pbp")
+        formula_path.write_text("".join(pb.render(c) + " ;\n"
+                                        for c in formula))
+        proof_path.write_text(text)
+        expected = _two_phase(
+            parsing.parse_opb(formula_path.read_text())[0], text)
+        assert _streamed(formula_path, proof_path) == expected
 
 
 TSEITIN = _tseitin_sources()

@@ -148,3 +148,53 @@ def test_golden_document_shape():
     assert len(order["aux"]) == 11
     # the dollar prefix marks order-aux variables
     assert all(pb.is_aux_var(v) for v in order["aux"])
+
+
+# ------------------------------------------------------------------ stream
+
+def test_iter_proof_yields_steps_above_a_malformed_line():
+    steps = parsing.iter_proof(parsing.HEADER + "\nrup +1 x1 >= 1;\n"
+                               "pol 1 2 +;\nrup +1 x1 >=;\n")
+    assert next(steps)["line"] == 2
+    assert next(steps)["tokens"] == ["1", "2", "+"]
+    with pytest.raises(parsing.ParseError) as e:
+        next(steps)
+    assert e.value.line == 4
+
+
+@pytest.mark.parametrize("lines,line", [
+    # a structural error, then a literal-rule error on the next line
+    (["rup +1 x1 >=;", "rup +1 ~~x1 >= 1;"], 2),
+    (["rup +1 ~~x1 >= 1;", "rup +1 x1 >=;"], 2),
+    (["pol 1 2 +;", "frobnicate;", "rup +1 ~ >= 1;"], 3),
+    # the literal rule holds in the spec rows of a def_order too
+    (["def_order lex1", "vars", "left u1;", "right v1;", "aux $d1;",
+      "end vars;", "spec", "red +1 ~$d1 +1 u1 >= 1 : $d1 -> 0 : 1;",
+      "red +1 ~~u1 >= 1 : $d1 -> 0;"], 9),
+], ids=["structural-first", "literal-first", "unknown-keyword",
+        "in-def-order"])
+def test_first_parse_error_in_file_order_is_reported(lines, line):
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_proof(parsing.HEADER + "\n" + "\n".join(lines) + "\n")
+    assert e.value.line == line
+
+
+def test_trailer_ends_the_proof():
+    doc = parsing.parse_proof(parsing.HEADER + "\npol 1 2 +;\n"
+                              "end pseudo-Boolean proof;\n\n* done\n")
+    assert [s["kind"] for s in doc["steps"]] == ["pol"]
+
+
+@pytest.mark.parametrize("tail,line", [
+    (["end scope;", "rup +1 x1 >= 1;"], 2),
+    (["end;"], 2),
+    (["end pseudo-Boolean;"], 2),
+    (["end pseudo-Boolean proof;", "* a comment", "rup +1 x1 >= 1;"], 4),
+    (["end pseudo-Boolean proof;", "end pseudo-Boolean proof;"], 3),
+    (["end pseudo-Boolean proof;", "rup +1 ~~x1 >= 1;"], 3),
+], ids=["end-scope", "bare-end", "short-trailer", "step-after-trailer",
+        "second-trailer", "malformed-after-trailer"])
+def test_only_the_trailer_ends_a_proof(tail, line):
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_proof(parsing.HEADER + "\n" + "\n".join(tail) + "\n")
+    assert e.value.line == line
