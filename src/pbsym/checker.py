@@ -8,12 +8,16 @@ whose local constraints become invisible once the scope is closed.
 
 Hint-free RUP runs on one incremental :class:`constraints.Propagator` per
 frame chain, owned by the chain's root frame: it holds what the frames on
-the chain hold, and leaving a frame undoes that frame's constraints.
+the chain hold, and leaving a frame undoes that frame's constraints.  The
+checker's root engine lives for the whole check: a `del range` that
+removes an entry the engine holds undoes it to that entry's mark, and the
+live entries after it are fed again, so a `del` costs O(rows after it).
 
 :func:`redundance` is the redundance rule, for ``red`` steps over the root
 frame and for ``def_order`` spec rows over a root frame of their own.
 """
 
+import bisect
 import functools
 import itertools
 import re
@@ -56,7 +60,11 @@ class Frame:
     `ids` lists every ID added, in order, and never shrinks.  A root frame
     (no parent) owns the propagator of its chain, built on the first
     hint-free RUP, and `synced`: one `[frame, mark, len(frame.ids)]` per
-    frame whose entries the propagator holds, root first."""
+    frame whose entries the propagator holds, root first.  The mark is the
+    engine's before the frame's first entry, and the count says how many
+    of `ids` were fed; a frame's rows all come after its parent's, so
+    undoing to a frame's mark drops it and the frames synced after it.
+    A :class:`RootFrame` also keeps a mark per entry it feeds."""
 
     def __init__(self, state=None, parent=None, counter=None, premises=()):
         self.state = state or (parent.state if parent else None)
@@ -117,6 +125,7 @@ class Frame:
         root = chain[0]
         if root.engine is None:
             root.engine, root.synced = pb.Propagator(), []
+        root._rewind()
         engine, synced = root.engine, root.synced
         # the synced frames still on the chain and unchanged stay
         both = min(len(synced), len(chain))
@@ -148,17 +157,27 @@ class Frame:
             if con is not None:
                 engine.add(self._read(cid, con))
 
+    def _rewind(self):
+        """Nothing to undo: only a root frame's entries are removed."""
+
 
 class RootFrame(Frame):
     """The checker's top-level frame.  Besides its entries, all of them
     Constraints, it keeps `occ`, each variable's live IDs in ID order, and
     `live`, the multiset of live constraints; two IDs may hold equal
-    constraints, so deleting one leaves the other a premise."""
+    constraints, so deleting one leaves the other a premise.
+
+    Once the propagator is built, `marks[i]` is its mark from just before
+    the `i`-th entry of `ids` was fed (None if that entry was gone by
+    then), one per entry fed, and `cut` is the position in `ids` of the
+    earliest removed entry the propagator still holds, if any."""
 
     def __init__(self, state):
         super().__init__(state=state)
         self.occ = defaultdict(dict)   # variable -> {ID: None}
         self.live = Counter()
+        self.marks = []
+        self.cut = None
 
     def add(self, con):
         cid = super().add(con)
@@ -169,7 +188,8 @@ class RootFrame(Frame):
 
     def remove(self, cid):
         """Drop the entry of `cid`, if there is one.  The propagator cannot
-        drop a constraint, so it goes too."""
+        drop a row, so if it holds the entry, `cut` goes down to it and the
+        next :meth:`propagator` call undoes the engine to there."""
         con = self.cons.pop(cid, None)
         if con is None:
             return
@@ -178,7 +198,42 @@ class RootFrame(Frame):
         self.live[con] -= 1
         if not self.live[con]:
             del self.live[con]
-        self.engine = None
+        # IDs increase, so `ids` is sorted; an entry live until now and
+        # fed is in the engine
+        pos = bisect.bisect_left(self.ids, cid)
+        if pos < len(self.marks) and (self.cut is None or pos < self.cut):
+            self.cut = pos
+
+    def _feed(self, engine, start):
+        """As :meth:`Frame._feed`, taking the mark of each entry before
+        adding it."""
+        marks, cons = self.marks, self.cons
+        for cid in self.ids[start:]:
+            con = cons.get(cid)
+            if con is None:
+                marks.append(None)
+            else:
+                marks.append(engine.mark())
+                engine.add(con)
+
+    def _rewind(self):
+        """Undo the engine to the mark of the entry at `cut`, drop the
+        frames synced above the root, and leave the root synced up to the
+        cut, so the sync that follows feeds the live entries after it.
+
+        Sound because the engine then holds the live entries before the
+        cut, in ID order: each was live when fed, and removing any of them
+        would have lowered the cut to it.  What follows is fed in ID order
+        too, so the engine is a fresh one fed the live rows; and the
+        unit-propagation fixpoint, or the conflict, does not depend on the
+        order rows were added in anyway."""
+        cut = self.cut
+        if cut is None:
+            return
+        self.engine.undo(self.marks[cut])
+        del self.marks[cut:], self.synced[1:]
+        self.synced[0][2] = cut
+        self.cut = None
 
     def touched(self, variables):
         """(ID, constraint) of each entry over one of `variables`, in ID

@@ -1,7 +1,9 @@
+import bisect
 import pathlib
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pbsym import bench, breaker, checker
 from pbsym import constraints as pb
@@ -372,6 +374,19 @@ def test_rup_cannot_use_deleted_constraint():
     assert verdict == VERIFIED
 
 
+def test_rup_cannot_use_a_row_deleted_below_a_live_one():
+    # `del range 2 3` deletes the red's x3 >= 1 but keeps the rup's row
+    # above it, which the engine already holds; undone to before x3 >= 1
+    # and fed the rup's row again, the engine no longer propagates x3
+    formula, _ = parsing.parse_opb((DATA / "del_then_rup.opb").read_text())
+    text = (DATA / "del_then_rup.pbp").read_text()
+    with pytest.raises(CheckError) as e:
+        check(formula, text)
+    assert (e.value.reason, e.value.line) == ("rup-failed", 5)
+    verdict, _ = check(formula, text.replace("del range 2 3;\n", ""))
+    assert verdict == VERIFIED
+
+
 class _ReadCounter(dict):
     """A frame's `cons` that counts the entries read from it."""
 
@@ -483,13 +498,17 @@ def test_rup_cannot_use_negation_from_red():
     assert "goal 1: rup" in trace
 
 
-def _broken_php(n, method, first=False):
-    php = bench.generate("php", (n,))
-    syms = bench.known_generators(php)
-    built = breaker.break_symmetries(php.constraints, php.variables,
+def _broken(family, params, method, first=False):
+    inst = bench.generate(family, params)
+    syms = bench.known_generators(inst)
+    built = breaker.break_symmetries(inst.constraints, inst.variables,
                                      syms[:1] if first else syms,
                                      method=method)
-    return php.constraints, built.text()
+    return inst.constraints, built.text()
+
+
+def _broken_php(n, method, first=False):
+    return _broken("php", (n,), method, first)
 
 
 def _frozen_cp(name):
@@ -617,3 +636,220 @@ def test_dom_scope_steps_follow_from_what_their_frame_sees(monkeypatch,
                  if step["kind"] == "dom"
                  for block in step["leq"] + step["geq"])
     assert len(audited) == in_dom > 0
+
+
+# The checker's root engine lives through `del range`: it is undone to the
+# mark of the earliest deleted entry it holds and fed the live entries after
+# it.  These tests hold it to a fresh engine over the live rows, and to a
+# reference that builds the engine again after every deletion.
+
+_lits = st.integers(1, 4).flatmap(
+    lambda i: st.sampled_from(["x%d" % i, "~x%d" % i]))
+_cons = st.builds(pb.normalize,
+                  st.lists(st.tuples(st.integers(1, 2), _lits),
+                           min_size=1, max_size=3),
+                  st.integers(1, 2))
+# root add, child frame push (with one premise), add to the top child,
+# pop, del range (start, length) at the root, hint-free RUP at the top
+_engine_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), _cons),
+    st.tuples(st.just("push"), _cons),
+    st.tuples(st.just("child"), _cons),
+    st.tuples(st.just("pop"), st.none()),
+    st.tuples(st.just("del"), st.tuples(st.integers(1, 12),
+                                        st.integers(1, 3))),
+    st.tuples(st.just("rup"), _cons),
+), max_size=24)
+
+
+def _con(text):
+    return parsing.parse_opb(text + " ;\n")[0][0]
+
+
+# x1 and ~x1 conflict at ID 2, which goes; x2 still propagates
+CONFLICT_ROW_DELETED = [
+    ("add", _con("+1 x1 >= 1")), ("add", _con("+1 ~x1 >= 1")),
+    ("add", _con("+1 x2 >= 1")), ("rup", _con("+1 x3 >= 1")),
+    ("del", (2, 1)), ("rup", _con("+1 x1 >= 1"))]
+# ID 3 goes first, then ID 2 below it
+LATER_DELETED_FIRST = [
+    ("add", _con("+1 x1 >= 1")), ("add", _con("+1 ~x1 +1 x2 >= 1")),
+    ("add", _con("+1 ~x2 +1 x3 >= 1")), ("add", _con("+1 ~x3 +1 x4 >= 1")),
+    ("rup", _con("+1 x4 >= 1")), ("del", (3, 1)), ("del", (2, 1)),
+    ("rup", _con("+1 x4 >= 1"))]
+# ID 2 goes while the child frame holding ~x2 is synced
+DELETED_UNDER_SYNCED_CHILD = [
+    ("add", _con("+1 x1 >= 1")), ("add", _con("+1 ~x1 +1 x2 >= 1")),
+    ("push", _con("+1 ~x2 >= 1")), ("rup", _con("+1 x3 >= 1")),
+    ("del", (2, 1)), ("rup", _con("+1 x3 >= 1"))]
+
+
+def _chain(frame):
+    chain = []
+    while frame is not None:
+        chain.append(frame)
+        frame = frame.parent
+    return chain[::-1]
+
+
+def _run_engine_script(script):
+    """Run `script` on a root frame; after each RUP the engine must equal
+    a fresh one fed the live rows of the chain, root first.  Returns the
+    cases the script hit."""
+    root = RootFrame(None)
+    frames, cases, conflict_row_gone = [root], set(), False
+    for op, arg in script:
+        if op == "add":
+            root.add(arg)
+        elif op == "push":
+            frames.append(Frame(parent=frames[-1], premises=[arg]))
+        elif op == "child" and len(frames) > 1:
+            frames[-1].add(arg)
+        elif op == "pop" and len(frames) > 1:
+            frames.pop()
+        elif op == "del":
+            start, n = arg
+            for cid in range(start, start + n):
+                pos = bisect.bisect_left(root.ids, cid)
+                if cid not in root.cons or pos >= len(root.marks):
+                    continue  # not an entry the engine holds
+                if root.cut is not None and pos < root.cut:
+                    cases.add("later-deleted-first")
+                if len(root.synced) > 1:
+                    cases.add("deleted-under-synced-child")
+                # the row that put the engine in conflict: it was not in
+                # conflict before the row was fed, and was after
+                after = [m for m in root.marks[pos + 1:] if m is not None]
+                after = after[0] if after else (
+                    root.synced[1][1] if len(root.synced) > 1
+                    else root.engine.mark())
+                if not root.marks[pos][2] and after[2]:
+                    conflict_row_gone = True
+                root.remove(cid)
+        elif op == "rup":
+            engine = frames[-1].propagator()
+            fresh = pb.Propagator()
+            for f in _chain(frames[-1]):
+                for cid in f.ids:
+                    if cid in f.cons:
+                        fresh.add(f.cons[cid])
+            assert engine.conflict == fresh.conflict
+            assert engine.assignment() == fresh.assignment()
+            assert engine.rup(arg) == fresh.rup(arg)
+            if conflict_row_gone:
+                cases.add("conflict-row-deleted")
+                conflict_row_gone = False
+    return cases
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_engine_ops)
+@example(CONFLICT_ROW_DELETED)
+@example(LATER_DELETED_FIRST)
+@example(DELETED_UNDER_SYNCED_CHILD)
+def test_engine_after_deletions_equals_a_fresh_one(script):
+    _run_engine_script(script)
+
+
+@pytest.mark.parametrize("script,case", [
+    (CONFLICT_ROW_DELETED, "conflict-row-deleted"),
+    (LATER_DELETED_FIRST, "later-deleted-first"),
+    (DELETED_UNDER_SYNCED_CHILD, "deleted-under-synced-child"),
+])
+def test_engine_examples_hit_their_case(script, case):
+    assert case in _run_engine_script(script)
+
+
+def _rebuild_on_remove(monkeypatch):
+    """The reference: a removal that drops an entry drops the engine too,
+    and the next hint-free RUP feeds every live row again."""
+    real = RootFrame.remove
+
+    def remove(self, cid):
+        had = cid in self.cons
+        real(self, cid)
+        if had:
+            self.engine, self.marks, self.cut = None, [], None
+
+    monkeypatch.setattr(RootFrame, "remove", remove)
+
+
+def _outcome(formula, text):
+    """Verdict, counters and trace of a check, or the error it ends in."""
+    trace = []
+    try:
+        verdict, counters = check(formula, text, trace=trace)
+    except CheckError as e:
+        return ("rejected", e.reason, e.line, e.goal), trace
+    except parsing.ParseError as e:
+        return ("malformed", str(e)), trace
+    return (verdict, dict(counters)), trace
+
+
+def _data_case(name):
+    # a proof's formula is its stem's .opb or .cnf, else that of the stem
+    # before the last "_" (php32_lex.pbp checks against php32.opb)
+    for stem in (name, name.rsplit("_", 1)[0]):
+        if (DATA / (stem + ".opb")).exists():
+            formula, _ = parsing.parse_opb((DATA / (stem + ".opb")).read_text())
+            break
+        if (DATA / (stem + ".cnf")).exists():
+            formula = parsing.parse_cnf((DATA / (stem + ".cnf")).read_text())
+            break
+    return formula, (DATA / (name + ".pbp")).read_text()
+
+
+_DIFF_CASES = (
+    [pytest.param(_data_case, (p.stem,), id=p.stem)
+     for p in sorted(DATA.glob("*.pbp"))]
+    + [pytest.param(_broken, (fam, params, method, first),
+                    id="%s%s-%s-%s" % (fam, "".join(map(str, params)), method,
+                                       "first" if first else "all"))
+       for fam, params in (("php", (4,)), ("count", (5, 3)),
+                           ("tseitin", (3,)))
+       for method in ("new", "old") for first in (True, False)])
+
+
+@pytest.mark.parametrize("make,args", _DIFF_CASES)
+def test_check_matches_a_rebuild_after_every_deletion(monkeypatch, make,
+                                                      args):
+    formula, text = make(*args)
+    got = _outcome(formula, text)
+    with monkeypatch.context() as m:
+        _rebuild_on_remove(m)
+        assert _outcome(formula, text) == got
+
+
+@pytest.mark.parametrize("method,rows,rebuilt_rows", [
+    ("old", 4333, 9481), ("new", 13965, 19113)])
+def test_deletion_feeds_only_the_rows_after_the_cut(monkeypatch, method,
+                                                    rows, rebuilt_rows):
+    # PHP(8), all generators: a fragment's `del range` undoes the root
+    # engine to before the rows it deletes, and the check keeps one root
+    # engine; rows counts every row Propagator.add receives, the shared
+    # scratch engine included, and rebuilt_rows is that count when every
+    # deletion builds the root engine again, from every live row (12 times
+    # here)
+    formula, text = _broken_php(8, method)
+    fed, engines = [0], []
+    real_add, real_propagator = pb.Propagator.add, Frame.propagator
+
+    def add(self, c):
+        fed[0] += 1
+        return real_add(self, c)
+
+    def propagator(self):
+        engine = real_propagator(self)
+        if isinstance(_chain(self)[0].state, Checker):
+            if not any(engine is e for e in engines):
+                engines.append(engine)
+        return engine
+
+    monkeypatch.setattr(pb.Propagator, "add", add)
+    monkeypatch.setattr(Frame, "propagator", propagator)
+    assert check(formula, text)[0] == VERIFIED
+    assert (fed[0], len(engines)) == (rows, 1)
+    fed[0], engines[:] = 0, []
+    _rebuild_on_remove(monkeypatch)
+    assert check(formula, text)[0] == VERIFIED
+    assert (fed[0], len(engines)) == (rebuilt_rows, 13)
