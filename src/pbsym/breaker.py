@@ -225,7 +225,8 @@ def _lex_transitivity_steps(n, spec):
     $f_i and, below the last level, Qa_i = ~$d_i v ~$e_i v ~$c_i v $a_i
     and Qb_i, the same clause with $b_i, each by RUP over hints: its
     level's spec rows and the lemmas of the level before.  Without hints,
-    unit propagation would walk the whole $c or $f chain for every lemma.
+    every lemma would propagate over the three instances, so the check
+    would build all of their rows.
     """
     S, index = len(spec), _spec_index(spec)
     (A, D), (B, E), (C, F) = (_spec_ids(index, block * S + 1)

@@ -399,7 +399,9 @@ class Checker:
             self.core.add(c)
         self.orders = {}
         self.loaded = ordmod.TRIVIAL
-        self.z_binding = []
+        # `bound` holds the names of `z_binding`, so a `red` step tests
+        # its witness in O(|w|)
+        self.z_binding, self.bound = [], frozenset()
         self.counters = {"spec_materializations": 0,
                          "implicit_reflexivity_skips": 0,
                          "rup_calls": 0}
@@ -436,7 +438,7 @@ class Checker:
         c, w, line = step["constraint"], step["witness"], step["line"]
         self._check_rule_constraint(c, w, line)
         spec, order_goals = [], []
-        if set(w).isdisjoint(self.z_binding):
+        if self.bound.isdisjoint(w):
             self.counters["implicit_reflexivity_skips"] += 1
         else:
             spec, ogs = ordmod.instance(self.loaded, self._witness_images(w),
@@ -521,7 +523,7 @@ class Checker:
             raise CheckError("cannot change order with a non-empty derived set",
                              line=line, reason="derived-not-empty")
         self.loaded = order
-        self.z_binding = list(zvars)
+        self.z_binding, self.bound = list(zvars), frozenset(zvars)
 
     def step_delete(self, step):
         line = step["line"]

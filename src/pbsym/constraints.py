@@ -321,12 +321,18 @@ class Propagator:
     Each added constraint becomes a row.  ``occ[l]`` lists ``(row, coeff)``
     for every row in which literal l occurs, and ``slack[row]`` is the sum
     of the coefficients of the row's non-falsified literals minus its
-    degree.  Assigning a literal updates these slacks at once, so
-    :meth:`undo` restores them exactly from the trail.  A row whose slack
-    drops below its largest coefficient is rechecked: a negative slack is a
-    conflict, and each unassigned literal whose coefficient exceeds the
-    slack is propagated to true.  Once in conflict the engine stays there
-    until undone past the constraint that caused it.
+    degree.  Assigning a literal lowers the slacks of every row it
+    falsifies before anything else happens, so :meth:`undo` restores them
+    exactly from the trail.  A row whose slack drops below its largest
+    coefficient is queued and scanned: each unassigned literal whose
+    coefficient exceeds the slack is propagated to true.  Propagation runs
+    breadth first, level by level: the rows queued while one level is
+    scanned make up the next, and within a level the row queued last is
+    scanned first.  A slack below zero is a conflict as soon as the
+    literal that lowered it has lowered all of its occurrences.  Once in
+    conflict the engine stays there until undone past the constraint that
+    caused it.  :meth:`rup` of a clause goal (degree 1) falsifies the
+    goal's literals directly, with no row for its negation.
     """
 
     def __init__(self):
@@ -374,28 +380,44 @@ class Propagator:
         self.rows.append(lits)
         self.slack.append(s)
         self.top.append(top)
-        # a row propagates or conflicts only when its slack is that low
-        return s >= top or self._propagate([row])
+        if s < 0:
+            self.conflict = True
+            return False
+        # a row propagates only when its slack is that low
+        return s >= top or self._propagate(lits, s)
 
-    def _propagate(self, pending):
+    def _propagate(self, lits, s):
+        """Make true each unassigned literal of `lits` whose coefficient
+        exceeds `s`, then scan the queued rows likewise, level by level, to
+        the fixpoint; False on a conflict."""
         value, occ, rows = self.value, self.occ, self.rows
         slack, top, trail = self.slack, self.top, self.trail
-        while pending:
-            r = pending.pop()
-            s = slack[r]
-            if s < 0:
-                self.conflict = True
-                return False
-            # queued below its top, and slacks only fall here
-            for l, a in rows[r]:
+        # `queued` collects the next level; a level is scanned from its
+        # last row, which on the aggregate method's chain lemmas meets the
+        # conflict through a literal that occurs in few rows
+        level, queued, conflict = [], [], False
+        while True:
+            for l, a in lits:
                 if a > s and value[l] is None:
                     value[l], value[l ^ 1] = 1, 0
                     trail.append(l)
-                    for r2, a2 in occ[l ^ 1]:
-                        s2 = slack[r2] = slack[r2] - a2
-                        if s2 < top[r2]:
-                            pending.append(r2)
-        return True
+                    for r, b in occ[l ^ 1]:
+                        s2 = slack[r] = slack[r] - b
+                        if s2 < top[r]:
+                            queued.append(r)
+                            if s2 < 0:
+                                conflict = True
+                    # every occurrence is lowered, so undo restores all
+                    if conflict:
+                        self.conflict = True
+                        return False
+            if not level:
+                if not queued:
+                    return True
+                level, queued = queued, level
+            r = level.pop()
+            # queued below its top, and slacks only fall here
+            lits, s = rows[r], slack[r]
 
     def mark(self):
         """A point to :meth:`undo` back to."""
@@ -421,9 +443,25 @@ class Propagator:
 
     def rup(self, goal):
         """Reverse unit propagation: whether the database plus not(goal)
-        propagates to a conflict.  Leaves the database as it was."""
+        propagates to a conflict.  Leaves the database as it was.
+
+        not(goal) of a clause goal (degree 1, any coefficients) says each
+        literal of the goal is false, so those literals are falsified
+        directly; other goals add not(goal) as a row."""
+        if self.conflict:
+            return True
         mark = self.mark()
-        refuted = not self.add(negate(goal))
+        if goal.degree != 1:
+            refuted = not self.add(negate(goal))
+        else:
+            value, interned, units = self.value, self.lits, []
+            for lit in goal.terms:
+                l = interned.get(lit)
+                if l is not None:  # else it occurs in no row
+                    if value[l]:
+                        return True
+                    units.append((l ^ 1, 1))
+            refuted = not self._propagate(units, 0)
         self.undo(mark)
         return refuted
 

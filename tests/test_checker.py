@@ -821,7 +821,7 @@ def test_check_matches_a_rebuild_after_every_deletion(monkeypatch, make,
 
 
 @pytest.mark.parametrize("method,rows,rebuilt_rows", [
-    ("old", 4333, 9481), ("new", 13965, 19113)])
+    ("old", 2976, 8124), ("new", 12296, 17444)])
 def test_deletion_feeds_only_the_rows_after_the_cut(monkeypatch, method,
                                                     rows, rebuilt_rows):
     # PHP(8), all generators: a fragment's `del range` undoes the root
@@ -853,3 +853,62 @@ def test_deletion_feeds_only_the_rows_after_the_cut(monkeypatch, method,
     _rebuild_on_remove(monkeypatch)
     assert check(formula, text)[0] == VERIFIED
     assert (fed[0], len(engines)) == (rebuilt_rows, 13)
+
+
+def _pigeon_cycle(n):
+    """PHP(n) and the proof `new` writes for its pigeon n-cycle, one
+    generator that moves all n(n - 1) variables."""
+    inst = bench.generate("php", (n,))
+    names = inst.names
+    cycle = {names["p%d_h%d" % (i, j)]: names["p%d_h%d" % (i % n + 1, j)]
+             for i in range(1, n + 1) for j in range(1, n)}
+    built = breaker.break_symmetries(inst.constraints, inst.variables,
+                                     [cycle], method="new")
+    return inst.constraints, built.text()
+
+
+def _dom_rup_assignments(monkeypatch, formula, text):
+    """The hint-free RUPs inside dom steps, and the literals they put on
+    the trail before the engine was undone."""
+    in_dom, start, got = [False], [None], [0, 0]
+    real_dom, real_rup = Checker.step_dom, pb.Propagator.rup
+    real_undo = pb.Propagator.undo
+
+    def step_dom(self, step):
+        in_dom[0] = True
+        try:
+            return real_dom(self, step)
+        finally:
+            in_dom[0] = False
+
+    def rup(self, goal):
+        if in_dom[0]:
+            got[0] += 1
+            start[0] = len(self.trail)
+        try:
+            return real_rup(self, goal)
+        finally:
+            start[0] = None
+
+    def undo(self, mark):
+        if start[0] is not None:
+            got[1] += len(self.trail) - start[0]
+        return real_undo(self, mark)
+
+    monkeypatch.setattr(Checker, "step_dom", step_dom)
+    monkeypatch.setattr(pb.Propagator, "rup", rup)
+    monkeypatch.setattr(pb.Propagator, "undo", undo)
+    assert check(formula, text)[0] == VERIFIED
+    return tuple(got)
+
+
+def test_dom_rup_assignments_do_not_grow_with_the_support(monkeypatch):
+    # the pigeon cycle of PHP(8) moves k = 56 variables, of PHP(12) 132;
+    # the negated lemma of a dom-scope RUP conflicts next to where it
+    # starts, so breadth-first propagation assigns about 7.5 literals per
+    # RUP at either size, where a depth-first walk down the $d/$a chain
+    # assigned 14.8 and 27.5
+    php8 = _dom_rup_assignments(monkeypatch, *_pigeon_cycle(8))
+    php12 = _dom_rup_assignments(monkeypatch, *_pigeon_cycle(12))
+    assert (php8, php12) == ((498, 3675), (1182, 8843))
+    assert php12[1] / php12[0] <= php8[1] / php8[0] + 1

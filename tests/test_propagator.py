@@ -94,6 +94,22 @@ def check_slacks(engine, rows):
         assert engine.top[r] == max(c.terms.values(), default=0)
 
 
+# x3 queues B, then A, and the row queued last is scanned first: A makes
+# x1 true, and ~x1 occurs in R0, B and R2, so B's slack drops below zero
+# in the middle of that occurrence list; R2 must be lowered all the same,
+# or undo would raise its slack above the start
+R0 = normalize([(1, "~x1"), (1, "x4"), (1, "x5")], 1)
+B = normalize([(1, "~x3"), (1, "~x1")], 1)
+A = normalize([(1, "~x3"), (1, "x1")], 1)
+R2 = normalize([(1, "~x1"), (1, "x2"), (1, "x5")], 1)
+MID_LIST = [R0, B, A, R2]
+X1, X2 = normalize([(1, "x1")], 1), normalize([(1, "x2")], 1)
+X3, NOT_X3 = normalize([(1, "x3")], 1), normalize([(1, "~x3")], 1)
+NOT_X1 = normalize([(1, "~x1")], 1)
+X1_TO_X2 = normalize([(1, "~x1"), (1, "x2")], 1)
+X1_OR_X2 = normalize([(1, "x1"), (1, "x2")], 1)
+
+
 def test_example_propagates_chain():
     e = Propagator()
     assert e.add(normalize([(1, "~x1"), (1, "x2")], 1))
@@ -103,6 +119,19 @@ def test_example_propagates_chain():
     assert e.assignment() == {"x1": 1, "x2": 1, "x3": 1, "x4": 1}
     assert not e.add(normalize([(1, "~x4")], 1))
     assert e.conflict
+
+
+def test_conflict_mid_occurrence_list_lowers_every_occurrence():
+    e = Propagator()
+    for c in MID_LIST:
+        assert e.add(c)
+    saved, mark = state(e), e.mark()
+    assert not e.add(X3)
+    # x1 lowered R2 after B went below zero
+    assert e.trail == [e.lits["x3"], e.lits["x1"]]
+    assert e.slack == [1, -1, 0, 1, 0]
+    e.undo(mark)
+    same_state(e, saved)
 
 
 @given(formulas)
@@ -125,6 +154,9 @@ def test_propagation_is_sound(f):
 
 @given(formulas, formulas, cons)
 @small
+@example(MID_LIST, [X3], X2)      # the conflict comes in an add
+@example(MID_LIST, [], NOT_X3)     # in a rup of a clause goal
+@example(MID_LIST, [], normalize([(1, "x3"), (1, "x4")], 2))  # of a row
 def test_undo_restores_state(base, extra, goal):
     e, rows = Propagator(), []
     for c in base:
@@ -143,6 +175,9 @@ def test_undo_restores_state(base, extra, goal):
 
 @given(ops)
 @small
+@example([("add", c) for c in MID_LIST]
+         + [("mark", None), ("add", X3), ("undo", None), ("rup", NOT_X3),
+            ("rup", X2)])
 def test_incremental_rup_equals_one_shot(script):
     e, rows = Propagator(), []
     db, marks = [], []
@@ -166,12 +201,40 @@ def test_incremental_rup_equals_one_shot(script):
 
 @given(formulas, cons)
 @small
+# not(x1 + x2 >= 2) falsifies one of them, not both
+@example([X1_OR_X2], normalize([(1, "x1"), (1, "x2")], 2))
 def test_accepted_rup_is_implied(f, goal):
     e = Propagator()
     for c in f:
         e.add(c)
     if e.rup(goal):
         assert oracle.implies(f, goal)
+
+
+# goals for each of rup's paths: a tautology; clause goals (degree 1)
+# with a coefficient above 1, with a literal already true and over a
+# variable in no row; a degree-2 goal, which keeps the row path
+@pytest.mark.parametrize("goal", [
+    normalize([(1, "x3")], 0),
+    normalize([(2, "x3"), (1, "~x2")], 1),
+    normalize([(3, "~x4"), (1, "x2")], 1),
+    normalize([(1, "x6"), (1, "x1")], 1),
+    normalize([(1, "x1"), (1, "x2")], 2),
+], ids=["tautology", "coefficient-2", "literal-true", "fresh-variable",
+        "degree-2"])
+@pytest.mark.parametrize("db", [
+    [X1, X1_TO_X2], [X1_OR_X2], [X1, NOT_X1],
+    [X1_OR_X2, NOT_X1, normalize([(1, "~x2")], 1)],
+], ids=["x1-and-x2", "x1-or-x2", "in-conflict", "in-conflict-by-chain"])
+def test_rup_of_each_goal_kind_equals_one_shot(db, goal):
+    e = Propagator()
+    for c in db:
+        e.add(c)
+    saved = state(e)
+    assert e.conflict == (propagate(db) == CONFLICT)
+    assert e.rup(goal) == rup_check(db, goal) == (
+        reference_propagate(db + [negate(goal)]) == CONFLICT)
+    same_state(e, saved)
 
 
 # ------------------------------------------- the shared one-shot engine
@@ -193,11 +256,6 @@ def assert_scratch_empty():
         [], [], [], [], False)
     assert all(v is None for v in e.value)
     assert not any(e.occ)
-
-
-X1, X2 = normalize([(1, "x1")], 1), normalize([(1, "x2")], 1)
-NOT_X1 = normalize([(1, "~x1")], 1)
-X1_TO_X2 = normalize([(1, "~x1"), (1, "x2")], 1)
 
 
 @given(st.lists(st.tuples(formulas, cons), min_size=1, max_size=4))
