@@ -13,11 +13,13 @@ not the formula's n variables.  Two derivation strategies are provided:
   introduces prefix-equality variables $a_i and prefix-comparison
   variables $d_i.  Per symmetry we introduce a small reified circuit over
   the support (variables s_j, t_j), derive ``t_k >= 1`` by dominance and
-  turn it into clauses.  Every generator's fragment is O(k) for support
-  size k, whatever n: the hint-free proof writes no step that restates a
-  row in scope or that unit propagation finds anyway, so its line count
-  is affine in k.  The order's ``def_order`` is O(|U|), so the whole
-  proof is O(|U|) plus the fragments: O(|U|) for one generator.
+  turn it into clauses.  Every generator's fragment is 13k + 4 lines for
+  support size k, whatever n, and 5k - 3 of them are hint-free RUP lemmas
+  of its dominance step.  No lemma restates a row in scope, but unit
+  propagation finds some of them anyway on some formulas (see
+  :meth:`ProofBuilder._leq_lemmas`).  The order's ``def_order`` is
+  O(|U|), so the whole proof is O(|U|) plus the fragments: O(|U|) for one
+  generator.
 
 * the *aggregate* method ("old"): a one-constraint order with exponential
   coefficients sum 2^(m-i) (v_i + ~u_i) >= 2^m - 1 over m = |U| bound
@@ -41,7 +43,6 @@ import functools
 
 from . import checker
 from . import constraints as pb
-from . import orders
 from . import parsing
 
 
@@ -258,19 +259,31 @@ def lex_order_definition(n):
 
 # -------------------------------------------------- aggregate (old) order
 
+def _big_constraint(n, cells):
+    """sum 2^(n-i) (v + ~u) >= sum 2^(n-i) over the (i, u, v) of `cells`.
+    Over every position i of u and v, it is biglex<n>'s order constraint.
+    Over the positions a witness moves, with u = z and v = sigma z, it is
+    that constraint's instance: at any other position, v + ~u = z + ~z is
+    1, so its 2^(n-i) stands on both sides and cancels."""
+    terms, degree = [], 0
+    for i, u, v in cells:
+        c = 2 ** (n - i)
+        terms += [(c, v), (c, pb.neg(u))]
+        degree += c
+    return pb.normalize(terms, degree)
+
+
 def build_big_order(n):
     """The def_order step of biglex<n>, one order constraint with
     exponential coefficients and no aux variables."""
-    terms = []
-    for i in range(1, n + 1):
-        terms.append((2 ** (n - i), "v%d" % i))
-        terms.append((2 ** (n - i), "~u%d" % i))
     # transitivity premises: O(u,v) = 1, O(v,w) = 2; their sum dominates
     # O(u,w).  O(u,u) normalizes to a tautology, so reflexivity needs no goal.
     return parsing.def_order_step(
         "biglex%d" % n, ["u%d" % i for i in range(1, n + 1)],
         ["v%d" % i for i in range(1, n + 1)], [], [],
-        [pb.normalize(terms, 2 ** n - 1)], (_fresh_right(n), [], []),
+        [_big_constraint(n, [(i, "u%d" % i, "v%d" % i)
+                             for i in range(1, n + 1)])],
+        (_fresh_right(n), [], []),
         _refute("#1", [_pol(1, 2, "+"), _pol(-1, 3, "+")]), [], None)
 
 
@@ -283,17 +296,27 @@ def big_order_definition(n):
 
 class _Fragment:
     """One symmetry's support in binding order, and the IDs and names its
-    proof fragment refers to."""
+    proof fragment refers to.  `position` maps each bound name to its
+    1-based position in `binding`, so the support costs O(k log k)."""
 
-    def __init__(self, binding, sym):
+    def __init__(self, binding, position, sym):
         self.witness = sym
-        self.pos = [i + 1 for i, z in enumerate(binding) if z in sym]
+        self.pos = sorted(position[x] for x in sym if x in position)
         self.xs = [binding[p - 1] for p in self.pos]
         self.imgs = [sym[x] for x in self.xs]
         self.k = len(self.pos)
         self.snames, self.tnames, self.s_ids, self.t_ids = {}, {}, {}, {}
         self.neg_c = None               # ID of the negated dom constraint
         self.steps = []                 # top-level steps, in proof order
+
+
+# The lemma families of the leq scope: each maps a fragment and j < k to
+# a clause (see ProofBuilder._leq_lemmas)
+LEQ_FAMILIES = (
+    lambda fr, j: ("$d%d" % fr.pos[j - 1], pb.neg(fr.snames[j])),
+    lambda fr, j: (fr.tnames[j], "~$a%d" % fr.pos[j - 1]),
+    lambda fr, j: ("$d%d" % fr.pos[j - 1], fr.tnames[j + 1]),
+)
 
 
 class ProofBuilder:
@@ -321,6 +344,7 @@ class ProofBuilder:
         self.frame = checker.Frame(counter=[len(formula) + 1])
         self.s_count = 0
         self.binding = []       # load_order's names, set by begin
+        self.position = {}      # each bound name's 1-based position in it
         self.order = None       # the loaded def_order step, set by begin
         self.kept = []          # derived breaking clauses, in proof order
         self.stats = []         # per-symmetry {"support": k, "chars": ...}
@@ -353,6 +377,7 @@ class ProofBuilder:
 
     def begin(self, syms):
         self.binding = choose_binding(self.variables, syms)
+        self.position = {z: i for i, z in enumerate(self.binding, 1)}
         build = build_lex_order if self.method == "new" else build_big_order
         self.order = build(len(self.binding))
         parsing.render_step(self.lines, self.order)
@@ -361,7 +386,7 @@ class ProofBuilder:
 
     def break_symmetry(self, sym):
         mark = len(self.lines)
-        fr = _Fragment(self.binding, sym)
+        fr = _Fragment(self.binding, self.position, sym)
         if self.method == "new":
             self._break_new(fr)
         else:
@@ -436,22 +461,25 @@ class ProofBuilder:
         self._cleanup_new(fr, frag_start, result)
 
     def _leq_lemmas(self, fr, steps):
-        """Bridge lemmas between the circuit and the order's chain, then
-        falsum by hint-free RUP."""
-        k, pos, sn, tn = fr.k, fr.pos, fr.snames, fr.tnames
+        """Falsum from ~t_k, S(sigma z, z) and ~$d_n by hint-free RUP, after
+        3(k - 1) lemmas, the :data:`LEQ_FAMILIES` for j = 1 .. k - 1.  They
+        bridge the circuit over the support x and the order's chain over z
+        at support positions p_1 < ... < p_k:
+
+        * ``$d_{p_j} v ~s_j``: s_j, x >= sigma x at each of the first j
+          support positions, gives sigma z <=lex z up to p_j;
+        * ``t_j v ~$a_{p_j}``: $a_{p_j}, sigma z >= z at each position up
+          to p_j, gives t_j, x <=lex sigma x up to j;
+        * ``$d_{p_j} v t_{j+1}``: ~t_{j+1}, sigma x <lex x within the first
+          j + 1 support positions, gives sigma z <=lex z up to p_j.
+
+        Unit propagation finds the rest.  PHP's proofs fail without any one
+        family; Count's can spare the second (both tested), and so can
+        Tseitin(3)'s."""
         emit = functools.partial(self.derive, steps)
-        for j in range(1, k):
-            emit(_rup("$d%d" % pos[j - 1], pb.neg(sn[j])))
-        for j in range(1, k):
-            emit(_rup(tn[j], "~$a%d" % pos[j - 1]))
-        for j in range(1, k):
-            emit(_rup(tn[j + 1], pb.neg(tn[j]), "$d%d" % pos[j - 1]))
-        for j in range(1, k):
-            emit(_rup("$d%d" % pos[j], "~$d%d" % pos[j - 1], tn[j]))
-        for m in range(1, k + 1):
-            for j in (m - 1, m, m + 1):
-                if 1 <= j <= k:
-                    emit(_rup("$d%d" % pos[m - 1], tn[j]))
+        for family in LEQ_FAMILIES:
+            for j in range(1, fr.k):
+                emit(_rup(*family(fr, j)))
         emit(_rup())
 
     def _geq_lemmas(self, fr, steps):
@@ -487,8 +515,8 @@ class ProofBuilder:
         frag_start = self.frame.counter[0]
         self._emit_circuit(fr, with_t=False)
 
-        left = [fr.witness.get(z, z) for z in self.binding]
-        big = orders.instance(self.order, self.binding, left)[1][0]
+        # O(z, sigma z) over the support; the other positions cancel
+        big = _big_constraint(len(self.binding), zip(fr.pos, fr.xs, fr.imgs))
         # each scope adds neg_c to the premise after it: the negated order
         # goal in leq, the order constraint O(z, sigma z) in geq
         neg_c = self.skip(1)

@@ -11,7 +11,7 @@ from pbsym import constraints as pb
 from pbsym import orders
 from pbsym import parsing
 from pbsym.checker import (
-    VERIFIED, Checker, CheckError, check_document, spec_rule,
+    UNSAT, VERIFIED, Checker, CheckError, check_document, spec_rule,
 )
 
 import oracle
@@ -135,11 +135,12 @@ _formulas = st.lists(st.builds(
 
 
 @st.composite
-def _literal_permutations(draw):
-    images = draw(st.permutations(_vars))
-    flips = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+def _literal_permutations(draw, variables=_vars):
+    images = draw(st.permutations(variables))
+    flips = draw(st.lists(st.booleans(), min_size=len(variables),
+                          max_size=len(variables)))
     return {v: ("~" + w if flip else w)
-            for v, w, flip in zip(_vars, images, flips) if flip or v != w}
+            for v, w, flip in zip(variables, images, flips) if flip or v != w}
 
 
 @settings(max_examples=300)
@@ -334,7 +335,7 @@ def test_php32_document_matches_golden():
             for block, wblock in zip(step[scope], want[scope]):
                 dropped += _dropped_steps(block["steps"], wblock["steps"])
     assert {s["kind"] for s in dropped} <= {"rup", "pol"}
-    assert len(dropped) == 82
+    assert len(dropped) == 116
     verdict, _ = check_document(cons, doc)
     assert verdict == VERIFIED
 
@@ -346,7 +347,7 @@ def test_php32_document_counters():
     assert verdict == VERIFIED
     assert counters["spec_materializations"] == 88
     assert counters["implicit_reflexivity_skips"] == 36
-    assert counters["rup_calls"] == 104
+    assert counters["rup_calls"] == 70
 
 
 def test_old_method_verifies_and_agrees():
@@ -364,6 +365,28 @@ def test_kept_constraints_are_clauses():
     b = breaker.break_symmetries(cons, variables, [sigma(), tau()])
     assert len(b.kept) == 26      # (3k - 2) for k = 4 and k = 6, twice over
     assert all(c.degree == 1 and set(c.terms.values()) == {1} for c in b.kept)
+
+
+@pytest.mark.parametrize("left_out", range(len(breaker.LEQ_FAMILIES)))
+@pytest.mark.parametrize("family,params,needed", [
+    ("php", (5,), (True, True, True)),
+    # Count's generators can spare t_j v ~$a_{p_j}; PHP's cannot
+    ("count", (5, 3), (True, False, True))])
+def test_each_leq_lemma_family_is_needed(family, params, needed, left_out,
+                                         monkeypatch):
+    # families, not single lemmas: at the ends of the chain a single
+    # lemma can be spared on some instances
+    inst = bench.generate(family, params)
+    monkeypatch.setattr(breaker, "LEQ_FAMILIES", tuple(
+        f for i, f in enumerate(breaker.LEQ_FAMILIES) if i != left_out))
+    b = breaker.break_symmetries(inst.constraints, inst.variables,
+                                 bench.known_generators(inst))
+    if not needed[left_out]:
+        assert checked(inst.constraints, b)[0] == VERIFIED
+        return
+    with pytest.raises(CheckError) as e:
+        checked(inst.constraints, b)
+    assert e.value.reason == "rup-failed"
 
 
 def test_single_transposition_fragment():
@@ -429,6 +452,59 @@ def test_old_method_breaks_negation_symmetries():
     assert verdict == VERIFIED
     assert len(b.kept) == sum(3 * len(g) - 2 for g in gens) == 10
     assert oracle.equisat(inst.constraints, b.kept)
+
+
+_six = ["x%d" % i for i in range(1, 7)]
+
+
+@st.composite
+def _symmetric_formulas(draw):
+    """A formula over six variables closed under a literal permutation,
+    which is then a symmetry of it, and a variable order."""
+    sym = draw(_literal_permutations(_six))
+    formula = draw(st.lists(st.builds(
+        pb.normalize,
+        st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(
+            _six + ["~" + v for v in _six])), min_size=1, max_size=3),
+        st.integers(0, 2)), min_size=1, max_size=3))
+    lits = pb.witness_lits(sym)
+    closed, new = dict.fromkeys(formula), formula
+    while new:
+        new = [c for c in (pb.substitute(c, lits) for c in new)
+               if c not in closed]
+        closed.update(dict.fromkeys(new))
+    return list(closed), draw(st.permutations(_six)), sym
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_symmetric_formulas(), st.sampled_from(["new", "old"]))
+def test_breaking_a_random_symmetric_formula(case, method):
+    # the proof checks, UNSAT only where the formula is, and the kept
+    # clauses, over the formula's variables and the chain variables, keep
+    # its satisfiability
+    formula, variables, sym = case
+    b = breaker.break_symmetries(formula, variables, [sym], method=method)
+    verdict, _ = checked(formula, b)
+    assert verdict == VERIFIED or (verdict == UNSAT
+                                   and oracle.satisfiable(formula) is None)
+    assert oracle.equisat(formula, b.kept)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("php", (5,)), ("count", (6, 3)), ("tseitin", (3,))])
+def test_old_dom_constraint_is_the_order_instance(family, params):
+    # built over the support alone, it is the biglex instance O(z, sigma z)
+    # over the whole binding
+    inst = bench.generate(family, params)
+    gens = bench.known_generators(inst)
+    b = breaker.ProofBuilder(inst.constraints, inst.variables, "old")
+    b.begin(gens)
+    for sym in gens:
+        fr = breaker._Fragment(b.binding, b.position, sym)
+        left = [sym.get(z, z) for z in b.binding]
+        assert (breaker._big_constraint(len(b.binding),
+                                        zip(fr.pos, fr.xs, fr.imgs))
+                == orders.instance(b.order, b.binding, left)[1][0])
 
 
 # ------------------------------------------------------ aggregate carving
@@ -514,15 +590,15 @@ def test_frozen_cp_proof_is_a_serializer_fixed_point(name):
 # breaker writes must edit a pin here, on purpose
 PROOF_TEXT_PINS = [
     ("php", (5,), "new",
-     "785ec044c893e4cd1ee99713f7fed56b62a7e4657bf1352680680ab247e9fb97"),
+     "91284e85891fedb2585fbef02649642463072faaa4ea98017e7d1f039ab178e8"),
     ("php", (5,), "old",
      "f761021ad08022bb6c88f4da1e17e176c7acb0f47d8274af2c94960e082fe565"),
     ("count", (6, 3), "new",
-     "63c9760254de6408297dbbae44a3f7e31915d3b3f169eca3846eaf14e22d07ca"),
+     "ae5d01b2b6c3bea9ab451ae1869a5e1a88352403ade2143200fac2091f1a9f3e"),
     ("count", (6, 3), "old",
      "3a1def2338520085c7d6546b89276ddbb88b4c396187971530687481917a80a6"),
     ("tseitin", (3,), "new",
-     "1bad729e43cb6ace6cb5835286f740e894e11920ce0dc5979d60b8acb231e87b"),
+     "1aa08e645c68a3add8f7d08146efd4d447de285a7a32ef2d6f5e94cf3bb9322f"),
     ("tseitin", (3,), "old",
      "97d490f754fb7d7a8802cf643e10779e5339b6bab9fb9fd6076e426571d338d4"),
     # long carving chains, with many polarity flips in their sums

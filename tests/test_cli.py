@@ -530,7 +530,7 @@ def test_break_output_is_deterministic(tmp_path):
 # 13` with all the sidecar's generators, the benchmark's emit instance
 # before relabelling; a change to what the breaker writes must edit a pin
 EMIT_PINS = {
-    "new": ("ec031d4fe514c2934736531282d95bdeb2b9c4b2f2f11fb20ba85a45cc990525",
+    "new": ("26cb0b3994e4380e4af4a5d18c270ae25b65b3b6d418c3e4b2a8c230a8991748",
             "7d716d8986baed70cdcbdc4822540471da3864d285896d588484e068e5e6d782"),
     "old": ("08011b977b38cf7cd848fd275bc8dcb029388603bdaac6551e0c8b7b01b54506",
             "fbe6f7ad043acc2c24cf8adc5d88262497d07a64b1f739f5a36062c1104a67be"),
