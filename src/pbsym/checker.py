@@ -20,7 +20,6 @@ frame and for ``def_order`` spec rows over a root frame of their own.
 import bisect
 import functools
 import itertools
-import re
 from collections import Counter, defaultdict
 
 from . import constraints as pb
@@ -552,10 +551,9 @@ class Checker:
         if len(toks) == 1:
             held = self.conclude() == UNSAT
         else:
-            held = (len(toks) == 3 and toks[1] == ":"
-                    and re.fullmatch(r"-?[0-9]+", toks[2]) is not None
-                    and self.root.get_rel(int(toks[2]), line)
-                    .is_contradiction())
+            cid = pb.parse_int(toks[2]) if len(toks) == 3 else None
+            held = (toks[1] == ":" and cid is not None
+                    and self.root.get_rel(cid, line).is_contradiction())
         if not held:
             raise CheckError("no contradiction backs conclusion %s"
                              % " ".join(toks), line=line,

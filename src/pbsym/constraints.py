@@ -256,13 +256,25 @@ def literal_axiom(lit):
     return Constraint({lit: 1}, 0)
 
 
+def parse_int(tok):
+    """The int that `tok` spells if it is a number, ASCII ``[+-]?[0-9]+``,
+    else None.  ``int()`` alone also reads ``1_0`` and non-ASCII digits."""
+    if tok.isascii() and "_" not in tok:
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
+
+
 def evaluate_polish(tokens, resolve):
     """Evaluate a reverse-Polish cutting planes program.
 
     ``tokens`` is a list of strings; ``resolve`` maps a (possibly negative,
     i.e. relative) constraint ID to a Constraint.  Number tokens are lazy:
     popped by ``*`` or ``d`` they act as integers, anywhere a constraint is
-    needed they act as constraint IDs.  Literal tokens act as literal
+    needed they act as constraint IDs.  Only a token :func:`parse_int`
+    reads is a number.  Other tokens are literals: they act as literal
     axioms when used as constraints, and name the variable for ``w``.
     """
     stack = []
@@ -306,10 +318,8 @@ def evaluate_polish(tokens, resolve):
             c = as_constraint(pop("w"))
             stack.append(("con", weaken(c, var_of(name))))
         else:
-            try:
-                stack.append(("num", int(tok)))
-            except ValueError:
-                stack.append(("lit", tok))
+            num = parse_int(tok)
+            stack.append(("lit", tok) if num is None else ("num", num))
     if len(stack) != 1:
         raise ConstraintError("polish program left %d items on the stack" % len(stack))
     return as_constraint(stack[0])

@@ -6,6 +6,14 @@ them.  Each step carries the source line number under ``line`` so checker
 rejections can cite the offending statement.  Relative constraint IDs
 (negative integers) are kept symbolic; they only make sense against the
 live counter at check time.
+
+A number, wherever the formats take one (coefficients, degrees, hints,
+IDs, goal keys, DIMACS literals and counts), is ASCII ``[+-]?[0-9]+``
+(``constraints.parse_int``).
+A constraint ``<coef> <lit> ... >= <degree>`` in normalized form, positive
+coefficients over distinct variables as pbsym itself prints it, is read in
+one pass; any other is read term by term and passed to ``normalize``, which
+builds the same constraint for normalized input.
 """
 
 from . import constraints as pb
@@ -29,8 +37,7 @@ def parse_opb(text):
     Returns (constraints, variables-in-order-of-first-use).
     """
     cons = []
-    seen = []
-    seen_set = set()
+    seen = {}   # variable -> None, in order of first use
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("*"):
@@ -43,16 +50,12 @@ def parse_opb(text):
         if ";" in toks:
             raise ParseError("stray ';' inside constraint", lineno)
         _check_literals(line, toks, lineno)
-        terms, degree, rest = _parse_terms(toks, lineno)
-        if rest:
-            raise ParseError("trailing tokens %r" % rest, lineno)
-        for _, lit in terms:
-            v = pb.var_of(lit)
-            if v not in seen_set:
-                seen_set.add(v)
-                seen.append(v)
-        cons.append(pb.normalize(terms, degree))
-    return cons, seen
+        cons.append(_read_constraint(toks, lineno, after=""))
+        # a constraint read leaves its literals at the odd positions
+        # before `>= <degree>`; zero-coefficient terms count as uses
+        for lit in toks[1:-2:2]:
+            seen[pb.var_of(lit)] = None
+    return cons, list(seen)
 
 
 def parse_cnf(text):
@@ -68,16 +71,19 @@ def parse_cnf(text):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("bad problem line %r" % line, lineno)
-            nvars = _int(parts[2], lineno, "variable count")
+            nvars = _count(parts[2], lineno, "variable count")
+            _count(parts[3], lineno, "clause count")
             continue
         if nvars is None:
             raise ParseError("clause before 'p cnf' header", lineno)
-        for tok in line.split():
-            lit = _int(tok, lineno, "literal")
+        toks = line.split()
+        lits = _ints(toks)
+        if lits is None:
+            # lazily, so the literals before the bad token are checked first
+            lits = (_int(tok, lineno, "literal") for tok in toks)
+        for lit in lits:
             if lit == 0:
-                cons.append(pb.normalize(
-                    [(1, ("x%d" % lit2) if lit2 > 0 else ("~x%d" % -lit2))
-                     for lit2 in clause], 1))
+                cons.append(_clause(clause))
                 clause = []
             else:
                 if abs(lit) > nvars:
@@ -87,6 +93,14 @@ def parse_cnf(text):
     if clause:
         raise ParseError("last clause lacks terminating 0", lineno)
     return cons
+
+
+def _clause(lits):
+    """The clause over the DIMACS literals `lits`, as `normalize` builds it."""
+    names = ["x%d" % lit if lit > 0 else "~x%d" % -lit for lit in lits]
+    if len(set(map(abs, lits))) == len(lits):
+        return pb.Constraint(dict.fromkeys(names, 1), 1)
+    return pb.normalize([(1, name) for name in names], 1)
 
 
 def render_cnf(cons, nvars):
@@ -177,10 +191,77 @@ def parse_symmetries(text):
 
 
 def _int(tok, lineno, what):
-    try:
-        return int(tok)
-    except ValueError:
+    num = pb.parse_int(tok)
+    if num is None:
         raise ParseError("bad %s %r" % (what, tok), lineno)
+    return num
+
+
+def _count(tok, lineno, what):
+    num = _int(tok, lineno, what)
+    if num < 0:
+        raise ParseError("bad %s %r" % (what, tok), lineno)
+    return num
+
+
+def _ints(toks):
+    """The ints `toks` spell, or None if some token is no number: one
+    test of the joined tokens, then ``int()`` on each."""
+    joined = "".join(toks)
+    if joined.isascii() and "_" not in joined:
+        try:
+            return [int(tok) for tok in toks]
+        except ValueError:
+            pass
+    return None
+
+
+# the spellings of 1 ... 63, which cover the coefficients and degrees of
+# nearly every constraint pbsym prints; a lookup here spares int()
+_SMALL = {}
+for _k in range(1, 64):
+    _SMALL[str(_k)] = _SMALL["+%d" % _k] = _k
+del _k
+
+
+def _read_constraint(toks, lineno, after=" after constraint"):
+    """The constraint `<coef> <lit> ... >= <degree>` that `toks` spell,
+    exactly as ``normalize`` builds it from :func:`_parse_terms`' terms.
+
+    In normalized form, positive coefficients over distinct variables,
+    the term dict is built as the tokens come and is the result.  Any
+    other token list (a zero or negative coefficient, a repeated or
+    complementary variable, malformed input) is read by
+    :func:`_parse_terms` and ``normalize``, which also raise its errors."""
+    n = len(toks) - 2
+    if n >= 0 and not n & 1 and toks[n] == ">=":
+        small = _SMALL.get
+        terms = {}
+        for i in range(0, n, 2):
+            coef = small(toks[i])
+            if coef is None:
+                coef = pb.parse_int(toks[i])
+                if coef is None or coef <= 0:
+                    break
+            lit = toks[i + 1]
+            if lit in terms:
+                break
+            if lit[0] == "~":
+                if lit[1:] in terms:
+                    break
+            elif "~" + lit in terms:
+                break
+            terms[lit] = coef
+        else:
+            degree = small(toks[-1])
+            if degree is None:
+                degree = pb.parse_int(toks[-1])
+            if degree is not None:
+                return pb.Constraint(terms, degree if degree > 0 else 0)
+    terms, degree, rest = _parse_terms(toks, lineno)
+    if rest:
+        raise ParseError("trailing tokens %r%s" % (rest, after), lineno)
+    return pb.normalize(terms, degree)
 
 
 def _parse_terms(toks, lineno):
@@ -306,12 +387,11 @@ class _Lines:
 
     def __next__(self):
         for lineno, line in self._lines:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("*"):
-                continue
-            toks = stripped.replace(";", " ").split()
-            if toks:
-                _check_literals(stripped, toks, lineno)
+            toks = line.replace(";", " ").split()
+            # a comment's first non-blank character is `*`; a first token
+            # that starts with `*` may also follow a `;`
+            if toks and (toks[0][0] != "*" or line.lstrip()[0] != "*"):
+                _check_literals(line, toks, lineno)
                 self.last = lineno
                 return lineno, toks
         raise StopIteration
@@ -330,43 +410,38 @@ class _Lines:
         return lineno, toks
 
 
-def _split_on_colons(toks):
-    parts = [[]]
-    for t in toks:
-        if t == ":":
-            parts.append([])
-        else:
-            parts[-1].append(t)
-    return parts
-
-
-def _parse_constraint(toks, lineno):
-    terms, degree, rest = _parse_terms(toks, lineno)
-    if rest:
-        raise ParseError("trailing tokens %r after constraint" % rest, lineno)
-    return pb.normalize(terms, degree)
-
-
 def _parse_pol(lines, lineno, args):
+    joined = "".join(args)
+    if not joined.isascii() or "_" in joined:
+        # a token int() reads is a malformed number, not a literal
+        for tok in args:
+            try:
+                int(tok)
+            except ValueError:
+                continue
+            _int(tok, lineno, "number")
     return pol_step(args, lineno)
 
 
 def _parse_rup(lines, lineno, args):
-    parts = _split_on_colons(args)
-    if len(parts) > 2:
+    if ":" not in args:
+        return rup_step(_read_constraint(args, lineno), None, lineno)
+    i = args.index(":")
+    toks = args[i + 1:]
+    if ":" in toks:
         raise ParseError("too many ':' sections in rup", lineno)
-    hints = None
-    if len(parts) == 2:
-        hints = [_int(t, lineno, "hint") for t in parts[1]]
-    return rup_step(_parse_constraint(parts[0], lineno), hints, lineno)
+    hints = _ints(toks)
+    if hints is None:
+        hints = [_int(tok, lineno, "hint") for tok in toks]
+    return rup_step(_read_constraint(args[:i], lineno), hints, lineno)
 
 
 def _parse_red(lines, lineno, args):
-    parts = _split_on_colons(args)
-    if len(parts) != 2:
+    if args.count(":") != 1:
         raise ParseError("red needs exactly one ':' before the witness", lineno)
-    return red_step(_parse_constraint(parts[0], lineno),
-                    _parse_witness(parts[1], lineno), lineno)
+    i = args.index(":")
+    return red_step(_read_constraint(args[:i], lineno),
+                    _parse_witness(args[i + 1:], lineno), lineno)
 
 
 def _parse_goal_key(tok, lineno):
@@ -437,7 +512,7 @@ def _parse_def_order(lines, lineno0, args):
     lines.expect("spec")
     spec = _parse_until(lines, ("end", "spec"), _parse_spec_row)
     lines.expect("def")
-    order_cons = _parse_until(lines, ("end", "def"), _parse_constraint)
+    order_cons = _parse_until(lines, ("end", "def"), _read_constraint)
     lines.expect("transitivity")
     lines.expect("vars")
     fresh = _parse_var_decls(lines, _FRESH)
@@ -455,11 +530,11 @@ def _parse_def_order(lines, lineno0, args):
 
 
 def _parse_dom(lines, lineno, args):
-    parts = _split_on_colons(args)
-    if len(parts) != 3 or parts[2] != ["subproof"]:
+    if args.count(":") != 2 or args[-2:] != [":", "subproof"]:
         raise ParseError("dom must end in ': subproof'", lineno)
-    constraint = _parse_constraint(parts[0], lineno)
-    witness = _parse_witness(parts[1], lineno)
+    i = args.index(":")
+    constraint = _read_constraint(args[:i], lineno)
+    witness = _parse_witness(args[i + 1:-2], lineno)
     scopes = {}
     for scope in ("leq", "geq"):
         lines.expect("scope", scope)

@@ -559,6 +559,9 @@ def test_breaker_proof_counters_pinned(source, counters):
     ("UNSAT : 7", "invisible-id"),
     ("UNSAT 3", "bad-conclusion"),
     ("UNSAT : x", "bad-conclusion"),
+    # the ID is a number by the parser's rule: ASCII [+-]?[0-9]+
+    ("UNSAT : +3", None),
+    ("UNSAT : \u0663", "bad-conclusion"),
     ("SAT : 1", None),
 ])
 def test_hinted_conclusion_cites_a_visible_contradiction(value, reason):

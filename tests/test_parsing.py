@@ -1,6 +1,7 @@
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pbsym import constraints as pb
 from pbsym import parsing
@@ -198,3 +199,202 @@ def test_only_the_trailer_ends_a_proof(tail, line):
     with pytest.raises(parsing.ParseError) as e:
         parsing.parse_proof(parsing.HEADER + "\n" + "\n".join(tail) + "\n")
     assert e.value.line == line
+
+
+# ------------------------------------------------------- constraint reader
+
+def _outcome(read, toks):
+    """What reading `toks` at line 7 gives: the terms in order and the
+    degree, or the error message and line."""
+    try:
+        c = read(toks, 7)
+    except parsing.ParseError as e:
+        return "error", str(e), e.line
+    return list(c.terms.items()), c.degree
+
+
+def _normalized(toks, lineno):
+    """The reference reader: every term through `normalize`."""
+    terms, degree, rest = parsing._parse_terms(toks, lineno)
+    if rest:
+        raise parsing.ParseError("trailing tokens %r after constraint" % rest,
+                                 lineno)
+    return pb.normalize(terms, degree)
+
+
+BIG = 2 ** 200
+numbers = st.one_of(st.integers(-3, 3), st.integers(BIG // 2, BIG),
+                    st.integers(-BIG, -BIG // 2))
+# few names, so that terms repeat a literal or complement one
+literals = st.sampled_from(["x1", "~x1", "x2", "~x2", "$d1", "~$d1", "x10"])
+
+
+@st.composite
+def spelled(draw, number):
+    """`number` as the formats allow it: optional `+`, leading zeros."""
+    text = "%s%d" % ("0" * draw(st.integers(0, 1)), abs(number))
+    sign = "-" if number < 0 else draw(st.sampled_from(["", "+"]))
+    return sign + text
+
+
+@st.composite
+def constraint_tokens(draw):
+    toks = []
+    for coef, lit in draw(st.lists(st.tuples(numbers, literals), max_size=6)):
+        toks += [draw(spelled(coef)), lit]
+    return toks + [">=", draw(spelled(draw(numbers)))]
+
+
+@st.composite
+def malformed_tokens(draw):
+    """A constraint with one token dropped, replaced or added."""
+    toks = draw(constraint_tokens())
+    i = draw(st.integers(0, len(toks)))
+    junk = st.sampled_from([">=", "x3", "1_0", "\u0661", "+", ":", "~x9",
+                            "2", "-"])
+    edit = draw(st.sampled_from(["drop", "replace", "insert"]))
+    if edit == "insert":
+        toks.insert(i, draw(junk))
+    elif i < len(toks):
+        if edit == "drop":
+            del toks[i]
+        else:
+            toks[i] = draw(junk)
+    return toks
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(constraint_tokens())
+@example(["+1", "x1", "+1", "~x1", ">=", "1"])
+@example(["+0", "x1", ">=", "-2"])
+@example(["+2", "x1", "-1", "x1", ">=", "1"])
+@example([">=", "0"])
+def test_reader_returns_what_normalize_builds(toks):
+    assert _outcome(parsing._read_constraint, toks) == \
+        _outcome(_normalized, toks)
+    assert _outcome(parsing._read_constraint, toks)[0] != "error"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(malformed_tokens())
+@example(["+1", "x1", ">=", "1", "x2"])
+@example(["+1", "x1", ">="])
+@example(["+1", "x1", "+1"])
+@example(["1", ">=", ">=", "1"])
+def test_reader_raises_what_normalize_raises(toks):
+    assert _outcome(parsing._read_constraint, toks) == \
+        _outcome(_normalized, toks)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.lists(st.integers(-4, 4).filter(bool), max_size=5),
+                max_size=4))
+def test_parse_cnf_clauses_are_what_normalize_builds(clauses):
+    text = "p cnf 4 %d\n" % len(clauses) + "".join(
+        " ".join(map(str, clause + [0])) + "\n" for clause in clauses)
+    got = parsing.parse_cnf(text)
+    want = [pb.normalize([(1, "x%d" % lit if lit > 0 else "~x%d" % -lit)
+                          for lit in clause], 1) for clause in clauses]
+    assert [(list(c.terms.items()), c.degree) for c in got] == \
+        [(list(c.terms.items()), c.degree) for c in want]
+
+
+def test_parse_opb_lists_variables_in_order_of_first_use():
+    cons, variables = parsing.parse_opb(
+        "+1 x3 +0 x9 -1 x1 >= 0 ;\n+1 x1 +2 ~x3 +1 ~x3 +1 x4 >= 2 ;\n")
+    assert variables == ["x3", "x9", "x1", "x4"]
+    assert list(cons[0].terms.items()) == [("x3", 1), ("~x1", 1)]
+    assert list(cons[1].terms.items()) == [("x1", 1), ("~x3", 3), ("x4", 1)]
+
+
+def test_parse_opb_keeps_its_error_messages():
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_opb("+1 x1 >= 1 ;\n+1 x1 >= 1 x2 ;\n")
+    assert str(e.value) == "line 2: trailing tokens ['x2']"
+
+
+# ------------------------------------------------------------------ numbers
+
+@pytest.mark.parametrize("step,message", [
+    ("rup \u0661 x2 >= 1;", "bad coefficient '\u0661'"),
+    ("rup +1 x2 >= 1_0;", "bad degree '1_0'"),
+    ("rup +1 x2 >= 1 : 1_0;", "bad hint '1_0'"),
+    ("pol \u0661;", "bad number '\u0661'"),
+    ("pol 1_0;", "bad number '1_0'"),
+    ("del range 1_0 2_0;", "bad ID '1_0'"),
+    ("red +1_0 x1 >= 1 : x1 -> 1;", "bad coefficient '+1_0'"),
+], ids=["coefficient", "degree", "hint", "pol-digit", "pol-underscore",
+        "del-range", "red"])
+def test_a_number_is_ascii_digits(step, message):
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_proof(parsing.HEADER + "\n" + step + "\n")
+    assert str(e.value) == "line 2: " + message
+
+
+def test_goal_keys_and_qed_hints_are_numbers():
+    head = (parsing.HEADER + "\n"
+            "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\nscope leq\n")
+    for goal, message in [("proofgoal #1_0\nqed #10;", "line 4: bad "
+                           "proofgoal key '1_0'"),
+                          ("proofgoal #1\nqed #1 : \u0662;", "line 5: bad "
+                           "qed hint '\u0662'")]:
+        with pytest.raises(parsing.ParseError) as e:
+            parsing.parse_proof(head + goal + "\n")
+        assert str(e.value) == message
+
+
+def test_numbers_keep_signs_and_leading_zeros():
+    doc = parsing.parse_proof(parsing.HEADER + "\n"
+                              "rup +01 x1 -1 x2 >= -0 : +3 -2 007;\n"
+                              "pol 1 +2 + x\u00e91 +;\n")
+    rup, pol = doc["steps"]
+    assert rup["constraint"] == pb.normalize([(1, "x1"), (-1, "x2")], 0)
+    assert rup["hints"] == [3, -2, 7]
+    assert pol["tokens"] == ["1", "+2", "+", "x\u00e91", "+"]
+
+
+def test_polish_reads_only_ascii_numbers():
+    # what is no number is a literal: its axiom, never a constraint ID
+    for tok in ("1_0", "\u0661"):
+        assert pb.evaluate_polish([tok], None) == pb.literal_axiom(tok)
+    assert pb.evaluate_polish(["+2"], {2: pb.FALSUM}.get) == pb.FALSUM
+
+
+def test_dimacs_literals_are_numbers():
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_cnf("p cnf 2 1\n1 1_0 0\n")
+    assert str(e.value) == "line 2: bad literal '1_0'"
+    # of two faults on a line, the first token's is reported
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_cnf("p cnf 2 1\n3 x 0\n")
+    assert str(e.value) == "line 2: literal 3 exceeds declared 2 variables"
+
+
+@pytest.mark.parametrize("header,message", [
+    ("p cnf 2 x", "bad clause count 'x'"),
+    ("p cnf 2 -5", "bad clause count '-5'"),
+    ("p cnf -3 1", "bad variable count '-3'"),
+    ("p cnf \u0662 1", "bad variable count '\u0662'"),
+    ("p cnf 2 1_0", "bad clause count '1_0'"),
+])
+def test_dimacs_header_counts_are_non_negative_numbers(header, message):
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_cnf(header + "\n1 2 0\n")
+    assert str(e.value) == "line 1: " + message
+
+
+def test_dimacs_clause_count_is_not_matched():
+    assert len(parsing.parse_cnf("p cnf 2 7\n1 2 0\n")) == 1
+    assert parsing.parse_cnf("c empty\np cnf +0 0\n") == []
+
+
+# ----------------------------------------------------------------- comments
+
+def test_a_comment_starts_with_star_after_blanks_only():
+    doc = parsing.parse_proof(parsing.HEADER + "\n  * note\n\t*\n;\n"
+                              "pol 1 2 +;\n")
+    assert [s["line"] for s in doc["steps"]] == [5]
+    # `;*` is not a comment: its first token is `*`, an unknown keyword
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_proof(parsing.HEADER + "\n;* rup +1 x1 >= 1;\n")
+    assert str(e.value) == "line 2: unknown keyword '*'"
