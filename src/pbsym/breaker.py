@@ -58,12 +58,13 @@ class FormulaError(BreakError):
 # ------------------------------------------------------------- symmetries
 
 def occurrences(formula):
-    """Each variable's positions in the formula, in order."""
+    """Each variable's positions in the formula, in order, and an empty
+    cache for :func:`verify_symmetry`'s constraint keys."""
     index = collections.defaultdict(list)
     for i, c in enumerate(formula):
         for lit in c.terms:
             index[pb.var_of(lit)].append(i)
-    return index
+    return index, {}
 
 
 def verify_symmetry(formula, sym, index):
@@ -71,17 +72,23 @@ def verify_symmetry(formula, sym, index):
 
     The witness must permute its support's literals, so an image is its
     constraint renamed.  Through `index`, the formula's :func:`occurrences`,
-    a generator costs only the terms of the constraints it moves.
+    a generator costs only the terms of the constraints it moves, and a
+    constraint's key is built once, for the first generator that moves it.
     """
     images = {pb.var_of(img) for img in sym.values() if isinstance(img, str)}
     if images != sym.keys():
         raise BreakError("witness does not permute its support's literals")
     lits = pb.witness_lits(sym)
-    moved = [formula[i] for i in sorted({i for v in sym for i in index[v]})]
-    want = collections.Counter((frozenset(c.terms.items()), c.degree)
-                               for c in moved)
-    for c in moved:
-        image = (frozenset((lits.get(l, l), a) for l, a in c.terms.items()),
+    positions, keys = index
+    moved = sorted({i for v in sym for i in positions[v]})
+    for i in moved:
+        if i not in keys:
+            keys[i] = frozenset(formula[i].terms.items()), formula[i].degree
+    want = collections.Counter(keys[i] for i in moved)
+    for i in moved:
+        c = formula[i]
+        terms = c.terms
+        image = (frozenset(zip(map(lits.get, terms, terms), terms.values())),
                  c.degree)
         if not want[image]:
             raise BreakError("image of constraint `%s` is missing from the "
@@ -524,8 +531,8 @@ class ProofBuilder:
         self.derive(leq, _pol(neg_c, self.skip(1), "+"))
         geq = []
         self.derive(geq, _pol(neg_c, self.skip(1), "+"))
-        big_id = self.derive_known(fr.steps, parsing.dom_step(
-            big, fr.witness, _refute("#1", leq), _refute("#2", geq), None), big)
+        big_id = self.derive(fr.steps, parsing.dom_step(
+            big, fr.witness, _refute("#1", leq), _refute("#2", geq), None))
 
         # chain lemmas: under s_{j-1}, every earlier support level is >=
         lemma = {}
@@ -536,62 +543,52 @@ class ProofBuilder:
                 # a negation symmetry maps x to ~x: normalize merges the terms
                 con = (_clause(*lits) if pb.var_of(lits[2]) != lits[1]
                        else pb.normalize([(1, l) for l in lits], 1))
-                lemma[j, m] = self.derive_known(
-                    fr.steps, parsing.rup_step(con, None, None), con)
+                lemma[j, m] = self.derive(
+                    fr.steps, parsing.rup_step(con, None, None)), con
 
         first_clause = self.frame.counter[0]
         self._emit_clauses(fr, self._s_clauses(fr))
+        # lemma m's multiplier, as an int and as its token
+        n = len(self.binding)
+        coefs = [(c, str(c)) for c in (2 ** (n - p) for p in fr.pos)]
+        big = pb.LinearSum().add(big)
         for j in range(1, fr.k + 1):
-            self._keep(fr, *self._carve_clause(big, big_id, fr, lemma, j))
+            self._keep(fr, *self._carve_clause(big, big_id, fr, lemma, coefs,
+                                               j))
         fr.steps.append(parsing.del_range_step(frag_start, first_clause, None))
 
-    def _carve_clause(self, big, big_id, fr, lemma, j):
-        """pol step extracting breaking clause j from the big constraint,
-        and the clause it derives."""
-        tokens, lemmas = [big_id], []
+    def _carve_clause(self, big, big_id, fr, lemma, coefs, j):
+        """pol step extracting breaking clause j from the big constraint, a
+        LinearSum, and the clause it derives.  `lemma[j, m]` is a chain
+        lemma's ID and content, and `coefs[m - 1]` its multiplier, as an
+        int and as its token."""
+        cur, tokens = big.copy(), [str(big_id)]
         for m in range(1, j):
-            coef = 2 ** (len(self.order["left"]) - fr.pos[m - 1])
-            tokens += [lemma[j, m], coef, "*", "+"]
-            lemmas.append((self.frame.get(lemma[j, m]), coef))
-        want_terms = [(1, pb.neg(fr.xs[j - 1])), (1, fr.imgs[j - 1])]
+            lemma_id, con = lemma[j, m]
+            coef, coef_token = coefs[m - 1]
+            tokens += [str(lemma_id), coef_token, "*", "+"]
+            cur.add(con, coef)
+        want = [pb.neg(fr.xs[j - 1]), fr.imgs[j - 1]]
         if j > 1:
-            want_terms.insert(0, (1, pb.neg(fr.snames[j - 1])))
-        cur, weakened = _carve(big, lemmas,
-                               {pb.var_of(l) for _, l in want_terms})
-        tokens += [t for var in weakened for t in (var, "w")]
-        cur = pb.saturate(cur)
+            want.insert(0, pb.neg(fr.snames[j - 1]))
+        wanted = {pb.var_of(l) for l in want}
+        for var in [var for var in cur.coef if var not in wanted]:
+            cur.weaken(var)
+            tokens += [var, "w"]
+        cur.saturate()
         tokens.append("s")
         delta = cur.degree
         if delta < 1:
             raise BreakError("aggregate clause %d degenerated to a tautology" % j)
         if delta > 1:
-            tokens += [delta, "d"]
-            cur = pb.divide(cur, delta)
-        if cur != pb.saturate(pb.normalize(want_terms, 1)):
+            tokens += [str(delta), "d"]
+            cur.divide(delta)
+        cur = cur.constraint()
+        # a negation symmetry's clause names ~x_j twice
+        if cur != _clause(*want):
             raise BreakError("aggregate clause %d came out as %s"
                              % (j, pb.render(cur)))
-        return _pol(*tokens), cur
-
-
-def _carve(big, lemmas, wanted):
-    """`big` folded with pb.add(cur, pb.multiply(lemma, coef)), then pb.weaken
-    of each variable not in `wanted`, but in one dict; and those variables."""
-    acc, degree = {}, 0
-    for con, coef in [(big, 1)] + lemmas:
-        degree += coef * con.degree
-        for lit, a in con.terms.items():
-            var, a = (lit[1:], -coef * a) if lit[0] == "~" else (lit, coef * a)
-            b = acc.get(var, 0)
-            if a * b < 0:       # opposite literals cancel
-                degree -= min(abs(a), abs(b))
-            acc[var] = a + b
-            if not acc[var]:    # gone; if it comes back, it goes last
-                del acc[var]
-        degree = max(degree, 0)
-    weakened = [var for var in acc if var not in wanted]
-    degree -= sum(abs(acc.pop(var)) for var in weakened)
-    terms = {var if a > 0 else "~" + var: abs(a) for var, a in acc.items()}
-    return pb.Constraint(terms, max(degree, 0)), weakened
+        return parsing.pol_step(tokens, None), cur
 
 
 def break_symmetries(formula, variables, syms, method="new"):

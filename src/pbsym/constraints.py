@@ -183,72 +183,70 @@ def substitute(c, witness):
     return _from_signed(acc, degree)
 
 
-def add(c1, c2):
-    """The sum of two normalized constraints.
+class LinearSum:
+    """A mutable sum of normalized constraints: `coef` maps each variable to
+    the signed coefficient of its positive literal, and `degree` is the
+    normalized degree, clamped at 0 after every operation.  A variable
+    keeps its place when its polarity flips, one that cancels is dropped,
+    and a new or returning one goes last, so :meth:`constraint` is what
+    :func:`normalize` of all the summed terms gives, term order included.
+    :meth:`add` costs O(len(c.terms)), :meth:`weaken` O(1), the rest one
+    pass."""
 
-    Returns exactly what :func:`normalize` returns for the concatenated
-    terms, term order included: c1's variables keep their positions, even
-    when their polarity flips, and c2's new variables follow in c2's order.
-    Costs a copy of c1's dict plus O(len(c2.terms)) lookups, and one
-    rebuild of the dict when some polarity flips.
-    """
-    terms = c1.terms.copy()
-    degree = c1.degree + c2.degree
-    flipped = {}  # literal of c1 -> the opposite literal that replaces it
-    for lit, a in c2.terms.items():
-        b = terms.get(lit)
-        if b is not None:
-            terms[lit] = a + b
-            continue
-        other = neg(lit)
-        b = terms.get(other)
-        if b is None:
-            terms[lit] = a
-        elif b > a:
-            terms[other] = b - a
-            degree -= a
-        elif b == a:
-            del terms[other]
-            degree -= a
-        else:
-            terms[other] = a - b
-            flipped[other] = lit
-            degree -= b
-    if flipped:
-        terms = {flipped.get(l, l): a for l, a in terms.items()}
-    return Constraint(terms, max(degree, 0))
+    __slots__ = ("coef", "degree")
 
+    def __init__(self, coef=None, degree=0):
+        self.coef, self.degree = {} if coef is None else coef, degree
 
-def multiply(c, k):
-    if k <= 0:
-        raise ConstraintError("multiplier must be positive, got %d" % k)
-    return Constraint({l: a * k for l, a in c.terms.items()}, c.degree * k)
+    def copy(self):
+        return LinearSum(self.coef.copy(), self.degree)
 
+    def add(self, c, k=1):
+        """Add `k` times the normalized constraint `c`; returns self."""
+        coef, degree = self.coef, self.degree + k * c.degree
+        for lit, a in c.terms.items():
+            var, a = (lit[1:], -k * a) if lit[0] == "~" else (lit, k * a)
+            b = coef.get(var, 0)
+            if a * b < 0:       # opposite literals cancel
+                degree -= min(abs(a), abs(b))
+            b += a
+            if b:
+                coef[var] = b
+            else:               # gone; if it comes back, it goes last
+                del coef[var]
+        self.degree = degree if degree > 0 else 0
+        return self
 
-def divide(c, k):
-    """Division with ceiling on every coefficient and on the degree."""
-    if k <= 0:
-        raise ConstraintError("divisor must be positive, got %d" % k)
-    terms = {l: -(-a // k) for l, a in c.terms.items()}
-    return Constraint(terms, -(-c.degree // k))
+    def divide(self, k):
+        """Division with ceiling on every coefficient and on the degree."""
+        coef = self.coef
+        for var, a in coef.items():
+            coef[var] = a // k if a < 0 else -(-a // k)
+        self.degree = -(-self.degree // k)
 
+    def saturate(self):
+        d, coef = self.degree, self.coef
+        if not d:
+            coef.clear()
+        for var, a in coef.items():
+            if abs(a) > d:
+                coef[var] = d if a > 0 else -d
 
-def saturate(c):
-    terms = {l: min(a, c.degree) for l, a in c.terms.items() if min(a, c.degree) > 0}
-    return Constraint(terms, c.degree)
+    def weaken(self, var):
+        """Cancel the term on `var` by adding a literal axiom; a variable
+        that does not occur is a no-op."""
+        a = self.coef.pop(var, None)
+        if a is not None:
+            self.degree = max(self.degree - abs(a), 0)
 
-
-def weaken(c, variable):
-    """Cancel the term on `variable` by adding literal axioms.
-
-    Weakening a variable that does not occur is a no-op.
-    """
-    for lit in (variable, "~" + variable):
-        if lit in c.terms:
-            a = c.terms[lit]
-            terms = {l: b for l, b in c.terms.items() if l != lit}
-            return Constraint(terms, max(c.degree - a, 0))
-    return c
+    def constraint(self):
+        terms = {}
+        for var, a in self.coef.items():
+            if a > 0:
+                terms[var] = a
+            else:
+                terms["~" + var] = -a
+        return Constraint(terms, self.degree)
 
 
 def literal_axiom(lit):
@@ -273,56 +271,73 @@ def evaluate_polish(tokens, resolve):
     ``tokens`` is a list of strings; ``resolve`` maps a (possibly negative,
     i.e. relative) constraint ID to a Constraint.  Number tokens are lazy:
     popped by ``*`` or ``d`` they act as integers, anywhere a constraint is
-    needed they act as constraint IDs.  Only a token :func:`parse_int`
+    needed they act as constraint IDs, resolved as an operator pops them
+    (``+`` pops its second operand first).  Only a token :func:`parse_int`
     reads is a number.  Other tokens are literals: they act as literal
     axioms when used as constraints, and name the variable for ``w``.
+
+    Operators change one :class:`LinearSum` in place; a cited constraint is
+    copied only when an operator changes it, and ``k *`` on one records k.
+    So a program costs time linear in its operands.
     """
-    stack = []
+    stack = []  # ints, literal names, LinearSums and (constraint, k) pairs
 
-    def as_constraint(item):
-        kind, val = item
-        if kind == "con":
-            return val
-        if kind == "num":
-            return resolve(val)
-        return literal_axiom(val)  # kind == "lit"
+    def pop(what):
+        try:
+            return stack.pop()
+        except IndexError:
+            raise ConstraintError("polish stack underflow at %s"
+                                  % what) from None
 
-    def pop(what="operand"):
-        if not stack:
-            raise ConstraintError("polish stack underflow at %s" % what)
-        return stack.pop()
+    def operand(what):
+        """The popped operand as (constraint, multiplier)."""
+        val = pop(what)
+        if isinstance(val, int):
+            return resolve(val), 1
+        if isinstance(val, str):
+            return literal_axiom(val), 1
+        return (val.constraint(), 1) if isinstance(val, LinearSum) else val
+
+    def owned(what):
+        """The popped operand as a LinearSum the program may change."""
+        if stack and isinstance(stack[-1], LinearSum):
+            return stack.pop()
+        return LinearSum().add(*operand(what))
 
     for tok in tokens:
         if tok == "+":
-            b = as_constraint(pop("+"))
-            a = as_constraint(pop("+"))
-            stack.append(("con", add(a, b)))
-        elif tok == "*":
-            kind, k = pop("*")
-            if kind != "num":
-                raise ConstraintError("multiplier must be a number")
-            c = as_constraint(pop("*"))
-            stack.append(("con", multiply(c, k)))
-        elif tok == "d":
-            kind, k = pop("d")
-            if kind != "num":
-                raise ConstraintError("divisor must be a number")
-            c = as_constraint(pop("d"))
-            stack.append(("con", divide(c, k)))
+            b = operand("+")
+            val = owned("+").add(*b)
+        elif tok == "*" or tok == "d":
+            name = "multiplier" if tok == "*" else "divisor"
+            k = pop(tok)
+            if not isinstance(k, int):
+                raise ConstraintError("%s must be a number" % name)
+            val = operand(tok) if tok == "*" else owned(tok)
+            if k <= 0:
+                raise ConstraintError("%s must be positive, got %d" % (name, k))
+            if tok == "*":
+                val = val[0], val[1] * k
+            else:
+                val.divide(k)
         elif tok == "s":
-            stack.append(("con", saturate(as_constraint(pop("s")))))
+            val = owned("s")
+            val.saturate()
         elif tok == "w":
-            kind, name = pop("w")
-            if kind != "lit":
+            name = pop("w")
+            if not isinstance(name, str):
                 raise ConstraintError("weakening needs a variable name")
-            c = as_constraint(pop("w"))
-            stack.append(("con", weaken(c, var_of(name))))
+            val = owned("w")
+            val.weaken(var_of(name))
         else:
-            num = parse_int(tok)
-            stack.append(("lit", tok) if num is None else ("num", num))
+            # a number starts with a sign or a digit; a literal seldom does
+            num = parse_int(tok) if tok[:1] in "+-0123456789" else None
+            val = tok if num is None else num
+        stack.append(val)
     if len(stack) != 1:
         raise ConstraintError("polish program left %d items on the stack" % len(stack))
-    return as_constraint(stack[0])
+    c, k = operand("end")
+    return c if k == 1 else LinearSum().add(c, k).constraint()
 
 
 class Propagator:

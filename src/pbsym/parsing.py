@@ -59,15 +59,27 @@ def parse_opb(text):
 
 
 def parse_cnf(text):
-    """Parse DIMACS CNF; clauses become sum of literals >= 1."""
-    nvars = None
+    """Parse DIMACS CNF; clauses become sum of literals >= 1.
+
+    One ``p cnf <variables> <clauses>`` header comes before the clauses.
+    A line ``%`` ends them, as in SATLIB's files: after it only blank
+    lines, ``c`` comments and one lone ``0`` may follow."""
+    nvars = ended = None    # ended: set by the `%` line, then by its `0`
     cons = []
     clause = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
+        if ended is not None:
+            if line != "0" or ended:
+                raise ParseError("%r after the '%%' line that ends the "
+                                 "clauses" % line, lineno)
+            ended = True
+            continue
         if line.startswith("p"):
+            if nvars is not None:
+                raise ParseError("second 'p cnf' header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("bad problem line %r" % line, lineno)
@@ -76,6 +88,12 @@ def parse_cnf(text):
             continue
         if nvars is None:
             raise ParseError("clause before 'p cnf' header", lineno)
+        if line == "%":
+            if clause:
+                raise ParseError("clause before '%' lacks terminating 0",
+                                 lineno)
+            ended = False
+            continue
         toks = line.split()
         lits = _ints(toks)
         if lits is None:

@@ -15,6 +15,7 @@ from pbsym.checker import (
 )
 
 import oracle
+import polish_reference
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -510,17 +511,33 @@ def test_old_dom_constraint_is_the_order_instance(family, params):
 # ------------------------------------------------------ aggregate carving
 
 def reference_carve(big, lemmas, wanted):
-    """:func:`breaker._carve` as it was: a fold of pb.add over pb.multiply,
-    then one pb.weaken per unwanted variable, in term order."""
+    """Carving as it was first written: a fold of add over multiply, then
+    one weaken per unwanted variable, in term order."""
     cur = big
     for lem, coef in lemmas:
-        cur = pb.add(cur, pb.multiply(lem, coef))
+        cur = polish_reference.add(cur, polish_reference.multiply(lem, coef))
     weakened = []
     for var in [pb.var_of(l) for l in cur.terms]:
         if var not in wanted:
-            cur = pb.weaken(cur, var)
+            cur = polish_reference.weaken(cur, var)
             weakened.append(var)
     return cur, weakened
+
+
+def carve(big, lemmas, wanted):
+    """The arithmetic of :meth:`breaker.ProofBuilder._carve_clause`: a copy
+    of the big constraint's LinearSum, each lemma added times its
+    multiplier, then each variable not in `wanted` weakened, in term order."""
+    base = pb.LinearSum().add(big)
+    cur = base.copy()
+    for lem, coef in lemmas:
+        cur.add(lem, coef)
+    weakened = [var for var in cur.coef if var not in wanted]
+    for var in weakened:
+        cur.weaken(var)
+    # the base is shared by every clause of a generator
+    assert base.constraint() == big
+    return cur.constraint(), weakened
 
 
 BIG = 2 ** 70
@@ -553,7 +570,7 @@ def C(*terms, ge):
 @example(C((5, "x1"), ge=2), [(C((5, "~x1"), (1, "x2"), ge=1), 1),
                               (C((1, "x3"), ge=1), 1)], {"x3"})  # clamp
 def test_carve_is_the_fold_of_add_and_weaken(big, lemmas, wanted):
-    got, got_weakened = breaker._carve(big, lemmas, wanted)
+    got, got_weakened = carve(big, lemmas, wanted)
     want, want_weakened = reference_carve(big, lemmas, wanted)
     # term order too: a carved clause is kept, and written, in it
     assert list(got.terms.items()) == list(want.terms.items())
@@ -671,6 +688,58 @@ def test_breaker_formula_text_pinned(family, params, gens, method, sha):
     text = "".join("%s ;\n" % pb.render(c)
                    for c in list(inst.constraints) + list(b.kept))
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+def _pigeon_cycle(inst, n):
+    """PHP(n)'s pigeon n-cycle: every pigeon moves to the next one."""
+    names = inst.names
+    return {names["p%d_h%d" % (i, j)]: names["p%d_h%d" % (i % n + 1, j)]
+            for i in range(1, n + 1) for j in range(1, n)}
+
+
+def _hole_cycle(inst, n):
+    """PHP(n)'s hole (n - 1)-cycle: every hole moves to the next one."""
+    names = inst.names
+    return {names["p%d_h%d" % (i, j)]: names["p%d_h%d" % (i, j % (n - 1) + 1)]
+            for i in range(1, n + 1) for j in range(1, n)}
+
+
+def _cycle_set(inst, n):
+    """One pigeon swap, the pigeon n-cycle, one hole swap and the hole
+    (n - 1)-cycle, which generate PHP(n)'s symmetry group."""
+    gens = bench.known_generators(inst)
+    return [gens[0], _pigeon_cycle(inst, n), gens[n - 1], _hole_cycle(inst, n)]
+
+
+# sha256 of the .pbp and .opb text of PHP(6) broken with cycles, which move
+# up to k = 30 variables each, so `old` carves long chains of |U|-bit sums
+CYCLE_TEXT_PINS = [
+    ("pigeon-cycle", "new",
+     "b15c4dd8798ba40c1dfcd146f2ffa30d01a651a6d614ad82b7de8d127e7f7b40",
+     "b16b0419cc0932405aa3a165aba2034bc14833021185fe9e75e2faa7c79a884f"),
+    ("pigeon-cycle", "old",
+     "40b2eaf16635ebeeb6106e061edb6315c0a6596d965d9241e22a886619490ee6",
+     "67e2f1c7d2f3f82132e23c566d206efc4e39b92011fa953f7cbd91e0aaba538c"),
+    ("cycle-set", "new",
+     "08a85fdc1ab108f262d80ee09df094acca30b6f397ca7ec2b482020c07f578cb",
+     "1bd6df44f3bf459e90bc38f335d80f82a493af99907ca508c429015513ce9a61"),
+    ("cycle-set", "old",
+     "fb2ce81a25da79f25cc8c17e077f46f1252596048fca334bc44ec0865ed709d0",
+     "4ddac08266664e74a99a99bd30d90ef72981db5d667fdb0479efa6cb397e1a6a"),
+]
+
+
+@pytest.mark.parametrize("gens,method,pbp_sha,opb_sha", CYCLE_TEXT_PINS)
+def test_breaker_cycle_text_pinned(gens, method, pbp_sha, opb_sha):
+    inst = bench.generate("php", (6,))
+    syms = ([_pigeon_cycle(inst, 6)] if gens == "pigeon-cycle"
+            else _cycle_set(inst, 6))
+    b = breaker.break_symmetries(inst.constraints, inst.variables, syms,
+                                 method=method)
+    opb = "".join("%s ;\n" % pb.render(c)
+                  for c in list(inst.constraints) + list(b.kept))
+    assert hashlib.sha256(b.text().encode()).hexdigest() == pbp_sha
+    assert hashlib.sha256(opb.encode()).hexdigest() == opb_sha
 
 
 def _all_variables_binding(variables, syms):

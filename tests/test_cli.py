@@ -240,12 +240,16 @@ DOM_HEAD = "dom +1 x1 >= 1 : x1 -> x3 x3 -> x1 : subproof\n"
     pytest.param("bad_header.cnf", "", id="cnf-header"),
     pytest.param("clause_first.cnf", "", id="cnf-clause-before-header"),
     pytest.param("dnf.cnf", "", id="cnf-not-cnf"),
+    pytest.param("two_headers.cnf", "", id="cnf-second-header"),
+    pytest.param("after_end.cnf", "", id="cnf-clause-after-percent"),
 ])
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, formula, proof):
     (tmp_path / "bad_literal.cnf").write_text("p cnf 2 1\n1 a 0\n")
     (tmp_path / "bad_header.cnf").write_text("p cnf x 1\n1 0\n")
     (tmp_path / "clause_first.cnf").write_text("1 0\np cnf 1 1\n")
     (tmp_path / "dnf.cnf").write_text("p dnf 1 1\n1 0\n")
+    (tmp_path / "two_headers.cnf").write_text("p cnf 2 1\n1 2 0\np cnf 1 1\n")
+    (tmp_path / "after_end.cnf").write_text("p cnf 2 1\n1 2 0\n%\n0\n1 0\n")
     (tmp_path / "stray_semicolon.opb").write_text("+1 x1 ; >= 1 ;\n")
     (tmp_path / "trailing_tokens.opb").write_text("+1 x1 >= 1 2 ;\n")
     (tmp_path / "double_tilde.opb").write_text("+1 ~~x1 >= 1 ;\n")

@@ -5,11 +5,36 @@ from hypothesis import example, given, settings, strategies as st
 
 from pbsym import constraints as pb
 from pbsym.constraints import (
-    CONFLICT, Constraint, add, divide, evaluate_polish, multiply, neg,
-    negate, normalize, propagate, rup_check, saturate, substitute, weaken,
+    CONFLICT, Constraint, evaluate_polish, neg, negate, normalize, propagate,
+    rup_check, substitute,
 )
 
 import oracle
+
+
+# the cutting-planes rules, each as the one-operator program that runs it
+def _run(tokens, *cons):
+    return evaluate_polish(tokens, dict(enumerate(cons, 1)).__getitem__)
+
+
+def add(c1, c2):
+    return _run(["1", "2", "+"], c1, c2)
+
+
+def multiply(c, k):
+    return _run(["1", str(k), "*"], c)
+
+
+def divide(c, k):
+    return _run(["1", str(k), "d"], c)
+
+
+def saturate(c):
+    return _run(["1", "s"], c)
+
+
+def weaken(c, variable):
+    return _run(["1", variable, "w"], c)
 
 
 def C(*terms, ge):

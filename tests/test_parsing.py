@@ -388,6 +388,37 @@ def test_dimacs_clause_count_is_not_matched():
     assert parsing.parse_cnf("c empty\np cnf +0 0\n") == []
 
 
+def test_dimacs_second_header_is_an_error():
+    # it would reset the bound a later clause's literals are checked against
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_cnf("p cnf 2 1\n1 2 0\np cnf 1 1\n1 0\n")
+    assert str(e.value) == "line 3: second 'p cnf' header"
+
+
+@pytest.mark.parametrize("tail", ["%\n0\n", "%\n", "  %  \n\nc end\n0\n\n",
+                                  "%\nc end\n0"])
+def test_dimacs_percent_line_ends_the_clauses(tail):
+    # SATLIB's files end in `%` and a lone `0`
+    text = "p cnf 3 2\n1 -2 0\n2 3 0\n"
+    assert parsing.parse_cnf(text + tail) == parsing.parse_cnf(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("p cnf 2 1\n1 2 0\n%\n0\n1 0\n",
+     "line 5: '1 0' after the '%' line that ends the clauses"),
+    ("p cnf 2 1\n1 2 0\n%\n0\n0\n",
+     "line 5: '0' after the '%' line that ends the clauses"),
+    ("p cnf 2 1\n1 2 0\n%\np cnf 2 1\n",
+     "line 4: 'p cnf 2 1' after the '%' line that ends the clauses"),
+    ("p cnf 2 1\n1 2\n%\n0\n",
+     "line 3: clause before '%' lacks terminating 0"),
+])
+def test_dimacs_percent_line_tail_is_checked(text, message):
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_cnf(text)
+    assert str(e.value) == message
+
+
 # ----------------------------------------------------------------- comments
 
 def test_a_comment_starts_with_star_after_blanks_only():
