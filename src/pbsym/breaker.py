@@ -121,15 +121,10 @@ def _fresh_prefix(base, taken):
 
 # ------------------------------------------------------------ proof steps
 
-def _clause(*lits):
-    """The clause over `lits`, whose variables are distinct; falsum when
-    there are none."""
-    return pb.Constraint(dict.fromkeys(lits, 1), 1)
-
-
 def _rup(*lits):
-    """Hint-free rup step for :func:`_clause` of `lits`."""
-    return parsing.rup_step(_clause(*lits), None, None)
+    """Hint-free rup step for the clause over `lits`, whose variables are
+    distinct; falsum when there are none."""
+    return parsing.rup_step(pb.clause(lits), None, None)
 
 
 def _pol(*tokens):
@@ -139,12 +134,6 @@ def _pol(*tokens):
 def _refute(key, steps):
     """A proofgoal block whose steps end in a contradiction at ID -1."""
     return [parsing.goal_block(key, steps, -1, None)]
-
-
-def _step_text(step):
-    out = []
-    parsing.render_step(out, step)
-    return "\n".join(out)
 
 
 def _spec_index(spec):
@@ -243,7 +232,7 @@ def _lex_transitivity_steps(n, spec):
     steps = []
 
     def lemma(hints, *lits):
-        steps.append(parsing.rup_step(_clause(*lits), hints, None))
+        steps.append(parsing.rup_step(pb.clause(lits), hints, None))
         return neg_goal + len(steps)
 
     prev = []  # Qa, Qb and P of the level before
@@ -257,11 +246,6 @@ def _lex_transitivity_steps(n, spec):
             prev = [qa, qb, p]
     steps.append(_pol(p, o_uv, "+", o_vw, "+", neg_goal, "+"))
     return steps
-
-
-def lex_order_definition(n):
-    """def_order text for lex(n), without a trailing newline."""
-    return _step_text(build_lex_order(n))
 
 
 # -------------------------------------------------- aggregate (old) order
@@ -292,11 +276,6 @@ def build_big_order(n):
                              for i in range(1, n + 1)])],
         (_fresh_right(n), [], []),
         _refute("#1", [_pol(1, 2, "+"), _pol(-1, 3, "+")]), [], None)
-
-
-def big_order_definition(n):
-    """def_order text for biglex(n), without a trailing newline."""
-    return _step_text(build_big_order(n))
 
 
 # ------------------------------------------------------------ the builder
@@ -358,12 +337,27 @@ class ProofBuilder:
 
     # -- low-level helpers
 
-    def skip(self, count):
-        """Allocate `count` IDs that no printed step derives (premises the
-        checker adds itself); returns the first."""
-        cid = self.frame.counter[0]
-        self.frame.counter[0] += count
-        return cid
+    def dominance(self, fr, con, leq, geq):
+        """Derive `con` by a dom step under `fr.witness`; returns its ID.
+        `leq` and `geq`, called as (fr, steps, oid), append their scope's
+        steps with :meth:`derive`.
+
+        The IDs are :meth:`checker.Checker.step_dom`'s, premises the
+        checker adds itself included: one for not(con), `fr.neg_c`; in leq,
+        S spec rows and the negated order goal of block #1, `oid`; in geq,
+        S spec rows and the |def| order constraints, the first `oid`.  Each
+        scope's steps follow its premises."""
+        S, counter = len(self.order["spec"]), self.frame.counter
+        fr.neg_c = self.frame.alloc()
+        blocks = []
+        for key, premises, fill in (("#1", S + 1, leq),
+                                    ("#2", S + len(self.order["def"]), geq)):
+            steps, oid = [], counter[0] + S
+            counter[0] += premises
+            fill(fr, steps, oid)
+            blocks.append(_refute(key, steps))
+        return self.derive_known(fr.steps, parsing.dom_step(
+            con, fr.witness, *blocks, None), con)
 
     def derive(self, steps, step):
         """Append a step that derives one constraint to `steps`; returns its
@@ -450,24 +444,13 @@ class ProofBuilder:
     # -- chain method
 
     def _break_new(self, fr):
-        S = len(self.order["spec"])
         frag_start = self.frame.counter[0]
         self._emit_circuit(fr)
-        fr.neg_c = self.skip(1)
-        self.skip(S + 1)  # leq's spec instance and negated order goal ~$dn
-        leq = []
-        self._leq_lemmas(fr, leq)
-        self.skip(S + 1)  # geq's spec instance and order constraint
-        geq = []
-        self._geq_lemmas(fr, geq)
-
-        goal = _clause(fr.tnames[fr.k])
-        result = self.derive_known(fr.steps, parsing.dom_step(
-            goal, fr.witness, _refute("#1", leq), _refute("#2", geq), None),
-            goal)
+        result = self.dominance(fr, pb.clause([fr.tnames[fr.k]]),
+                                self._leq_lemmas, self._geq_lemmas)
         self._cleanup_new(fr, frag_start, result)
 
-    def _leq_lemmas(self, fr, steps):
+    def _leq_lemmas(self, fr, steps, _oid):
         """Falsum from ~t_k, S(sigma z, z) and ~$d_n by hint-free RUP, after
         3(k - 1) lemmas, the :data:`LEQ_FAMILIES` for j = 1 .. k - 1.  They
         bridge the circuit over the support x and the order's chain over z
@@ -489,7 +472,7 @@ class ProofBuilder:
                 emit(_rup(*family(fr, j)))
         emit(_rup())
 
-    def _geq_lemmas(self, fr, steps):
+    def _geq_lemmas(self, fr, steps, _oid):
         """Derive falsum from S(z, sigma z), sigma z >= z and ~t_k; unit
         propagation finds the $d chain from $d_n itself."""
         emit = functools.partial(self.derive, steps)
@@ -504,7 +487,7 @@ class ProofBuilder:
         k = fr.k
         tlem = {k: result}
         for j in range(k - 1, 0, -1):
-            con = _clause(fr.tnames[j])
+            con = pb.clause([fr.tnames[j]])
             tlem[j] = self.derive_known(fr.steps, parsing.rup_step(
                 con, [-1, fr.t_ids[j + 1][0]], None), con)
         pols = self._s_clauses(fr)
@@ -524,15 +507,11 @@ class ProofBuilder:
 
         # O(z, sigma z) over the support; the other positions cancel
         big = _big_constraint(len(self.binding), zip(fr.pos, fr.xs, fr.imgs))
-        # each scope adds neg_c to the premise after it: the negated order
+        # each scope adds not(c) to its order premise: the negated order
         # goal in leq, the order constraint O(z, sigma z) in geq
-        neg_c = self.skip(1)
-        leq = []
-        self.derive(leq, _pol(neg_c, self.skip(1), "+"))
-        geq = []
-        self.derive(geq, _pol(neg_c, self.skip(1), "+"))
-        big_id = self.derive(fr.steps, parsing.dom_step(
-            big, fr.witness, _refute("#1", leq), _refute("#2", geq), None))
+        def scope(fr, steps, oid):
+            self.derive(steps, _pol(fr.neg_c, oid, "+"))
+        big_id = self.dominance(fr, big, scope, scope)
 
         # chain lemmas: under s_{j-1}, every earlier support level is >=
         lemma = {}
@@ -541,7 +520,7 @@ class ProofBuilder:
                 lits = (pb.neg(fr.snames[j - 1]), fr.xs[m - 1],
                         pb.neg(fr.imgs[m - 1]))
                 # a negation symmetry maps x to ~x: normalize merges the terms
-                con = (_clause(*lits) if pb.var_of(lits[2]) != lits[1]
+                con = (pb.clause(lits) if pb.var_of(lits[2]) != lits[1]
                        else pb.normalize([(1, l) for l in lits], 1))
                 lemma[j, m] = self.derive(
                     fr.steps, parsing.rup_step(con, None, None)), con
@@ -571,6 +550,8 @@ class ProofBuilder:
         want = [pb.neg(fr.xs[j - 1]), fr.imgs[j - 1]]
         if j > 1:
             want.insert(0, pb.neg(fr.snames[j - 1]))
+        # a negation symmetry's clause names ~x_j twice
+        want = dict.fromkeys(want)
         wanted = {pb.var_of(l) for l in want}
         for var in [var for var in cur.coef if var not in wanted]:
             cur.weaken(var)
@@ -584,8 +565,7 @@ class ProofBuilder:
             tokens += [str(delta), "d"]
             cur.divide(delta)
         cur = cur.constraint()
-        # a negation symmetry's clause names ~x_j twice
-        if cur != _clause(*want):
+        if cur != pb.clause(want):
             raise BreakError("aggregate clause %d came out as %s"
                              % (j, pb.render(cur)))
         return parsing.pol_step(tokens, None), cur

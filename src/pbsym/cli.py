@@ -8,7 +8,8 @@
 
 Exit codes: 0 success, 1 semantic rejection (bad proof, bad symmetry, or
 a formula over a reserved `$` name), 2 I/O or parse failure (input that is
-not UTF-8 included).  Files are read and written as UTF-8.
+not UTF-8 included) or a bad argument.  Files are read and written as
+UTF-8.  A number argument is ASCII ``[+-]?[0-9]+``, as in the formats.
 """
 
 import argparse
@@ -41,6 +42,16 @@ def _read(path):
 
 class _IOFailure(Exception):
     pass
+
+
+def _number(text):
+    """argparse type of a number argument: ASCII ``[+-]?[0-9]+``
+    (``constraints.parse_int``), where ``int()`` also reads ``1_0`` and
+    non-ASCII digits."""
+    num = pb.parse_int(text)
+    if num is None:
+        raise argparse.ArgumentTypeError("%r is not a number" % text)
+    return num
 
 
 def _load_formula(path):
@@ -195,7 +206,7 @@ def cmd_break(args):
 
 def cmd_gen(args):
     inst = bench.generate(args.family, tuple(args.params))
-    gens = bench.known_generators(inst)
+    gens = inst.generators
     _write_streamed(args.output + ".cnf",
                     [parsing.render_cnf(inst.constraints, inst.nvars())])
     sidecar = {"family": inst.family,
@@ -214,7 +225,7 @@ def cmd_gen(args):
 # ----------------------------------------------------------------- compare
 
 def _compare_cell(inst, method):
-    sym = bench.known_generators(inst)[0]
+    sym = inst.generators[0]
     t0 = time.perf_counter()
     builder = breaker.break_symmetries(inst.constraints, inst.variables,
                                        [sym], method=method)
@@ -229,10 +240,12 @@ def _compare_cell(inst, method):
 
 
 def cmd_compare(args):
-    try:
-        start, stop = (int(x) for x in args.range.split(".."))
-    except ValueError:
+    ends = [pb.parse_int(x) for x in args.range.split("..")]
+    if len(ends) != 2 or None in ends:
         raise _IOFailure("size range must look like 5..30")
+    start, stop = ends
+    if start > stop:
+        raise _IOFailure("size range %s is empty" % args.range)
     if args.step < 1:
         raise _IOFailure("--step must be at least 1, got %d" % args.step)
     sizes = list(range(start, stop + 1, args.step))
@@ -282,16 +295,16 @@ def build_parser():
     b.set_defaults(fn=cmd_break)
 
     g = sub.add_parser("gen", help="generate a crafted benchmark instance")
-    g.add_argument("family", choices=sorted(bench._FAMILIES))
-    g.add_argument("params", nargs="+", type=int)
+    g.add_argument("family", choices=sorted(bench.FAMILIES))
+    g.add_argument("params", nargs="+", type=_number)
     g.add_argument("-o", "--output", required=True)
     g.add_argument("--json", action="store_true")
     g.set_defaults(fn=cmd_gen)
 
     m = sub.add_parser("compare", help="method comparison CSV over a size range")
-    m.add_argument("family", choices=sorted(bench._FAMILIES))
+    m.add_argument("family", choices=sorted(bench.FAMILIES))
     m.add_argument("range", help="inclusive size range, e.g. 5..30")
-    m.add_argument("--step", type=int, default=5)
+    m.add_argument("--step", type=_number, default=5)
     m.add_argument("-o", "--output")
     m.set_defaults(fn=cmd_compare)
     return p

@@ -130,6 +130,13 @@ def _from_signed(acc, degree):
 FALSUM = Constraint({}, 1)
 
 
+def clause(lits):
+    """The clause over `lits`, whose variables are distinct: what
+    :func:`normalize` builds for them, unchecked.  Literals that may repeat
+    a variable go through :func:`normalize`."""
+    return Constraint(dict.fromkeys(lits, 1), 1)
+
+
 def negate(c):
     """Negation: sum a_i ~l_i >= sum a_i - A + 1.  Every literal of the
     normalized `c` flips in place, so this is what :func:`normalize`
@@ -139,33 +146,25 @@ def negate(c):
     return Constraint(terms, max(sum(terms.values()) - c.degree + 1, 0))
 
 
-class LiteralMap(dict):
-    """What :func:`witness_lits` returns; :func:`substitute` reads it as is
-    and a plain witness dict through :func:`witness_lits`."""
-    __slots__ = ()
-
-
 def witness_lits(witness):
     """Each literal `witness` (variable -> literal | 0 | 1) moves, in both
     polarities, mapped to its image; build it once to apply one witness to
     many constraints."""
-    lits = LiteralMap(witness)
+    lits = dict(witness)
     for v, img in witness.items():
         lits["~" + v] = 1 - img if img == 0 or img == 1 else neg(img)
     return lits
 
 
 def substitute(c, witness):
-    """Apply a substitution, a witness or its :func:`witness_lits`;
-    constants fold into the degree.
+    """Apply a witness, given as its :func:`witness_lits`; constants fold
+    into the degree.
 
     One pass over the terms accumulates each image's signed coefficient per
     variable, as :func:`normalize` does, so images that share a variable
     merge and the result is exactly what :func:`normalize` returns for the
-    images, term order included.  O(len(c.terms)) given the literal map.
+    images, term order included.  O(len(c.terms)).
     """
-    if not isinstance(witness, LiteralMap):
-        witness = witness_lits(witness)
     image = witness.get
     acc = {}  # variable -> signed coefficient of the POSITIVE literal
     degree = c.degree

@@ -101,7 +101,11 @@ def parse_cnf(text):
             lits = (_int(tok, lineno, "literal") for tok in toks)
         for lit in lits:
             if lit == 0:
-                cons.append(_clause(clause))
+                names = ["x%d" % l if l > 0 else "~x%d" % -l for l in clause]
+                # normalize merges a repeated or complementary variable
+                cons.append(pb.clause(names)
+                            if len(set(map(abs, clause))) == len(clause)
+                            else pb.normalize([(1, n) for n in names], 1))
                 clause = []
             else:
                 if abs(lit) > nvars:
@@ -111,14 +115,6 @@ def parse_cnf(text):
     if clause:
         raise ParseError("last clause lacks terminating 0", lineno)
     return cons
-
-
-def _clause(lits):
-    """The clause over the DIMACS literals `lits`, as `normalize` builds it."""
-    names = ["x%d" % lit if lit > 0 else "~x%d" % -lit for lit in lits]
-    if len(set(map(abs, lits))) == len(lits):
-        return pb.Constraint(dict.fromkeys(names, 1), 1)
-    return pb.normalize([(1, name) for name in names], 1)
 
 
 def render_cnf(cons, nvars):
@@ -303,7 +299,7 @@ def _parse_terms(toks, lineno):
 
 
 # ------------------------------------------------------------- proof steps
-# The step dicts parse_proof returns and serialize_proof prints.  `line` is
+# The step dicts parse_proof returns and render_step prints.  `line` is
 # the source line; the breaker builds its proofs from the same constructors
 # with line None.
 
@@ -726,25 +722,3 @@ def render_step(out, step):
         raise ParseError("cannot serialize step kind %r" % step["kind"])
     render(out, step)
 
-
-def serialize_proof(doc):
-    out = [doc["header"]]
-    for s in doc["steps"]:
-        render_step(out, s)
-    return "\n".join(out) + "\n"
-
-
-def strip_lines(doc):
-    """Structural copy with source line numbers removed, for round-trip tests."""
-    import copy
-
-    def scrub(obj):
-        if isinstance(obj, dict):
-            return {k: scrub(v) for k, v in obj.items() if k != "line"}
-        if isinstance(obj, list):
-            return [scrub(x) for x in obj]
-        if isinstance(obj, tuple):
-            return tuple(scrub(x) for x in obj)
-        return obj
-
-    return scrub(copy.deepcopy(doc))

@@ -22,6 +22,7 @@ from pbsym import constraints as pb
 from pbsym import parsing
 
 import oracle
+import render
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -202,7 +203,7 @@ def _coefficient_bytes(con):
 def test_criterion_4_order_definition_scaling():
     t0 = time.perf_counter()
     ns = [10, 100, 1000]
-    lines = [breaker.lex_order_definition(n).count("\n") + 1 for n in ns]
+    lines = [render.lex_order_text(n).count("\n") + 1 for n in ns]
     assert all(l <= 20 * n for l, n in zip(lines, ns))
     assert 0.9 <= slope(ns, lines) <= 1.1
 
@@ -277,7 +278,7 @@ def test_criterion_5_every_fragment_affine_in_support():
     for family, params in [("php", (5,)), ("php", (8,)), ("php", (11,)),
                            ("count", (6, 3)), ("tseitin", (3,))]:
         inst = bench.generate(family, params)
-        gens = bench.known_generators(inst)
+        gens = inst.generators
         b = breaker.ProofBuilder(inst.constraints, inst.variables)
         b.begin(gens)
         for sym in gens:
@@ -301,7 +302,7 @@ def test_criterion_6_equisatisfiability_suite():
     checked = 0
     for family, params in cases:
         inst = bench.generate(family, params)
-        gens = bench.known_generators(inst)
+        gens = inst.generators
         subsets = ([(g,) for g in gens]
                    + list(itertools.combinations(gens, 2)))
         for subset in subsets:
@@ -323,19 +324,19 @@ def _random_document(rng):
     kind = rng.choice(["php", "tseitin", "count4", "count5", "flip"])
     if kind == "php":
         inst = bench.generate("php", (3,))
-        sym = rng.choice(bench.known_generators(inst))
+        sym = rng.choice(inst.generators)
         method = rng.choice(["new", "old"])
     elif kind == "tseitin":
         inst = bench.generate("tseitin", (2,))
-        sym = bench.known_generators(inst)[0]
+        sym = inst.generators[0]
         method = "new"
     elif kind == "count4":
         inst = bench.generate("count", (4, 3))
-        sym = rng.choice(bench.known_generators(inst))
+        sym = rng.choice(inst.generators)
         method = rng.choice(["new", "old"])
     elif kind == "count5":
         inst = bench.generate("count", (5, 3))
-        sym = rng.choice(bench.known_generators(inst))
+        sym = rng.choice(inst.generators)
         method = "new"
     else:
         cons, variables = parsing.parse_opb(
@@ -477,7 +478,7 @@ def test_criterion_8_lazy_spec_materialization():
     # a) strengthening steps that never touch bound variables skip the
     #    order goal entirely, so no spec constraint is ever materialized
     formula, _ = parsing.parse_opb("+1 x1 +1 x2 >= 1 ;\n")
-    text = (parsing.HEADER + "\n" + breaker.lex_order_definition(2) + "\n"
+    text = (parsing.HEADER + "\n" + render.lex_order_text(2) + "\n"
             + "load_order lex2 x1 x2;\n"
             + "red +1 y1 >= 1 : y1 -> 1;\n")
     verdict, counters = checker.check_document(
@@ -490,7 +491,7 @@ def test_criterion_8_lazy_spec_materialization():
     #    materializes exactly those 10
     formula, _ = parsing.parse_opb(
         "".join("+1 x%d >= 1 ;\n" % i for i in range(1, 7)))
-    text = (parsing.HEADER + "\n" + breaker.lex_order_definition(6) + "\n"
+    text = (parsing.HEADER + "\n" + render.lex_order_text(6) + "\n"
             + "load_order lex6 x1 x2 x3 x4 x5 x6;\n"
             + "dom +1 x4 >= 1 : x4 -> x5 x5 -> x4 : subproof\n"
             + "scope leq\nproofgoal #1\n"

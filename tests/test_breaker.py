@@ -16,6 +16,7 @@ from pbsym.checker import (
 
 import oracle
 import polish_reference
+import render
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -74,7 +75,8 @@ def test_identity_mappings_dropped():
 def test_apply_constraint():
     cons, _ = php32()
     s = sigma()
-    assert pb.substitute(cons[0], s) == pb.normalize([(1, "x3"), (1, "x4")], 1)
+    assert (pb.substitute(cons[0], pb.witness_lits(s))
+            == pb.normalize([(1, "x3"), (1, "x4")], 1))
 
 
 def verify(formula, sym):
@@ -97,7 +99,8 @@ def reference_verify(formula, sym):
     """:func:`breaker.verify_symmetry` as it was before the variable index:
     scan the whole formula and compare substituted constraints."""
     moved = [c for c in formula if not sym.keys().isdisjoint(c.variables())]
-    return (collections.Counter(pb.substitute(c, sym) for c in moved)
+    lits = pb.witness_lits(sym)
+    return (collections.Counter(pb.substitute(c, lits) for c in moved)
             == collections.Counter(moved))
 
 
@@ -148,7 +151,8 @@ def _literal_permutations(draw, variables=_vars):
 @given(_formulas, _literal_permutations())
 def test_verify_symmetry_agrees_with_substitution(formula, sym):
     # closing the formula under sym makes a symmetry of it more often
-    closed = formula + [pb.substitute(c, sym) for c in formula]
+    lits = pb.witness_lits(sym)
+    closed = formula + [pb.substitute(c, lits) for c in formula]
     for f in (formula, closed):
         try:
             got = verify(f, sym)
@@ -199,9 +203,9 @@ def test_lex_definition_matches_golden_block():
     # everything else in the definition is the same
     golden = parsing.parse_proof((DATA / "php32_lex.pbp").read_text())
     mine = parsing.parse_proof(
-        parsing.HEADER + "\n" + breaker.lex_order_definition(6) + "\n")
-    got = parsing.strip_lines(mine["steps"][0])
-    want = parsing.strip_lines(golden["steps"][0])
+        parsing.HEADER + "\n" + render.lex_order_text(6) + "\n")
+    got = render.strip_lines(mine["steps"][0])
+    want = render.strip_lines(golden["steps"][0])
     _assert_lex_transitivity_shape(_set_aside_transitivity(got), 6)
     _set_aside_transitivity(want)
     assert got == want
@@ -220,7 +224,7 @@ def _check_definition(definition, name, n):
 
 @pytest.mark.parametrize("n", list(range(1, 13)) + [40])
 def test_lex_definition_validates(n):
-    verdict, _ = _check_definition(breaker.lex_order_definition(n),
+    verdict, _ = _check_definition(render.lex_order_text(n),
                                    "lex%d" % n, n)
     assert verdict == VERIFIED
 
@@ -250,12 +254,12 @@ def test_lex_transitivity_needs_every_step():
             mutant.append(s)
         goal["steps"] = mutant
         with pytest.raises(CheckError):
-            _check_definition(breaker._step_text(step), "lex3", 3)
+            _check_definition(render.step_text(step), "lex3", 3)
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_big_definition_validates(n):
-    verdict, _ = _check_definition(breaker.big_order_definition(n),
+    verdict, _ = _check_definition(render.big_order_text(n),
                                    "biglex%d" % n, n)
     assert verdict == VERIFIED
 
@@ -267,8 +271,8 @@ def test_lex_spec_passes_specification_check():
 
 
 def test_lex_definition_line_count_linear():
-    lines10 = breaker.lex_order_definition(10).count("\n")
-    lines40 = breaker.lex_order_definition(40).count("\n")
+    lines10 = render.lex_order_text(10).count("\n")
+    lines40 = render.lex_order_text(40).count("\n")
     assert lines40 < 5 * lines10
 
 
@@ -381,7 +385,7 @@ def test_each_leq_lemma_family_is_needed(family, params, needed, left_out,
     monkeypatch.setattr(breaker, "LEQ_FAMILIES", tuple(
         f for i, f in enumerate(breaker.LEQ_FAMILIES) if i != left_out))
     b = breaker.break_symmetries(inst.constraints, inst.variables,
-                                 bench.known_generators(inst))
+                                 inst.generators)
     if not needed[left_out]:
         assert checked(inst.constraints, b)[0] == VERIFIED
         return
@@ -446,7 +450,7 @@ def test_old_method_breaks_negation_symmetries():
     # Tseitin's generator maps every x_i to ~x_i, so the wanted clauses
     # repeat a variable and only match once saturated
     inst = bench.generate("tseitin", (2,))
-    gens = bench.known_generators(inst)
+    gens = inst.generators
     b = breaker.break_symmetries(inst.constraints, inst.variables, gens,
                                  method="old")
     verdict, _ = checked(inst.constraints, b)
@@ -497,7 +501,7 @@ def test_old_dom_constraint_is_the_order_instance(family, params):
     # built over the support alone, it is the biglex instance O(z, sigma z)
     # over the whole binding
     inst = bench.generate(family, params)
-    gens = bench.known_generators(inst)
+    gens = inst.generators
     b = breaker.ProofBuilder(inst.constraints, inst.variables, "old")
     b.begin(gens)
     for sym in gens:
@@ -591,16 +595,16 @@ ROUND_TRIP_INSTANCES = [("php", (n,)) for n in range(3, 7)] + [
 def test_breaker_output_is_a_serializer_fixed_point(family, params, method):
     inst = bench.generate(family, params)
     b = breaker.break_symmetries(inst.constraints, inst.variables,
-                                 bench.known_generators(inst), method=method)
+                                 inst.generators, method=method)
     text = b.text()
-    assert parsing.serialize_proof(parsing.parse_proof(text)) == text
+    assert render.proof_text(parsing.parse_proof(text)) == text
 
 
 @pytest.mark.parametrize("name", ["php4_cp", "tseitin3_cp"])
 def test_frozen_cp_proof_is_a_serializer_fixed_point(name):
     # the only proofs here with weakening and division inside dom scopes
     text = (DATA / (name + ".pbp")).read_text()
-    assert parsing.serialize_proof(parsing.parse_proof(text)) == text
+    assert render.proof_text(parsing.parse_proof(text)) == text
 
 
 # sha256 of the proof text of all known generators; a change to what the
@@ -671,7 +675,7 @@ FORMULA_TEXT_PINS = [
 def test_breaker_proof_text_pinned(family, params, method, sha):
     inst = bench.generate(family, params)
     b = breaker.break_symmetries(inst.constraints, inst.variables,
-                                 bench.known_generators(inst), method=method)
+                                 inst.generators, method=method)
     assert hashlib.sha256(b.text().encode()).hexdigest() == sha
 
 
@@ -681,7 +685,7 @@ def test_breaker_proof_text_pinned(family, params, method, sha):
          for fam, params, gens, method, _sha in FORMULA_TEXT_PINS])
 def test_breaker_formula_text_pinned(family, params, gens, method, sha):
     inst = bench.generate(family, params)
-    syms = bench.known_generators(inst)
+    syms = inst.generators
     b = breaker.break_symmetries(inst.constraints, inst.variables,
                                  syms if gens == "all" else syms[:1],
                                  method=method)
@@ -707,7 +711,7 @@ def _hole_cycle(inst, n):
 def _cycle_set(inst, n):
     """One pigeon swap, the pigeon n-cycle, one hole swap and the hole
     (n - 1)-cycle, which generate PHP(n)'s symmetry group."""
-    gens = bench.known_generators(inst)
+    gens = inst.generators
     return [gens[0], _pigeon_cycle(inst, n), gens[n - 1], _hole_cycle(inst, n)]
 
 
@@ -761,7 +765,7 @@ def test_kept_clauses_do_not_depend_on_unmoved_variables(
     # supports, and the kept clauses, term order included, are those of an
     # order over every variable
     inst = bench.generate(family, params)
-    syms = bench.known_generators(inst)[:m]
+    syms = inst.generators[:m]
     moved = set().union(*syms)
     b = breaker.break_symmetries(inst.constraints, inst.variables, syms,
                                  method=method)
@@ -804,11 +808,35 @@ def test_kept_clauses_are_what_the_proof_derives(family, params, method):
     # term order included, what its printed program derives
     inst = bench.generate(family, params)
     b = breaker.break_symmetries(inst.constraints, inst.variables,
-                                 bench.known_generators(inst), method=method)
+                                 inst.generators, method=method)
     got = [(list(c.terms.items()), c.degree) for c in b.kept]
     want = [(list(c.terms.items()), c.degree)
             for c in _printed_clauses(inst.constraints, b.text())]
     assert got == want
+
+
+FAMILY_SIZES = [("php", (5,)), ("rphp", (2,)), ("clqcl", (6, 3, 2)),
+                ("count", (6, 3)), ("tseitin", (3,))]
+
+
+@pytest.mark.parametrize("method", ["new", "old"])
+@pytest.mark.parametrize("family,params,gens", [
+    (family, params, gens) for family, params in FAMILY_SIZES
+    for gens in ("first", "all")] + [("php", (6,), "cycles")])
+def test_builder_ids_are_the_checkers(family, params, gens, method):
+    # ProofBuilder.dominance allocates the IDs that Checker.step_dom does;
+    # an ID allocated too many or too few after a fragment's last cited ID
+    # leaves every proof valid, but the two counters apart
+    inst = bench.generate(family, params)
+    if gens == "cycles":
+        syms = _cycle_set(inst, 6)
+    else:
+        syms = inst.generators[:1] if gens == "first" else inst.generators
+    b = breaker.break_symmetries(inst.constraints, inst.variables, syms,
+                                 method=method)
+    chk = Checker(inst.constraints)
+    assert chk.run(parsing.parse_proof(b.text())) == VERIFIED
+    assert chk.root.counter[0] == b.frame.counter[0]
 
 
 def test_stats_track_support_and_size():

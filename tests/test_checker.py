@@ -12,6 +12,7 @@ from pbsym.checker import (Checker, CheckError, Frame, RootFrame, UNSAT,
                            VERIFIED, check_document)
 
 from oracle import implies
+import render
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -317,7 +318,7 @@ def _lex2_formula():
 
 
 def _lex2_proof(step):
-    return (parsing.HEADER + "\n" + breaker.lex_order_definition(2) + "\n"
+    return (parsing.HEADER + "\n" + render.lex_order_text(2) + "\n"
             "load_order lex2 x1 x2;\n" + step + "\n")
 
 
@@ -500,7 +501,7 @@ def test_rup_cannot_use_negation_from_red():
 
 def _broken(family, params, method, first=False):
     inst = bench.generate(family, params)
-    syms = bench.known_generators(inst)
+    syms = inst.generators
     built = breaker.break_symmetries(inst.constraints, inst.variables,
                                      syms[:1] if first else syms,
                                      method=method)

@@ -16,6 +16,7 @@ from pbsym import cli
 from pbsym import parsing
 
 import oracle
+import render
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -165,7 +166,7 @@ def test_streamed_check_holds_less_than_the_parsed_proof(method):
     # step through the check; the stream holds the database and one step
     inst = bench.generate("php", (8,))
     text = breaker.break_symmetries(inst.constraints, inst.variables,
-                                    bench.known_generators(inst),
+                                    inst.generators,
                                     method=method).text()
 
     def peak(fn):
@@ -284,7 +285,7 @@ def _aux_proof(order=None):
     """A proof, without its header, whose dom step's leq spec rows would
     meet a formula constraint, under the def_order text `order` (lex1 by
     default)."""
-    return ((order or breaker.lex_order_definition(1)) + "\n"
+    return ((order or render.lex_order_text(1)) + "\n"
             "load_order lex1 x1;\n"
             "dom +1 ~x1 >= 1 : x1 -> 0 : subproof\n"
             "scope leq\nproofgoal 1\nqed 1;\nproofgoal #1\nqed #1;\n"
@@ -323,7 +324,7 @@ def test_order_aux_variable_in_formula_is_refused(tmp_path, capsys):
 def test_order_aux_variable_without_dollar_is_refused(tmp_path, capsys):
     # lex1 with its aux $d1 renamed y1: the dom scope's spec rows then
     # constrained the formula's y1, and the satisfiable formula was refuted
-    plain = breaker.lex_order_definition(1).replace("$d1", "y1").replace(
+    plain = render.lex_order_text(1).replace("$d1", "y1").replace(
         "$e1", "e1").replace("$f1", "f1")
     rc, payload = _aux_in_formula_check(tmp_path, capsys, "y1", plain)
     assert rc == 1
@@ -337,7 +338,7 @@ def test_order_aux_variable_without_dollar_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("body", [
     pytest.param("red +1 x1 >= 1 : $d1 -> 0;\n", id="red-aux-key"),
     pytest.param("red +1 x1 >= 1 : x1 -> $d1;\n", id="red-aux-image"),
-    pytest.param(breaker.lex_order_definition(1) + "\nload_order lex1 x1;\n"
+    pytest.param(render.lex_order_text(1) + "\nload_order lex1 x1;\n"
                  "dom +1 ~x1 >= 1 : x1 -> $d1 : subproof\n"
                  "scope leq\nend scope;\nscope geq\nend scope;\nqed dom;\n",
                  id="dom-aux-image"),
@@ -775,9 +776,39 @@ def test_gen_sidecar_symmetries_round_trip(tmp_path, capsys, family, params):
                     + ["-o", prefix]) == 0
     sidecar = json.loads(pathlib.Path(prefix + ".json").read_text())
     syms = parsing.parse_symmetries("\n".join(sidecar["symmetries"]))
-    gens = bench.known_generators(bench.generate(family, tuple(params)))
+    gens = bench.generate(family, tuple(params)).generators
     assert syms == gens
     assert [list(s.items()) for s in syms] == [list(g.items()) for g in gens]
+
+
+# sha256 of the .cnf and the .json sidecar that `pbsym gen` writes, one
+# size per family: the sidecar pins each family's generator list
+GEN_PINS = {
+    "php 4": (
+        "8500d387f53eb4e57f524c2cd18c838c712e8fe4ca6c45474074a157aa39a1e4",
+        "fbef05695f9d9975c035ae86c8b71458f4eb232bf783e10c02f78f7793b547e8"),
+    "rphp 2": (
+        "7de65ecec2770885bc61734b5d7f3ef78c7027adbf2e47bd2174b928368078a4",
+        "2a15420da08d8ca63b38eea2b28f914b94bb39f4fc1015e60cbf241217ad5b1d"),
+    "clqcl 6 3 2": (
+        "5bf19838717bd0f7c980dcdc68c5533863c0e9e1fb8a2d49712da061ca3189ae",
+        "cddb79ce76e1a9f1f74197ac57d364b4b00319c1c569cc43d7bc7c7ef001fc63"),
+    "count 6 3": (
+        "b96f9f75854dc6f19772f82718618dfa07440a90611b0ea2e339d9354a897d2d",
+        "9fee7629647391d77dc63d4b050735292a5ffbe2ab46839044a0da79a2aae22a"),
+    "tseitin 3": (
+        "277b4c93664fbbe4baf106a7c73f278cddfcdec86e5a2d3d57a8aafc4cf652e6",
+        "092312ced22a03320558ec99419b17220e7fe059449b19824f1e959f933c65a6"),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(GEN_PINS))
+def test_gen_output_pinned(tmp_path, instance):
+    prefix = str(tmp_path / "inst")
+    assert cli.main(["gen"] + instance.split() + ["-o", prefix]) == 0
+    got = tuple(hashlib.sha256(pathlib.Path(prefix + ext).read_bytes())
+                .hexdigest() for ext in (".cnf", ".json"))
+    assert got == GEN_PINS[instance]
 
 
 def test_gen_bad_params(tmp_path, capsys):
@@ -814,3 +845,46 @@ def test_compare_zero_step(tmp_path, capsys):
     assert cli.main(["compare", "php", "5..6", "--step", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --step must be at least 1")
+
+
+# --------------------------------------------------------- number arguments
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "php", "\u0663", "-o", "bad"],      # Arabic-Indic digit 3
+    ["gen", "php", "1_0", "-o", "bad"],
+    ["gen", "php", "3.0", "-o", "bad"],
+    ["compare", "php", "3..4", "--step", "\u0661"],
+    ["compare", "php", "3..4", "--step", "1_0"]])
+def test_number_arguments_are_ascii_digits(tmp_path, capsys, monkeypatch,
+                                           argv):
+    # int() reads all of these; the number rule of the formats does not
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument " in err and "is not a number" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("size_range", ["3..\u0663", "1_0..12", "+3..4x"])
+def test_compare_range_is_ascii_digits(capsys, size_range):
+    assert cli.main(["compare", "php", size_range]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: size range must look like 5..30")
+
+
+def test_compare_empty_range_is_an_error(capsys):
+    assert cli.main(["compare", "php", "5..3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: size range 5..3 is empty")
+
+
+def test_number_arguments_take_a_sign(tmp_path, capsys):
+    prefix = str(tmp_path / "php")
+    assert cli.main(["gen", "php", "+3", "-o", prefix, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["generators"] == 3
+    assert cli.main(["compare", "php", "+3..3", "--step", "+1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 2

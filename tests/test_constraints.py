@@ -101,7 +101,7 @@ def test_negate_is_involution(c):
 
 @given(raw_cons, raw_cons)
 def test_substitute_distributes_over_addition(c1, c2):
-    w = {"x1": "x2", "x2": 0, "x3": "~x4"}
+    w = pb.witness_lits({"x1": "x2", "x2": 0, "x3": "~x4"})
     summed = add(c1, c2)
     lhs = substitute(summed, w)
     rhs = add(substitute(c1, w), substitute(c2, w))
@@ -186,7 +186,8 @@ def test_add_is_normalize_of_both_terms(c1, c2):
 @example(C((3, "x1"), (3, "x2"), (1, "x4"), (1, "x3"), ge=3),    # x3 cancels,
          {"x1": "x3", "x2": "~x3", "x3": "~x3"})                 # then returns
 def test_substitute_is_normalize_of_images(c, witness):
-    assert_same(substitute(c, witness), reference_substitute(c, witness))
+    assert_same(substitute(c, pb.witness_lits(witness)),
+                reference_substitute(c, witness))
 
 
 def old_apply_witness_lit(witness, lit):
@@ -236,15 +237,8 @@ def test_literal_map_substitute_equals_the_old_loop(c, witness):
     want = old_substitute(c, witness)
     lits = pb.witness_lits(witness)
     assert_same(substitute(c, lits), want)
-    assert_same(substitute(c, witness), want)
     assert lits == {**witness, **{"~" + v: old_apply_witness_lit(
         witness, "~" + v) for v in witness}}
-
-
-def test_plain_witness_is_not_read_as_a_literal_map():
-    # a plain dict has no `~x1` key, so read as a map it would keep ~x1
-    assert substitute(C((1, "~x1"), ge=1), {"x1": "x2"}) == C((1, "~x2"), ge=1)
-    assert substitute(C((1, "~x1"), ge=1), {"x1": 0}).is_tautology()
 
 
 def reference_negate(c):
@@ -265,24 +259,24 @@ def test_negate_is_normalize_of_flipped_terms(c):
 
 def test_substitute_swap():
     c = C((1, "~x1"), (1, "~x3"), ge=1)
-    got = substitute(c, {"x1": "x3", "x3": "x1"})
+    got = substitute(c, pb.witness_lits({"x1": "x3", "x3": "x1"}))
     assert got == C((1, "~x3"), (1, "~x1"), ge=1)
 
 
 def test_substitute_to_constant_tautologizes():
     c = C((1, "~s1"), (1, "x1"), (1, "~x3"), ge=1)
-    assert substitute(c, {"s1": 0}).is_tautology()
+    assert substitute(c, pb.witness_lits({"s1": 0})).is_tautology()
 
 
 def test_substitute_identity():
     c = C((1, "x1"), (1, "~x2"), ge=1)
-    assert substitute(c, {}) == c
+    assert substitute(c, pb.witness_lits({})) == c
 
 
 def test_substitute_negated_literal_image():
     # needed for Tseitin-style symmetries mapping x -> ~x
     c = C((2, "x1"), (1, "~x2"), ge=2)
-    got = substitute(c, {"x1": "~x1"})
+    got = substitute(c, pb.witness_lits({"x1": "~x1"}))
     assert got == C((2, "~x1"), (1, "~x2"), ge=2)
 
 

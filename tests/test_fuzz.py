@@ -37,7 +37,7 @@ def _sources():
     php = bench.generate("php", (3,))
     for method in ("new", "old"):
         b = breaker.break_symmetries(php.constraints, php.variables,
-                                     bench.known_generators(php), method=method)
+                                     php.generators, method=method)
         out.append((php.constraints, b.text()))
     # frozen proofs with weakening and division inside dom scopes
     for name in ("php4", "tseitin3"):
@@ -45,7 +45,7 @@ def _sources():
                     (DATA / (name + "_cp.pbp")).read_text()))
     tseitin = bench.generate("tseitin", (2,))
     b = breaker.break_symmetries(tseitin.constraints, tseitin.variables,
-                                 bench.known_generators(tseitin))
+                                 tseitin.generators)
     out.append((tseitin.constraints, b.text()))
     return out
 
@@ -71,7 +71,7 @@ def _tseitin_sources():
     inst = bench.generate("tseitin", (2,))
     return [(inst.constraints,
              breaker.break_symmetries(inst.constraints, inst.variables,
-                                      bench.known_generators(inst),
+                                      inst.generators,
                                       method=method).text())
             for method in ("new", "old")]
 

@@ -156,7 +156,7 @@ def reference_verify(spec, aux_vars):
         negc = pb.negate(con)
         context = set(earlier) | {negc}
         for g in earlier + [con]:
-            goal = pb.substitute(g, wit)
+            goal = pb.substitute(g, pb.witness_lits(wit))
             if goal.is_tautology() or goal in context:
                 continue
             if not pb.rup_check(earlier + [negc], goal):
