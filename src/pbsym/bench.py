@@ -26,7 +26,8 @@ class Instance:
         self.constraints = constraints
         self.variables = variables      # x<i> in index order
         self.names = names              # semantic name -> x<i>
-        self.generators = list(generators)  # symmetry witness dicts
+        # symmetry witness dicts; one that moves nothing is left out
+        self.generators = [g for g in generators if g]
 
     def nvars(self):
         return len(self.variables)

@@ -68,12 +68,12 @@ class Frame:
     def __init__(self, state=None, parent=None, counter=None, premises=()):
         self.state = state or (parent.state if parent else None)
         self.parent = parent
-        self.cons = {}
-        self.ids = []
         self.counter = counter or (parent.counter if parent else [1])
         self.engine = self.synced = None
-        for con in premises:
-            self.add(con)
+        # what `add` does, for all premises at once
+        cids = range(self.counter[0], self.counter[0] + len(premises))
+        self.counter[0] = cids.stop
+        self.cons, self.ids = dict(zip(cids, premises)), list(cids)
 
     def alloc(self):
         cid = self.counter[0]
@@ -158,6 +158,31 @@ class Frame:
 
     def _rewind(self):
         """Nothing to undo: only a root frame's entries are removed."""
+
+
+class AliasFrame(Frame):
+    """A dom scope's frame under an alias map.  Hints and qed read its
+    `count` premises by their own names, from the list `premises` (or the
+    one it returns when first read; until then an entry is its index), and
+    the propagator gets the Constraints `fed` in their place."""
+
+    def __init__(self, parent, count, premises, fed):
+        super().__init__(parent=parent, premises=range(count))
+        self.premises, self.fed, self.count = premises, fed, count
+
+    def _read(self, cid, con):
+        if isinstance(con, int):
+            if callable(self.premises):
+                self.premises = self.premises()
+            con = self.cons[cid] = self.premises[con]
+        return super()._read(cid, con)
+
+    def _feed(self, engine, start):
+        if not start:
+            for con in self.fed:
+                engine.add(con)
+            start = self.count
+        super()._feed(engine, start)
 
 
 class RootFrame(Frame):
@@ -294,12 +319,13 @@ def _qed(frame, qed_hint, line, goal_key):
                          goal=goal_key, reason="qed-failed")
 
 
-def _prove_goals(frame, goals, blocks, label, line, auto=None):
+def _prove_goals(frame, goals, blocks, label, line, auto=None, fed=()):
     """Prove `goals` (key -> constraint) in subframes of `frame`: each
     proofgoal block, in textual order, adds the negation of the pending
     goal of its key (none for falsum), runs its steps and ends in the qed;
     a goal left without a block must be a tautology or pass `auto(key,
-    goal)`.  `line` is cited for a goal left undischarged."""
+    goal)`.  `line` is cited for a goal left undischarged.  The propagator
+    holds not(`fed[key]`), the goal renamed, where there is one."""
     pending = dict(goals)
     for block in blocks:
         key = block["key"]
@@ -308,8 +334,10 @@ def _prove_goals(frame, goals, blocks, label, line, auto=None):
                              line=block["line"], goal=key,
                              reason="unknown-goal")
         goalcon = pending.pop(key)
-        g = Frame(parent=frame, premises=() if _is_falsum(goalcon)
-                  else [pb.negate(goalcon)])
+        premises = () if _is_falsum(goalcon) else [pb.negate(goalcon)]
+        g = (AliasFrame(frame, 1, premises, [pb.negate(fed[key])])
+             if premises and key in fed
+             else Frame(parent=frame, premises=premises))
         _run_simple_steps(g, block["steps"])
         _qed(g, block["qed_hint"], block["line"], key)
     for key, goalcon in pending.items():
@@ -401,7 +429,8 @@ class Checker:
         # `bound` holds the names of `z_binding`, so a `red` step tests
         # its witness in O(|w|)
         self.z_binding, self.bound = [], frozenset()
-        self.counters = {"spec_materializations": 0,
+        self.shape = None   # the loaded order's positional shape, once read
+        self.counters = {"spec_materializations": 0, "spec_rows_aliased": 0,
                          "implicit_reflexivity_skips": 0,
                          "rup_calls": 0}
         self.trace = None  # optional list collecting goal discharge decisions
@@ -456,15 +485,16 @@ class Checker:
                              line=line, reason="no-order")
         self._check_rule_constraint(c, w, line)
         left = self._witness_images(w)
-        if all(l == z for l, z in zip(left, self.z_binding)):
+        fixed = [l == z for l, z in zip(left, self.z_binding)]
+        if all(fixed):
             raise CheckError("witness acts as identity on the z-binding",
                              line=line, reason="identity-witness")
+        alias, moved = self._aliases(step, fixed)
 
         sub = Frame(parent=self.root, premises=[pb.negate(c)])
 
         # --- leq scope: S(z|w, z) premises; goals C|w plus each order constraint
-        spec, ogs = ordmod.instance(self.loaded, left, self.z_binding)
-        leqf = Frame(parent=sub, premises=spec)
+        leqf, ogs, fed = self._scope(sub, left, self.z_binding, alias, moved)
         # goals by key: "#k" for the order constraints, the ID for core ones;
         # an order goal without a block may be discharged by hint-free RUP
         pending = {"#%d" % k: og for k, og in enumerate(ogs, 1)}
@@ -482,15 +512,58 @@ class Checker:
                 pending[cid] = goal
         _prove_goals(leqf, pending, step["leq"], "leq scope", line,
                      lambda key, goal: isinstance(key, str)
-                     and _run_rup(leqf, goal, None, line))
+                     and _run_rup(leqf, fed.get(key, goal), None, line), fed)
 
         # --- geq scope: S(z, z|w) and O(z, z|w) premises; single falsum goal
-        spec, ogs = ordmod.instance(self.loaded, self.z_binding, left)
-        geqf = Frame(parent=sub, premises=spec + ogs)
+        geqf, _, _ = self._scope(sub, self.z_binding, left, alias, moved,
+                                 True)
         _prove_goals(geqf, {falsum_key: pb.FALSUM}, step["geq"],
                      "geq scope", line)
 
         self.root.add(c)
+
+    def _aliases(self, step, fixed):
+        """The alias literal map and the moved positions of a dom step
+        whose witness fixes the bound positions `fixed` marks; ({}, None)
+        for the full instance: the order has no positional shape, a scope
+        step is a pol (its result is unknown until it runs), or a scope step
+        or a live top-level entry mentions an aliased variable."""
+        steps = [s for b in step["leq"] + step["geq"] for s in b["steps"]]
+        if not any(fixed) or any(s["kind"] != "rup" for s in steps):
+            return {}, None
+        if self.shape is None:
+            self.shape = ordmod.positional(self.loaded) or ()
+        alias, moved = (ordmod.aliases(self.shape, fixed) if self.shape
+                        else ({}, None))
+        lits = pb.witness_lits(alias)
+        if any(self.root.occ.get(x) for x in alias) or any(
+                not lits.keys().isdisjoint(s["constraint"].terms)
+                for s in steps):
+            return {}, None
+        return lits, moved
+
+    def _scope(self, sub, left, right, alias, moved, with_defs=False):
+        """A dom scope's frame of spec rows under u -> left, v -> right (and
+        with `with_defs` the order constraints), the order constraints, and
+        these renamed by `alias`, by goal key.  Under `alias` the propagator
+        gets the rows of the `moved` positions and the order constraints,
+        which mention aux only, renamed."""
+        order = self.loaded
+        if not alias:
+            spec, ogs = ordmod.instance(order, left, right)
+            return (Frame(parent=sub, premises=spec + ogs if with_defs
+                          else spec), ogs, {})
+        ogs, spec = order["def"], order["spec"]
+        fed = [pb.substitute(og, alias) for og in ogs]
+        rows = ordmod.contract(order, self.shape, moved, alias, left, right)
+        self.counters["spec_materializations"] += len(rows)
+        self.counters["spec_rows_aliased"] += len(spec) - len(rows)
+        extra = ogs if with_defs else []
+        frame = AliasFrame(
+            sub, len(spec) + len(extra),
+            lambda: ordmod.instance(order, left, right)[0] + extra,
+            rows + (fed if with_defs else []))
+        return frame, ogs, {"#%d" % k: og for k, og in enumerate(fed, 1)}
 
     def step_def_order(self, step):
         try:
@@ -521,7 +594,7 @@ class Checker:
         if self._derived_ids():
             raise CheckError("cannot change order with a non-empty derived set",
                              line=line, reason="derived-not-empty")
-        self.loaded = order
+        self.loaded, self.shape = order, None
         self.z_binding, self.bound = list(zvars), frozenset(zvars)
 
     def step_delete(self, step):

@@ -225,10 +225,10 @@ def cmd_gen(args):
 # ----------------------------------------------------------------- compare
 
 def _compare_cell(inst, method):
-    sym = inst.generators[0]
+    """Break and check `inst` with its first generator, if it has one."""
     t0 = time.perf_counter()
     builder = breaker.break_symmetries(inst.constraints, inst.variables,
-                                       [sym], method=method)
+                                       inst.generators[:1], method=method)
     text = builder.text()
     t1 = time.perf_counter()
     _, _, error, parse_s, check_s = _check_text(inst.constraints, text)

@@ -73,6 +73,85 @@ def spec_instance(order, lits):
     return [(lambda c=c: pb.substitute(c, lits)) for c, _w in order["spec"]]
 
 
+def positional(order):
+    """The positional shape of `order`, or None: per position i of u and
+    v, the indices of the spec rows at i and the (x, image) of each aux x
+    they define, 0/1 or the literal that x equals where u_i = v_i.
+
+    A row must mention u and v at one position i and witness one aux x,
+    whose rows all sit at i.  Under u_i = v_i it must be a tautology or
+    clausal (its coefficients below the degree sum to less than it, so it
+    propagates as the clause of the others), and x's clauses must say x =
+    0/1 or x = a literal over an aux of i - 1 that is no other's image.
+    Rows at i read aux of i and i - 1 only, and order constraints aux of
+    the last position only, so renaming merges no two terms of a row."""
+    u, v, spec = order["left"], order["right"], order["spec"]
+    place = {y: i for uv in (u, v) for i, y in enumerate(uv)}
+    shape, where, clauses, images = [([], []) for _ in u], {}, {}, set()
+    for r, (con, wit) in enumerate(spec):
+        at = {place[y] for y in con.variables() & place.keys()}
+        if len(at) != 1 or len(wit) != 1:
+            return None
+        i, (x,) = at.pop(), wit
+        shape[i][0].append(r)
+        red = pb.substitute(con, pb.witness_lits({u[i]: v[i]}))
+        big = frozenset(l for l, a in red.terms.items() if a >= red.degree)
+        if where.setdefault(x, i) != i or red.degree and (
+                sum(red.terms.values()) - sum(map(red.terms.get, big))
+                >= red.degree or place.keys() & red.variables()):
+            return None
+        if red.degree:
+            clauses.setdefault(x, set()).add(big)
+    for x, cls in clauses.items():
+        o = next((l for c in cls if x in c for l in c if l != x), None)
+        if cls in ({frozenset([x])}, {frozenset([pb.neg(x)])}):
+            image = int(frozenset([x]) in cls)
+        elif (o and cls == {frozenset([x, o]), frozenset(map(pb.neg, (x, o)))}
+              and where.get(pb.var_of(o)) == where[x] - 1
+              and pb.var_of(o) not in images):
+            image = pb.neg(o)
+            images.add(pb.var_of(o))
+        else:
+            return None
+        shape[where[x]][1].append((x, image))
+    reads = [(where[x], c) for c, w in spec for x in w]
+    reads += [(len(u), c) for c in order["def"]]
+    if any(where.get(y, i) not in (i, i - 1) or y in place and i == len(u)
+           for i, c in reads for y in c.variables()):
+        return None
+    return shape
+
+
+def aliases(shape, fixed):
+    """The alias map of a scope that fixes each position i with `fixed[i]`
+    true, and the positions it moves.  Each aux a fixed position defines
+    maps to 0/1 or to a literal of its class's representative: the member
+    no fixed position defines, at the nearest moved position before it."""
+    alias, moved = {}, []
+    for i, fix in enumerate(fixed):
+        if not fix:
+            moved.append(i)
+        for x, image in shape[i][1] if fix else ():
+            if isinstance(image, str):
+                y = pb.var_of(image)
+                rep = alias.get(y, y)
+                image = (rep if image == y else 1 - rep
+                         if isinstance(rep, int) else pb.neg(rep))
+            alias[x] = image
+    return alias, moved
+
+
+def contract(order, shape, moved, rename, left, right):
+    """The spec rows at the `moved` positions under u -> left, v -> right
+    and the aux literal map `rename`: a scope's rows under its alias map."""
+    lits = dict(rename)
+    lits.update(pb.witness_lits(
+        {uv[p]: img[p] for p in moved
+         for uv, img in ((order["left"], left), (order["right"], right))}))
+    return [pb.substitute(order["spec"][r][0], lits)
+            for p in moved for r in shape[p][0]]
+
+
 def check_transitivity(order, run):
     """Run the transitivity proof.  Its premises get IDs in this order:
     S(u,v,a), S(v,w,b), S(u,w,c), O(u,v,a), O(v,w,b), the spec rows as the

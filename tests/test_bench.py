@@ -104,6 +104,18 @@ def test_generators_are_symmetries(family, params):
             pb.substitute(c, lits) for c in inst.constraints) == whole
 
 
+@pytest.mark.parametrize("family,params", CASES + [
+    ("count", (3, 3)), ("count", (4, 4)), ("php", (2,)), ("clqcl", (6, 6, 5)),
+    ("tseitin", (2,))])
+def test_no_generator_moves_nothing(family, params):
+    # Count(n, n) has one n-subset, which every element swap maps to
+    # itself: it lists no generator rather than n - 1 identities
+    gens = bench.generate(family, params).generators
+    assert all(gens)
+    if family == "count" and params[0] == params[1]:
+        assert gens == []
+
+
 def test_php_generator_counts():
     inst = bench.generate("php", (4,))
     # pigeon swaps (n-1) plus hole swaps (n-2)

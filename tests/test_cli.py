@@ -836,6 +836,28 @@ def test_compare_csv(tmp_path):
     assert rows[2].startswith("3,old,")
 
 
+def test_gen_count_n_n_lists_no_generator(tmp_path, capsys):
+    # Count(3, 3)'s element swaps move no variable
+    prefix = str(tmp_path / "count33")
+    assert cli.main(["gen", "count", "3", "3", "-o", prefix, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["generators"] == 0
+    sidecar = json.loads(pathlib.Path(prefix + ".json").read_text())
+    assert sidecar["symmetries"] == []
+
+
+def test_compare_size_without_generators(tmp_path):
+    # Count(3, 3) has no generator: its rows break nothing, and the bare
+    # proof checks
+    out = tmp_path / "cmp.csv"
+    assert cli.main(["compare", "count", "3..4", "--step", "1",
+                     "-o", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+    assert [r[:2] for r in rows] == [["3", "new"], ["3", "old"],
+                                     ["4", "new"], ["4", "old"]]
+    header = len(parsing.HEADER) + 1
+    assert [int(r[2]) == header for r in rows] == [True, True, False, False]
+
+
 def test_compare_bad_range(tmp_path, capsys):
     assert cli.main(["compare", "php", "3-4"]) == 2
     assert "range" in capsys.readouterr().err

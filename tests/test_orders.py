@@ -314,3 +314,60 @@ def test_only_validated_orders_are_stored():
     assert orders.validate(order, run_obligation, spec_rule()) is order
     chk.step_def_order(order)
     assert chk.orders["leq1"] is order
+
+
+# ------------------------------------------------------- positional shape
+
+def test_lex_order_has_a_positional_shape():
+    # under u_i = v_i the rows of position 1 say $a1 = $d1 = 1 and those of
+    # position i > 1 say $a_i = $a_{i-1} and $d_i = $d_{i-1}; lex5's last
+    # position defines $d5 only
+    shape = orders.positional(breaker.build_lex_order(5))
+    assert [rules for _rows, rules in shape] == [
+        [("$a1", 1), ("$d1", 1)], [("$a2", "$a1"), ("$d2", "$d1")],
+        [("$a3", "$a2"), ("$d3", "$d2")], [("$a4", "$a3"), ("$d4", "$d3")],
+        [("$d5", "$d4")]]
+    assert [rows for rows, _rules in shape] == [
+        [0, 1, 8, 9], [2, 3, 10, 11], [4, 5, 12, 13], [6, 7, 14, 15],
+        [16, 17]]
+
+
+def test_aliases_send_fixed_positions_to_the_nearest_moved_one_before():
+    # lex5 with positions 2 and 3 swapped: position 1 comes before every
+    # moved position, so its aux are constants; 4 and 5 follow position 3
+    shape = orders.positional(breaker.build_lex_order(5))
+    alias, moved = orders.aliases(shape, [True, False, False, True, True])
+    assert moved == [1, 2]
+    assert alias == {"$a1": 1, "$d1": 1, "$a4": "$a3", "$d4": "$d3",
+                     "$d5": "$d3"}
+
+
+def _lex3_with(row, index):
+    order = breaker.build_lex_order(3)
+    spec = list(order["spec"])
+    spec[index] = (con(*row), spec[index][1])
+    return dict(order, spec=spec)
+
+
+@pytest.mark.parametrize("order", [
+    # biglex's order constraint reads u and v
+    pytest.param(breaker.build_big_order(3), id="biglex"),
+    # $a2's first row mentions position 1 too
+    pytest.param(_lex3_with(([(3, "~$a2"), (2, "$a1"), (1, "u2"), (1, "~v2"),
+                              (1, "u1")], 3), 2), id="two-positions"),
+    # under u2 = v2, $a2's first row is the clause ~$a2 v $a1 v $d1
+    pytest.param(_lex3_with(([(1, "~$a2"), (1, "$a1"), (1, "$d1"),
+                              (1, "u2"), (1, "~v2")], 2), 2), id="three-literals"),
+    # under u2 = v2, 2 ~$a2 + $a1 + $d1 >= 2 is no clause
+    pytest.param(_lex3_with(([(2, "~$a2"), (1, "$a1"), (1, "$d1"),
+                              (1, "u2"), (1, "~v2")], 3), 2), id="not-clausal"),
+    # $d2's second row reads $a2, defined at the same position, so $d2's
+    # rows say $d2 v ~$d1 v $a2: the second literal is no aux of position 1
+    pytest.param(_lex3_with(([(3, "$d2"), (3, "~$d1"), (3, "$a2"),
+                              (1, "u2"), (1, "~v2")], 3), 7), id="not-a-definition"),
+    # $d3's first row reads $a1, two positions back
+    pytest.param(_lex3_with(([(4, "~$d3"), (3, "$d2"), (1, "~$a1"),
+                              (1, "~u3"), (1, "v3")], 4), 8), id="two-back"),
+])
+def test_orders_without_a_positional_shape(order):
+    assert orders.positional(order) is None
