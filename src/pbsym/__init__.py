@@ -11,4 +11,13 @@ Submodules:
   cli          -- command line entry points
 """
 
+import sys
+
 __version__ = "0.1.0"
+
+# biglex<n>'s coefficients have n bits, so `old` proofs print, and the
+# parser reads, numbers past the 4,300-digit limit CPython 3.11+ sets on
+# int <-> str conversion by default (from n of about 14,284 on); 3.10 has
+# no limit.
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)

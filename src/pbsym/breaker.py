@@ -9,11 +9,12 @@ order binds U, the union of the generators' supports, and no other
 variable (:func:`choose_binding`), so its size follows the symmetry's,
 not the formula's n variables.  Two derivation strategies are provided:
 
-* the *chain* method ("new"): a lexicographic order whose specification
-  introduces prefix-equality variables $a_i and prefix-comparison
-  variables $d_i.  Per symmetry we introduce a small reified circuit over
-  the support (variables s_j, t_j), derive ``t_k >= 1`` by dominance and
-  turn it into clauses.  Every generator's fragment is 13k + 4 lines for
+* the *chain* method ("new"): the lexicographic order :func:`orders.lex`,
+  whose specification introduces prefix-equality variables $a_i and
+  prefix-comparison variables $d_i.  Per symmetry we introduce a small
+  reified circuit over the support (variables s_j, t_j), reified as the
+  order's rows are, derive ``t_k >= 1`` by dominance and turn it into
+  clauses.  Every generator's fragment is 13k + 4 lines for
   support size k, whatever n, and 5k - 3 of them are hint-free RUP lemmas
   of its dominance step.  No lemma restates a row in scope, but unit
   propagation finds some of them anyway on some formulas (see
@@ -35,7 +36,8 @@ Proofs are built as the step dicts :func:`parsing.parse_proof` returns and
 printed by :func:`parsing.render_step`; this module writes no proof text.
 An order is its ``def_order`` step: :func:`build_lex_order` and
 :func:`build_big_order` return it, proofs included, and the builder reads
-the loaded order's spec layout and arity from it.
+the loaded order's spec size and arity from it; lex's transitivity hints
+cite rows by :func:`orders.lex_row`.
 """
 
 import collections
@@ -43,6 +45,7 @@ import functools
 
 from . import checker
 from . import constraints as pb
+from . import orders
 from . import parsing
 
 
@@ -136,99 +139,45 @@ def _refute(key, steps):
     return [parsing.goal_block(key, steps, -1, None)]
 
 
-def _spec_index(spec):
-    """Position of each row of `spec`, by the (aux variable, value) its
-    witness sets."""
-    return {next(iter(w.items())): i for i, (_c, w) in enumerate(spec)}
-
-
-def _spec_ids(index, base):
-    """ID functions (level i, half 1 or 2) of the $a and $d rows of a lex
-    spec instance whose first row has ID `base`, from its `_spec_index`."""
-    return (lambda i, h: base + index["$a%d" % i, h - 1],
-            lambda i, h: base + index["$d%d" % i, h - 1])
-
-
 def _fresh_right(n):
     return ["w%d" % i for i in range(1, n + 1)]
 
 
 # -------------------------------------------------- lexicographic order
 
-def _a_pair(cur, prev, u, v):
-    """Reification cur <-> (prev and u >= v); prev None at the top level."""
-    if prev is None:
-        one = ([(1, pb.neg(cur)), (1, u), (1, pb.neg(v))], 1)
-        two = ([(2, cur), (1, pb.neg(u)), (1, v)], 2)
-    else:
-        one = ([(3, pb.neg(cur)), (2, prev), (1, u), (1, pb.neg(v))], 3)
-        two = ([(2, cur), (2, pb.neg(prev)), (1, pb.neg(u)), (1, v)], 2)
-    return one, two
-
-
-def _d_pair(cur, prevd, preva, u, v):
-    """Reification cur <-> (u < v or (u = v and prevd)), lex style."""
-    if prevd is None:
-        one = ([(1, pb.neg(cur)), (1, pb.neg(u)), (1, v)], 1)
-        two = ([(2, cur), (1, u), (1, pb.neg(v))], 2)
-    else:
-        one = ([(4, pb.neg(cur)), (3, prevd), (1, pb.neg(preva)),
-                (1, pb.neg(u)), (1, v)], 4)
-        two = ([(3, cur), (3, pb.neg(prevd)), (1, preva),
-                (1, u), (1, pb.neg(v))], 3)
-    return one, two
-
-
-def _reification(cur, pair):
-    """The two (constraint, witness) rows defining `cur` from a pair."""
-    return [(pb.normalize(*half), {cur: value})
-            for value, half in enumerate(pair)]
-
-
 def build_lex_order(n):
-    """The def_order step of the lexicographic order lex<n>; its 4n-2
-    specification rows reify $a_i and $d_i."""
-    u = lambda i: "u%d" % i
-    v = lambda i: "v%d" % i
-    a = lambda i: "$a%d" % i
-    d = lambda i: "$d%d" % i
-    spec = []
-    for i in range(1, n):
-        spec += _reification(a(i), _a_pair(a(i), a(i - 1) if i > 1 else None,
-                                            u(i), v(i)))
-    for i in range(1, n + 1):
-        spec += _reification(d(i), _d_pair(d(i), d(i - 1) if i > 1 else None,
-                                            a(i - 1) if i > 1 else None,
-                                            u(i), v(i)))
-    aux = [a(i) for i in range(1, n)] + [d(i) for i in range(1, n + 1)]
+    """The def_order step of the lexicographic order :func:`orders.lex`
+    (n), with its transitivity and reflexivity proofs."""
+    lex = orders.lex(n)
+    aux = lex["aux"]
     fresh = (_fresh_right(n),
              [s.replace("$a", "$b").replace("$d", "$e") for s in aux],
              [s.replace("$a", "$c").replace("$d", "$f") for s in aux])
     return parsing.def_order_step(
-        "lex%d" % n, [u(i) for i in range(1, n + 1)],
-        [v(i) for i in range(1, n + 1)], aux, spec,
-        [pb.normalize([(1, d(n))], 1)], fresh,
-        _refute("#1", _lex_transitivity_steps(n, spec)),
+        "lex%d" % n, lex["left"], lex["right"], aux, lex["spec"], lex["def"],
+        fresh, _refute("#1", _lex_transitivity_steps(n, len(lex["spec"]))),
         _refute("#1", [_rup()]), None)
 
 
-def _lex_transitivity_steps(n, spec):
+def _lex_transitivity_steps(n, rows):
     """Steps of goal #1 of the transitivity proof: O(u,w) from the three
     chained spec instances, by induction over the levels.
 
     Constraint IDs inside the obligation frame: spec S(u,v) occupies
-    1..len(spec), S(v,w) and S(u,w) the next two blocks, then O(u,v),
-    O(v,w) and the negated goal.  Level i derives P_i = ~$d_i v ~$e_i v
+    1..rows, S(v,w) and S(u,w) the next two blocks, then O(u,v), O(v,w)
+    and the negated goal.  Level i derives P_i = ~$d_i v ~$e_i v
     $f_i and, below the last level, Qa_i = ~$d_i v ~$e_i v ~$c_i v $a_i
     and Qb_i, the same clause with $b_i, each by RUP over hints: its
     level's spec rows and the lemmas of the level before.  Without hints,
     every lemma would propagate over the three instances, so the check
     would build all of their rows.
     """
-    S, index = len(spec), _spec_index(spec)
-    (A, D), (B, E), (C, F) = (_spec_ids(index, block * S + 1)
-                              for block in range(3))
-    o_uv, o_vw, neg_goal = 3 * S + 1, 3 * S + 2, 3 * S + 3
+    def ids(block, x):
+        # the ID of row (level i, half h) of x in spec instance `block`
+        return lambda i, h: block * rows + 1 + orders.lex_row(n, x, i, h)
+
+    (A, D), (B, E), (C, F) = ((ids(b, "$a"), ids(b, "$d")) for b in range(3))
+    o_uv, o_vw, neg_goal = 3 * rows + 1, 3 * rows + 2, 3 * rows + 3
     steps = []
 
     def lemma(hints, *lits):
@@ -405,7 +354,7 @@ class ProofBuilder:
             self.s_count += 1
             cur = "%s%d" % (self.s_prefix, self.s_count)
             fr.snames[j] = cur
-            fr.s_ids[j] = self._reify(fr, cur, _a_pair(
+            fr.s_ids[j] = self._reify(fr, cur, orders.a_pair(
                 cur, prev, fr.xs[j - 1], fr.imgs[j - 1]))
             prev = cur
         if not with_t:
@@ -413,7 +362,7 @@ class ProofBuilder:
         for j in range(1, fr.k + 1):
             cur = "%s%d" % (self.t_prefix, j)
             fr.tnames[j] = cur
-            fr.t_ids[j] = self._reify(fr, cur, _d_pair(
+            fr.t_ids[j] = self._reify(fr, cur, orders.d_pair(
                 cur, fr.tnames.get(j - 1), fr.snames.get(j - 1),
                 fr.xs[j - 1], fr.imgs[j - 1]))
 
@@ -421,7 +370,7 @@ class ProofBuilder:
         """Derive the two red steps defining `cur`; returns their IDs."""
         return tuple(self.derive_known(fr.steps, parsing.red_step(con, w, None),
                                        con)
-                     for con, w in _reification(cur, pair))
+                     for con, w in orders.reification(cur, pair))
 
     def _s_clauses(self, fr):
         """pol programs of the clauses s_j -> x_j and s_j -> ~sigma(x_j)."""

@@ -429,7 +429,7 @@ class Checker:
         # `bound` holds the names of `z_binding`, so a `red` step tests
         # its witness in O(|w|)
         self.z_binding, self.bound = [], frozenset()
-        self.shape = None   # the loaded order's positional shape, once read
+        self.shape = None   # the loaded order's lex_size (0: none), once read
         self.counters = {"spec_materializations": 0, "spec_rows_aliased": 0,
                          "implicit_reflexivity_skips": 0,
                          "rup_calls": 0}
@@ -525,14 +525,14 @@ class Checker:
     def _aliases(self, step, fixed):
         """The alias literal map and the moved positions of a dom step
         whose witness fixes the bound positions `fixed` marks; ({}, None)
-        for the full instance: the order has no positional shape, a scope
-        step is a pol (its result is unknown until it runs), or a scope step
-        or a live top-level entry mentions an aliased variable."""
+        for the full instance: no lex<n> is loaded (:func:`orders.lex_size`),
+        a scope step is a pol (its result is unknown until it runs), or a
+        scope step or a live top-level entry mentions an aliased variable."""
         steps = [s for b in step["leq"] + step["geq"] for s in b["steps"]]
         if not any(fixed) or any(s["kind"] != "rup" for s in steps):
             return {}, None
         if self.shape is None:
-            self.shape = ordmod.positional(self.loaded) or ()
+            self.shape = ordmod.lex_size(self.loaded) or 0
         alias, moved = (ordmod.aliases(self.shape, fixed) if self.shape
                         else ({}, None))
         lits = pb.witness_lits(alias)
@@ -555,7 +555,7 @@ class Checker:
                           else spec), ogs, {})
         ogs, spec = order["def"], order["spec"]
         fed = [pb.substitute(og, alias) for og in ogs]
-        rows = ordmod.contract(order, self.shape, moved, alias, left, right)
+        rows = ordmod.contract(order, moved, alias, left, right)
         self.counters["spec_materializations"] += len(rows)
         self.counters["spec_rows_aliased"] += len(spec) - len(rows)
         extra = ogs if with_defs else []

@@ -56,7 +56,7 @@ def _number(text):
 
 def _load_formula(path):
     text = _read(path)
-    if path.endswith(".cnf"):
+    if path.lower().endswith(".cnf"):
         cons = parsing.parse_cnf(text)
         variables = ["x%d" % i for i in range(1, 1 + max(
             (int(v[1:]) for c in cons for v in c.variables()), default=0))]

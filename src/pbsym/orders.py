@@ -11,7 +11,10 @@ and both proofs; the checker stores, and so loads, only orders that pass.
 The redundance rule and the subproof runner are the checker's, passed in,
 so a spec row is derived by the same code as a ``red`` step.
 An instance substitutes for u, v and aux once, in :func:`instance`; a
-proof builds only the spec rows it reads.
+proof builds only the spec rows it reads.  The module also states lex<n>
+and its row layout (:func:`lex`, :func:`lex_row`); a dom scope of an order
+:func:`lex_size` recognizes contracts its rows (:func:`aliases`,
+:func:`contract`).
 """
 
 import collections
@@ -73,83 +76,95 @@ def spec_instance(order, lits):
     return [(lambda c=c: pb.substitute(c, lits)) for c, _w in order["spec"]]
 
 
-def positional(order):
-    """The positional shape of `order`, or None: per position i of u and
-    v, the indices of the spec rows at i and the (x, image) of each aux x
-    they define, 0/1 or the literal that x equals where u_i = v_i.
-
-    A row must mention u and v at one position i and witness one aux x,
-    whose rows all sit at i.  Under u_i = v_i it must be a tautology or
-    clausal (its coefficients below the degree sum to less than it, so it
-    propagates as the clause of the others), and x's clauses must say x =
-    0/1 or x = a literal over an aux of i - 1 that is no other's image.
-    Rows at i read aux of i and i - 1 only, and order constraints aux of
-    the last position only, so renaming merges no two terms of a row."""
-    u, v, spec = order["left"], order["right"], order["spec"]
-    place = {y: i for uv in (u, v) for i, y in enumerate(uv)}
-    shape, where, clauses, images = [([], []) for _ in u], {}, {}, set()
-    for r, (con, wit) in enumerate(spec):
-        at = {place[y] for y in con.variables() & place.keys()}
-        if len(at) != 1 or len(wit) != 1:
-            return None
-        i, (x,) = at.pop(), wit
-        shape[i][0].append(r)
-        red = pb.substitute(con, pb.witness_lits({u[i]: v[i]}))
-        big = frozenset(l for l, a in red.terms.items() if a >= red.degree)
-        if where.setdefault(x, i) != i or red.degree and (
-                sum(red.terms.values()) - sum(map(red.terms.get, big))
-                >= red.degree or place.keys() & red.variables()):
-            return None
-        if red.degree:
-            clauses.setdefault(x, set()).add(big)
-    for x, cls in clauses.items():
-        o = next((l for c in cls if x in c for l in c if l != x), None)
-        if cls in ({frozenset([x])}, {frozenset([pb.neg(x)])}):
-            image = int(frozenset([x]) in cls)
-        elif (o and cls == {frozenset([x, o]), frozenset(map(pb.neg, (x, o)))}
-              and where.get(pb.var_of(o)) == where[x] - 1
-              and pb.var_of(o) not in images):
-            image = pb.neg(o)
-            images.add(pb.var_of(o))
-        else:
-            return None
-        shape[where[x]][1].append((x, image))
-    reads = [(where[x], c) for c, w in spec for x in w]
-    reads += [(len(u), c) for c in order["def"]]
-    if any(where.get(y, i) not in (i, i - 1) or y in place and i == len(u)
-           for i, c in reads for y in c.variables()):
-        return None
-    return shape
+def a_pair(cur, prev, u, v):
+    """Reification cur <-> (prev and u >= v); prev None at the top level."""
+    if prev is None:
+        one = ([(1, pb.neg(cur)), (1, u), (1, pb.neg(v))], 1)
+        two = ([(2, cur), (1, pb.neg(u)), (1, v)], 2)
+    else:
+        one = ([(3, pb.neg(cur)), (2, prev), (1, u), (1, pb.neg(v))], 3)
+        two = ([(2, cur), (2, pb.neg(prev)), (1, pb.neg(u)), (1, v)], 2)
+    return one, two
 
 
-def aliases(shape, fixed):
-    """The alias map of a scope that fixes each position i with `fixed[i]`
-    true, and the positions it moves.  Each aux a fixed position defines
-    maps to 0/1 or to a literal of its class's representative: the member
-    no fixed position defines, at the nearest moved position before it."""
+def d_pair(cur, prevd, preva, u, v):
+    """Reification cur <-> (u < v or (u = v and prevd)), lex style."""
+    if prevd is None:
+        one = ([(1, pb.neg(cur)), (1, pb.neg(u)), (1, v)], 1)
+        two = ([(2, cur), (1, u), (1, pb.neg(v))], 2)
+    else:
+        one = ([(4, pb.neg(cur)), (3, prevd), (1, pb.neg(preva)),
+                (1, pb.neg(u)), (1, v)], 4)
+        two = ([(3, cur), (3, pb.neg(prevd)), (1, preva),
+                (1, u), (1, pb.neg(v))], 3)
+    return one, two
+
+
+def reification(cur, pair):
+    """The two (constraint, witness) rows defining `cur` from a pair."""
+    return [(pb.normalize(*half), {cur: value})
+            for value, half in enumerate(pair)]
+
+
+def lex(n):
+    """The statement of lex<n>: its `left`, `right` and `aux` names, `spec`
+    rows and `def`.  The 4n - 2 spec rows reify $a_i, u and v equal up to
+    position i, for i < n, then $d_i, u <=lex v up to i, each as the rows
+    of :func:`lex_row`; the order constraint is $d_n."""
+    u, v, a, d = ([None] + ["%s%d" % (x, i) for i in range(1, n + 1)]
+                  for x in ("u", "v", "$a", "$d"))
+    spec = []
+    for i in range(1, n):
+        spec += reification(a[i], a_pair(a[i], a[i - 1], u[i], v[i]))
+    for i in range(1, n + 1):
+        spec += reification(d[i], d_pair(d[i], d[i - 1], a[i - 1], u[i], v[i]))
+    return {"left": u[1:], "right": v[1:], "aux": a[1:n] + d[1:],
+            "spec": spec, "def": [pb.clause([d[n]])] if n else []}
+
+
+def lex_row(n, x, i, h):
+    """The index in lex<n>'s spec of row h (1 or 2) of aux x_i, x "$a" or
+    "$d": the row whose witness sets x_i to h - 1."""
+    return 2 * (i - 1) + h - 1 + (2 * (n - 1) if x == "$d" else 0)
+
+
+def lex_size(order):
+    """n when `order` states lex<n>, its `left`, `right`, `aux`, `spec` and
+    `def` those of :func:`lex` (n), else None.  The name and the proofs do
+    not count: an order the checker loads has passed them."""
+    n = len(order["left"])
+    want = lex(n)
+    return n if all(order[k] == want[k] for k in want) else None
+
+
+def aliases(n, fixed):
+    """The alias map of a lex<n> scope that fixes each position i with
+    `fixed[i]` true, and the positions it moves.  Under u_i = v_i the rows
+    of i say $a_i = $a_{i-1} and $d_i = $d_{i-1}, or $a_1 = $d_1 = 1, and
+    the last position has no $a; so each aux of a fixed position maps to
+    1, or to the aux of its kind at the nearest moved position before it."""
     alias, moved = {}, []
-    for i, fix in enumerate(fixed):
+    for p, fix in enumerate(fixed):
         if not fix:
-            moved.append(i)
-        for x, image in shape[i][1] if fix else ():
-            if isinstance(image, str):
-                y = pb.var_of(image)
-                rep = alias.get(y, y)
-                image = (rep if image == y else 1 - rep
-                         if isinstance(rep, int) else pb.neg(rep))
-            alias[x] = image
+            moved.append(p)
+            continue
+        for x in ("$a", "$d")[p == n - 1:]:
+            prev = "%s%d" % (x, p)
+            alias["%s%d" % (x, p + 1)] = alias.get(prev, prev) if p else 1
     return alias, moved
 
 
-def contract(order, shape, moved, rename, left, right):
-    """The spec rows at the `moved` positions under u -> left, v -> right
-    and the aux literal map `rename`: a scope's rows under its alias map."""
+def contract(order, moved, rename, left, right):
+    """The spec rows of lex<n> `order` at the `moved` positions, no $a at
+    the last, under u -> left, v -> right and the aux literal map `rename`:
+    a scope's rows under its alias map."""
+    n, spec = len(left), order["spec"]
     lits = dict(rename)
     lits.update(pb.witness_lits(
         {uv[p]: img[p] for p in moved
          for uv, img in ((order["left"], left), (order["right"], right))}))
-    return [pb.substitute(order["spec"][r][0], lits)
-            for p in moved for r in shape[p][0]]
+    return [pb.substitute(spec[lex_row(n, x, p + 1, h)][0], lits)
+            for p in moved for x in ("$a", "$d")[p == n - 1:] for h in (1, 2)]
 
 
 def check_transitivity(order, run):

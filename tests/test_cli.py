@@ -160,6 +160,16 @@ def test_stray_end_line_does_not_end_the_proof(tmp_path, capsys):
     assert payload["error"].startswith("line:2 goal:- reason:rup-failed")
 
 
+def test_check_reads_a_multiplier_past_the_int_str_digit_limit(tmp_path,
+                                                              capsys):
+    # a 5,000-digit number is past CPython 3.11+'s default limit
+    formula, proof = tmp_path / "f.opb", tmp_path / "p.pbp"
+    formula.write_text("+1 x1 >= 1 ;\n")
+    proof.write_text("%s\npol 1 1%s *;\n" % (parsing.HEADER, "0" * 4999))
+    rc, payload = _check_files(capsys, formula, proof)
+    assert (rc, payload["verdict"]) == (0, "VERIFIED-DERIVATION")
+
+
 @pytest.mark.parametrize("method", ["new", "old"])
 def test_streamed_check_holds_less_than_the_parsed_proof(method):
     # PHP(8) with all generators: parsing the proof first holds every
@@ -702,6 +712,19 @@ def test_break_binding_lists_the_moved_variables(tmp_path, capsys, method):
             if l.startswith("load_order ")]
     assert load == ["load_order %s4 x1 x2 x3 x4;"
                     % ("lex" if method == "new" else "biglex")]
+
+
+def test_cnf_suffix_in_any_case_is_dimacs(tmp_path, capsys):
+    # PHP4.CNF was read as OPB: `line 1: bad coefficient 'p'`
+    inst = bench.generate("php", (4,))
+    formula = tmp_path / "PHP4.CNF"
+    formula.write_text(parsing.render_cnf(inst.constraints, inst.nvars()))
+    syms = sym_file(tmp_path, parsing.render_witness(inst.generators[0]))
+    rc = cli.main(["break", str(formula), syms, "-o", str(tmp_path / "out"),
+                   "--selfcheck", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["selfcheck"] == (
+        "VERIFIED-DERIVATION")
 
 
 def test_break_old_method(tmp_path, capsys):

@@ -324,6 +324,20 @@ def test_polish_copy():
     assert evaluate_polish(["5"], db.__getitem__) == db[5]
 
 
+# 10^4999, 5,000 digits: past the int <-> str limit CPython 3.11+ sets by
+# default, which `old` proofs pass from 14,284 bound variables on
+BIG = "1" + "0" * 4999
+
+
+def test_numbers_past_the_int_str_digit_limit_round_trip():
+    n = pb.parse_int(BIG)
+    assert n == 10 ** 4999
+    assert pb.render(C((n, "x1"), ge=n)) == "+%s x1 >= %s" % (BIG, BIG)
+    db = {1: C((1, "x1"), ge=1)}
+    assert evaluate_polish(["1", BIG, "*"], db.__getitem__) == C((n, "x1"),
+                                                                 ge=n)
+
+
 def test_polish_stack_underflow():
     with pytest.raises(pb.ConstraintError):
         evaluate_polish(["+"], {}.__getitem__)

@@ -3,9 +3,9 @@
 A dom scope whose witness fixes bound positions feeds the propagator only
 the spec rows of the positions it moves, renamed by an alias map
 (:func:`pbsym.orders.aliases`); the rows of the fixed positions say no
-more than the map.  With :func:`pbsym.orders.positional` reporting no
-positional shape, every scope builds the full instance.  Every check here
-must end the same on both paths: verdict, reason, line, `rup_calls` and
+more than the map.  With :func:`pbsym.orders.lex_size` recognizing no
+lex<n>, every scope builds the full instance.  Every check here must end
+the same on both paths: verdict, reason, line, `rup_calls` and
 `implicit_reflexivity_skips`.  Only the spec-row counters differ.
 """
 
@@ -27,7 +27,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _full_path():
-    return mock.patch.object(orders, "positional", lambda order: None)
+    return mock.patch.object(orders, "lex_size", lambda order: None)
 
 
 def _outcome(formula, text):
@@ -148,3 +148,11 @@ def test_dom_falls_back_where_the_alias_map_does_not_hold(name, ends,
     assert fast[0][:len(ends)] == ends
     if aliased is not None:
         assert fast[1][1] == aliased
+
+
+def test_renamed_aux_end_as_the_canonical_order():
+    # lexfix_lemma with lex4's aux renamed states no lex<n>: its dom step
+    # checks the full instance and ends as the canonical file does
+    renamed = _outcome(*_lexfix("renamed"))
+    assert renamed == _outcome(*_lexfix("lemma"))
+    assert renamed[0][0] == VERIFIED and renamed[1] == (28, 0)

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import pytest
@@ -8,6 +9,7 @@ from pbsym import constraints as pb
 from pbsym import orders, parsing
 from pbsym.checker import Checker, CheckError, run_obligation, spec_rule
 
+import oracle
 from oracle import implies
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -316,30 +318,83 @@ def test_only_validated_orders_are_stored():
     assert chk.orders["leq1"] is order
 
 
-# ------------------------------------------------------- positional shape
+# ------------------------------------------------- lex<n> and its row layout
+# (a "positional shape": at each position i, lex<n>'s rows define the aux of
+# i from u_i, v_i and the aux of i - 1)
 
 def test_lex_order_has_a_positional_shape():
-    # under u_i = v_i the rows of position 1 say $a1 = $d1 = 1 and those of
-    # position i > 1 say $a_i = $a_{i-1} and $d_i = $d_{i-1}; lex5's last
-    # position defines $d5 only
-    shape = orders.positional(breaker.build_lex_order(5))
-    assert [rules for _rows, rules in shape] == [
-        [("$a1", 1), ("$d1", 1)], [("$a2", "$a1"), ("$d2", "$d1")],
-        [("$a3", "$a2"), ("$d3", "$d2")], [("$a4", "$a3"), ("$d4", "$d3")],
-        [("$d5", "$d4")]]
-    assert [rows for rows, _rules in shape] == [
+    # the breaker's lex<n> and the lexfix proofs' parsed lex4 are
+    # recognized; the rows of position i are those of $a_i, below the last
+    # position, then those of $d_i
+    assert [orders.lex_size(breaker.build_lex_order(n))
+            for n in (1, 2, 5, 40)] == [1, 2, 5, 40]
+    proof = parsing.parse_proof((DATA / "lexfix_lemma.pbp").read_text())
+    assert orders.lex_size(proof["steps"][0]) == 4
+    assert [[orders.lex_row(5, x, i, h) for x in ("$a", "$d")[i == 5:]
+             for h in (1, 2)] for i in range(1, 6)] == [
         [0, 1, 8, 9], [2, 3, 10, 11], [4, 5, 12, 13], [6, 7, 14, 15],
         [16, 17]]
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_lex_row_names_the_row_its_witness_sets(n):
+    for r, (_c, w) in enumerate(orders.lex(n)["spec"]):
+        ((name, value),) = w.items()
+        assert orders.lex_row(n, name[:2], int(name[2:]), value + 1) == r
 
 
 def test_aliases_send_fixed_positions_to_the_nearest_moved_one_before():
     # lex5 with positions 2 and 3 swapped: position 1 comes before every
     # moved position, so its aux are constants; 4 and 5 follow position 3
-    shape = orders.positional(breaker.build_lex_order(5))
-    alias, moved = orders.aliases(shape, [True, False, False, True, True])
+    alias, moved = orders.aliases(5, [True, False, False, True, True])
     assert moved == [1, 2]
     assert alias == {"$a1": 1, "$d1": 1, "$a4": "$a3", "$d4": "$d3",
                      "$d5": "$d3"}
+
+
+def _lex_models(n):
+    """Each assignment of lex<n>'s u and v with the aux assignments that
+    satisfy its spec rows."""
+    order = orders.lex(n)
+    rows = [c for c, _w in order["spec"]]
+    return [(uv, [a for a in oracle.all_assignments(order["aux"])
+                  if all(oracle.con_holds(c, {**uv, **a}) for c in rows)])
+            for uv in oracle.all_assignments(order["left"] + order["right"])]
+
+
+def _value(image, rho):
+    return image if isinstance(image, int) else int(
+        oracle.lit_holds(image, rho))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_aliases_hold_on_every_model_of_the_rows(n):
+    # for every fixed pattern: (i) every model of the rows with u_i = v_i at
+    # the fixed positions i sets each aliased aux to its image, and (ii)
+    # every row of a fixed position holds under u_i = v_i and the map,
+    # whatever the other variables are
+    order = orders.lex(n)
+    models = _lex_models(n)
+    for fixed in itertools.product((False, True), repeat=n):
+        alias, moved = orders.aliases(n, list(fixed))
+        at = [i for i in range(1, n + 1) if fixed[i - 1]]
+        assert moved == [i - 1 for i in range(1, n + 1) if not fixed[i - 1]]
+        for uv, sols in models:
+            if all(uv["u%d" % i] == uv["v%d" % i] for i in at):
+                for a in sols:
+                    rho = {**uv, **a}
+                    assert all(rho[x] == _value(img, rho)
+                               for x, img in alias.items()), (fixed, rho)
+        for c, _w in order["spec"]:
+            i = next(int(y[1:]) for y in c.variables() if y[0] == "u")
+            if i not in at:
+                continue
+            free = (c.variables() | {img for img in alias.values()
+                                     if isinstance(img, str)}) - set(alias)
+            for rho in oracle.all_assignments(free - {"v%d" % i}):
+                rho["v%d" % i] = rho["u%d" % i]
+                rho.update((x, _value(img, rho)) for x, img in alias.items())
+                assert oracle.con_holds(c, rho), (fixed, pb.render(c))
 
 
 def _lex3_with(row, index):
@@ -349,9 +404,28 @@ def _lex3_with(row, index):
     return dict(order, spec=spec)
 
 
+def _lex4_renamed():
+    """lex4 with its $a aux named $g."""
+    order = breaker.build_lex_order(4)
+    name = {x: x.replace("$a", "$g") for x in order["aux"]}
+    lits = pb.witness_lits(name)
+    spec = [(pb.substitute(c, lits), {name[x]: b for x, b in w.items()})
+            for c, w in order["spec"]]
+    return dict(order, aux=[name[x] for x in order["aux"]], spec=spec)
+
+
+def _lex4_spec(edit):
+    order = breaker.build_lex_order(4)
+    return dict(order, spec=edit(list(order["spec"])))
+
+
 @pytest.mark.parametrize("order", [
-    # biglex's order constraint reads u and v
     pytest.param(breaker.build_big_order(3), id="biglex"),
+    pytest.param(_lex4_renamed(), id="renamed-aux"),
+    # $a1's two rows in the other order
+    pytest.param(_lex4_spec(lambda s: [s[1], s[0]] + s[2:]),
+                 id="swapped-rows"),
+    pytest.param(_lex4_spec(lambda s: s + s[-1:]), id="extra-row"),
     # $a2's first row mentions position 1 too
     pytest.param(_lex3_with(([(3, "~$a2"), (2, "$a1"), (1, "u2"), (1, "~v2"),
                               (1, "u1")], 3), 2), id="two-positions"),
@@ -370,4 +444,5 @@ def _lex3_with(row, index):
                               (1, "~u3"), (1, "v3")], 4), 8), id="two-back"),
 ])
 def test_orders_without_a_positional_shape(order):
-    assert orders.positional(order) is None
+    # any order that does not state lex<n> exactly is not recognized
+    assert orders.lex_size(order) is None
