@@ -11,10 +11,10 @@ not the formula's n variables.  Two derivation strategies are provided:
 
 * the *chain* method ("new"): the lexicographic order :func:`orders.lex`,
   whose specification introduces prefix-equality variables $a_i and
-  prefix-comparison variables $d_i.  Per symmetry we introduce a small
-  reified circuit over the support (variables s_j, t_j), reified as the
-  order's rows are, derive ``t_k >= 1`` by dominance and turn it into
-  clauses.  Every generator's fragment is 13k + 4 lines for
+  prefix-comparison variables $d_i.  Per symmetry we introduce lex<k>
+  between the support x and its image sigma x, :func:`orders.lex_spec`
+  with s_j for $a_j and t_j for $d_j, derive ``t_k >= 1`` by dominance and
+  turn it into clauses.  Every generator's fragment is 13k + 4 lines for
   support size k, whatever n, and 5k - 3 of them are hint-free RUP lemmas
   of its dominance step.  No lemma restates a row in scope, but unit
   propagation finds some of them anyway on some formulas (see
@@ -26,7 +26,8 @@ not the formula's n variables.  Two derivation strategies are provided:
   coefficients sum 2^(m-i) (v_i + ~u_i) >= 2^m - 1 over m = |U| bound
   variables.  Dominance introduces the instantiated big constraint
   directly; clause j adds j - 1 chain lemmas to it and weakens the rest:
-  Theta(k) operations on |U|-bit integers each.
+  Theta(k) operations on |U|-bit integers each.  Its circuit is lex<k>'s
+  s_j rows alone.
 
 The chain variables s_j and t_j are named fresh: when the formula already
 uses a name ``s<digits>`` (or ``t<digits>``), the prefix gets a trailing
@@ -36,14 +37,13 @@ Proofs are built as the step dicts :func:`parsing.parse_proof` returns and
 printed by :func:`parsing.render_step`; this module writes no proof text.
 An order is its ``def_order`` step: :func:`build_lex_order` and
 :func:`build_big_order` return it, proofs included, and the builder reads
-the loaded order's spec size and arity from it; lex's transitivity hints
-cite rows by :func:`orders.lex_row`.
+the loaded order's spec size and arity from it.  Lex's transitivity hints
+and a fragment's pol programs cite rows by :func:`orders.lex_row`.
 """
 
 import collections
 import functools
 
-from . import checker
 from . import constraints as pb
 from . import orders
 from . import parsing
@@ -240,9 +240,14 @@ class _Fragment:
         self.xs = [binding[p - 1] for p in self.pos]
         self.imgs = [sym[x] for x in self.xs]
         self.k = len(self.pos)
-        self.snames, self.tnames, self.s_ids, self.t_ids = {}, {}, {}, {}
+        self.first = None               # ID of the circuit's first row
+        self.snames, self.tnames = {}, {}   # s_j and t_j by j
         self.neg_c = None               # ID of the negated dom constraint
         self.steps = []                 # top-level steps, in proof order
+
+    def row(self, x, j, h):
+        """The ID of the circuit's row h of s_j (x "$a") or t_j (x "$d")."""
+        return self.first + orders.lex_row(self.k, x, j, h)
 
 
 # The lemma families of the leq scope: each maps a fragment and j < k to
@@ -258,13 +263,13 @@ class ProofBuilder:
     """Builds the proof document as step dicts and prints each with
     :func:`parsing.render_step`.
 
-    IDs come from a :class:`checker.Frame` whose counter starts after the
-    formula, as the checker's root frame does: every step that derives a
-    constraint allocates one, and so does every premise the checker adds
-    itself (negated dom constraints, spec instances, order constraints),
-    even though dominance subproof locals become invisible once their scope
-    closes.  The frame holds the constraints that kept clauses' pol
-    programs cite, and the spec layout is read from :attr:`order`.
+    `next_id` is the next constraint ID, counted from after the formula
+    as the checker counts: every step that derives a constraint takes one,
+    and so does every premise the checker adds itself (negated dom
+    constraints, spec instances, order constraints), even though dominance
+    subproof locals become invisible once their scope closes.  `known`
+    maps IDs to the constraints that kept clauses' pol programs cite, and
+    the spec layout is read from :attr:`order`.
     """
 
     def __init__(self, formula, variables, method="new"):
@@ -276,7 +281,8 @@ class ProofBuilder:
         self.s_prefix, self.t_prefix = (_fresh_prefix(base, self.variables)
                                         for base in "st")
         self.lines = [parsing.HEADER]
-        self.frame = checker.Frame(counter=[len(formula) + 1])
+        self.next_id = len(formula) + 1
+        self.known = {}
         self.s_count = 0
         self.binding = []       # load_order's names, set by begin
         self.position = {}      # each bound name's 1-based position in it
@@ -296,29 +302,29 @@ class ProofBuilder:
         S spec rows and the negated order goal of block #1, `oid`; in geq,
         S spec rows and the |def| order constraints, the first `oid`.  Each
         scope's steps follow its premises."""
-        S, counter = len(self.order["spec"]), self.frame.counter
-        fr.neg_c = self.frame.alloc()
+        S = len(self.order["spec"])
+        fr.neg_c = self.next_id
+        self.next_id += 1
         blocks = []
         for key, premises, fill in (("#1", S + 1, leq),
                                     ("#2", S + len(self.order["def"]), geq)):
-            steps, oid = [], counter[0] + S
-            counter[0] += premises
+            steps, oid = [], self.next_id + S
+            self.next_id += premises
             fill(fr, steps, oid)
             blocks.append(_refute(key, steps))
-        return self.derive_known(fr.steps, parsing.dom_step(
+        return self.derive(fr.steps, parsing.dom_step(
             con, fr.witness, *blocks, None), con)
 
-    def derive(self, steps, step):
+    def derive(self, steps, step, content=None):
         """Append a step that derives one constraint to `steps`; returns its
-        ID."""
+        ID.  The pol programs of kept clauses see `content`, if given, under
+        that ID."""
         steps.append(step)
-        return self.frame.alloc()
-
-    def derive_known(self, steps, step, content):
-        """:meth:`derive`, and let the pol programs of kept clauses see
-        `content` under the new ID."""
-        steps.append(step)
-        return self.frame.add(content)
+        cid = self.next_id
+        self.next_id += 1
+        if content is not None:
+            self.known[cid] = content
+        return cid
 
     def text(self):
         return "\n".join(self.lines) + "\n"
@@ -337,6 +343,7 @@ class ProofBuilder:
     def break_symmetry(self, sym):
         mark = len(self.lines)
         fr = _Fragment(self.binding, self.position, sym)
+        self._emit_circuit(fr)
         if self.method == "new":
             self._break_new(fr)
         else:
@@ -346,58 +353,43 @@ class ProofBuilder:
         chars = sum(len(l) + 1 for l in self.lines[mark:])
         self.stats.append({"support": fr.k, "chars": chars})
 
-    def _emit_circuit(self, fr, with_t=True):
-        """Reify the support comparison chain: s_j (prefix equal up to j)
-        and, with `with_t`, t_j (prefix lex-smaller up to j)."""
-        prev = None
-        for j in range(1, fr.k):
-            self.s_count += 1
-            cur = "%s%d" % (self.s_prefix, self.s_count)
-            fr.snames[j] = cur
-            fr.s_ids[j] = self._reify(fr, cur, orders.a_pair(
-                cur, prev, fr.xs[j - 1], fr.imgs[j - 1]))
-            prev = cur
-        if not with_t:
-            return
-        for j in range(1, fr.k + 1):
-            cur = "%s%d" % (self.t_prefix, j)
-            fr.tnames[j] = cur
-            fr.t_ids[j] = self._reify(fr, cur, orders.d_pair(
-                cur, fr.tnames.get(j - 1), fr.snames.get(j - 1),
-                fr.xs[j - 1], fr.imgs[j - 1]))
-
-    def _reify(self, fr, cur, pair):
-        """Derive the two red steps defining `cur`; returns their IDs."""
-        return tuple(self.derive_known(fr.steps, parsing.red_step(con, w, None),
-                                       con)
-                     for con, w in orders.reification(cur, pair))
+    def _emit_circuit(self, fr):
+        """Derive lex<k> between x and sigma x by red steps: s_j, x and
+        sigma x equal up to j, and with `new`, t_j, x <=lex sigma x up to
+        j."""
+        s = ["%s%d" % (self.s_prefix, self.s_count + j) for j in range(1, fr.k)]
+        self.s_count += len(s)
+        t = (["%s%d" % (self.t_prefix, j) for j in range(1, fr.k + 1)]
+             if self.method == "new" else [])
+        fr.snames, fr.tnames = dict(enumerate(s, 1)), dict(enumerate(t, 1))
+        fr.first = self.next_id
+        for con, w in orders.lex_spec(fr.xs, fr.imgs, s, t):
+            self.derive(fr.steps, parsing.red_step(con, w, None), con)
 
     def _s_clauses(self, fr):
         """pol programs of the clauses s_j -> x_j and s_j -> ~sigma(x_j)."""
-        return ([_pol(fr.s_ids[j][1], fr.xs[j - 1], "+", "s")
+        return ([_pol(fr.row("$a", j, 2), fr.xs[j - 1], "+", "s")
                  for j in range(1, fr.k)]
-                + [_pol(fr.s_ids[j][1], pb.neg(fr.imgs[j - 1]), "+", "s")
+                + [_pol(fr.row("$a", j, 2), pb.neg(fr.imgs[j - 1]), "+", "s")
                    for j in range(1, fr.k)])
 
     def _emit_clauses(self, fr, pols):
         """Emit clause-producing pol steps, recording their evaluated content."""
         for step in pols:
             self._keep(fr, step, pb.evaluate_polish(step["tokens"],
-                                                    self.frame.get_rel))
+                                                    self.known.__getitem__))
 
     def _keep(self, fr, step, con):
         """Emit the pol step that derives the breaking clause `con`."""
-        self.derive_known(fr.steps, step, con)
+        self.derive(fr.steps, step)
         self.kept.append(con)
 
     # -- chain method
 
     def _break_new(self, fr):
-        frag_start = self.frame.counter[0]
-        self._emit_circuit(fr)
         result = self.dominance(fr, pb.clause([fr.tnames[fr.k]]),
                                 self._leq_lemmas, self._geq_lemmas)
-        self._cleanup_new(fr, frag_start, result)
+        self._cleanup_new(fr, result)
 
     def _leq_lemmas(self, fr, steps, _oid):
         """Falsum from ~t_k, S(sigma z, z) and ~$d_n by hint-free RUP, after
@@ -431,29 +423,26 @@ class ProofBuilder:
             emit(_rup(fr.tnames[j]))
         emit(_rup())
 
-    def _cleanup_new(self, fr, frag_start, result):
+    def _cleanup_new(self, fr, result):
         """Turn t_k >= 1 into the breaking clauses and drop the scaffolding."""
         k = fr.k
         tlem = {k: result}
         for j in range(k - 1, 0, -1):
             con = pb.clause([fr.tnames[j]])
-            tlem[j] = self.derive_known(fr.steps, parsing.rup_step(
-                con, [-1, fr.t_ids[j + 1][0]], None), con)
+            tlem[j] = self.derive(fr.steps, parsing.rup_step(
+                con, [-1, fr.row("$d", j + 1, 1)], None), con)
         pols = self._s_clauses(fr)
-        pols.append(_pol(fr.t_ids[1][0], tlem[1], "+", "s"))
+        pols.append(_pol(fr.row("$d", 1, 1), tlem[1], "+", "s"))
         for j in range(1, k):
-            pols.append(_pol(fr.t_ids[j + 1][0], pb.neg(fr.tnames[j]), 3, "*",
-                             "+", tlem[j + 1], 4, "*", "+", "s"))
+            pols.append(_pol(fr.row("$d", j + 1, 1), pb.neg(fr.tnames[j]), 3,
+                             "*", "+", tlem[j + 1], 4, "*", "+", "s"))
         self._emit_clauses(fr, pols)
-        fr.steps.append(parsing.del_range_step(frag_start, fr.neg_c + 2, None))
+        fr.steps.append(parsing.del_range_step(fr.first, fr.neg_c + 2, None))
         fr.steps.append(parsing.del_range_step(result, result + k, None))
 
     # -- aggregate method
 
     def _break_old(self, fr):
-        frag_start = self.frame.counter[0]
-        self._emit_circuit(fr, with_t=False)
-
         # O(z, sigma z) over the support; the other positions cancel
         big = _big_constraint(len(self.binding), zip(fr.pos, fr.xs, fr.imgs))
         # each scope adds not(c) to its order premise: the negated order
@@ -474,7 +463,7 @@ class ProofBuilder:
                 lemma[j, m] = self.derive(
                     fr.steps, parsing.rup_step(con, None, None)), con
 
-        first_clause = self.frame.counter[0]
+        first_clause = self.next_id
         self._emit_clauses(fr, self._s_clauses(fr))
         # lemma m's multiplier, as an int and as its token
         n = len(self.binding)
@@ -483,7 +472,7 @@ class ProofBuilder:
         for j in range(1, fr.k + 1):
             self._keep(fr, *self._carve_clause(big, big_id, fr, lemma, coefs,
                                                j))
-        fr.steps.append(parsing.del_range_step(frag_start, first_clause, None))
+        fr.steps.append(parsing.del_range_step(fr.first, first_clause, None))
 
     def _carve_clause(self, big, big_id, fr, lemma, coefs, j):
         """pol step extracting breaking clause j from the big constraint, a

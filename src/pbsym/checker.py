@@ -75,13 +75,9 @@ class Frame:
         self.counter[0] = cids.stop
         self.cons, self.ids = dict(zip(cids, premises)), list(cids)
 
-    def alloc(self):
+    def add(self, con):
         cid = self.counter[0]
         self.counter[0] += 1
-        return cid
-
-    def add(self, con):
-        cid = self.alloc()
         self.cons[cid] = con
         self.ids.append(cid)
         return cid
@@ -94,21 +90,24 @@ class Frame:
             con = self.cons[cid] = con()
         return con
 
-    def get(self, cid, line=None):
+    def get(self, cid, line=None, written=None):
+        """The constraint of ID `cid`; an error names it as `written`."""
         f = self
         while f is not None:
             con = f.cons.get(cid)
             if con is not None:
                 return f._read(cid, con)
             f = f.parent
-        raise CheckError("constraint %d is not visible here" % cid,
+        raise CheckError("constraint %s is not visible here" % (written or cid),
                          line=line, reason="invisible-id")
 
-    def resolve_id(self, cid):
-        return self.counter[0] + cid if cid < 0 else cid
-
     def get_rel(self, cid, line=None):
-        return self.get(self.resolve_id(cid), line)
+        """The constraint a proof cites as `cid`, which counts back from the
+        next ID if negative; an error names `cid` and that ID."""
+        if cid >= 0:
+            return self.get(cid, line)
+        at = self.counter[0] + cid
+        return self.get(at, line, "%d (ID %d)" % (cid, at))
 
     def propagator(self):
         """The chain's propagator, brought to hold exactly the constraints

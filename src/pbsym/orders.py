@@ -11,10 +11,10 @@ and both proofs; the checker stores, and so loads, only orders that pass.
 The redundance rule and the subproof runner are the checker's, passed in,
 so a spec row is derived by the same code as a ``red`` step.
 An instance substitutes for u, v and aux once, in :func:`instance`; a
-proof builds only the spec rows it reads.  The module also states lex<n>
-and its row layout (:func:`lex`, :func:`lex_row`); a dom scope of an order
-:func:`lex_size` recognizes contracts its rows (:func:`aliases`,
-:func:`contract`).
+proof builds only the spec rows it reads.  The module also states lex<n>,
+its rows over any names and their layout (:func:`lex`, :func:`lex_spec`,
+:func:`lex_row`); a dom scope of an order :func:`lex_size` recognizes
+contracts its rows (:func:`aliases`, :func:`contract`).
 """
 
 import collections
@@ -76,19 +76,20 @@ def spec_instance(order, lits):
     return [(lambda c=c: pb.substitute(c, lits)) for c, _w in order["spec"]]
 
 
-def a_pair(cur, prev, u, v):
-    """Reification cur <-> (prev and u >= v); prev None at the top level."""
+def _a_pair(cur, prev, u, v):
+    """The rows reifying cur <-> (prev and u >= v); prev None at the top
+    level."""
     if prev is None:
         one = ([(1, pb.neg(cur)), (1, u), (1, pb.neg(v))], 1)
         two = ([(2, cur), (1, pb.neg(u)), (1, v)], 2)
     else:
         one = ([(3, pb.neg(cur)), (2, prev), (1, u), (1, pb.neg(v))], 3)
         two = ([(2, cur), (2, pb.neg(prev)), (1, pb.neg(u)), (1, v)], 2)
-    return one, two
+    return _reification(cur, one, two)
 
 
-def d_pair(cur, prevd, preva, u, v):
-    """Reification cur <-> (u < v or (u = v and prevd)), lex style."""
+def _d_pair(cur, prevd, preva, u, v):
+    """The rows reifying cur <-> (u < v or (u = v and prevd)), lex style."""
     if prevd is None:
         one = ([(1, pb.neg(cur)), (1, pb.neg(u)), (1, v)], 1)
         two = ([(2, cur), (1, u), (1, pb.neg(v))], 2)
@@ -97,29 +98,38 @@ def d_pair(cur, prevd, preva, u, v):
                 (1, pb.neg(u)), (1, v)], 4)
         two = ([(3, cur), (3, pb.neg(prevd)), (1, preva),
                 (1, u), (1, pb.neg(v))], 3)
-    return one, two
+    return _reification(cur, one, two)
 
 
-def reification(cur, pair):
-    """The two (constraint, witness) rows defining `cur` from a pair."""
+def _reification(cur, *halves):
+    """The two (constraint, witness) rows defining `cur` from its halves."""
     return [(pb.normalize(*half), {cur: value})
-            for value, half in enumerate(pair)]
+            for value, half in enumerate(halves)]
+
+
+def lex_spec(u, v, a, d):
+    """lex<n>'s spec rows over the names `u` and `v` (n each), `a` (n - 1)
+    and `d` (n, or none for the `a` rows alone), laid out as
+    :func:`lex_row` says: a_i reifies u and v equal up to position i, and
+    d_i u <=lex v up to i."""
+    a, d = [None, *a], [None, *d]
+    spec = []
+    for i in range(1, len(a)):
+        spec += _a_pair(a[i], a[i - 1], u[i - 1], v[i - 1])
+    for i in range(1, len(d)):
+        spec += _d_pair(d[i], d[i - 1], a[i - 1], u[i - 1], v[i - 1])
+    return spec
 
 
 def lex(n):
     """The statement of lex<n>: its `left`, `right` and `aux` names, `spec`
-    rows and `def`.  The 4n - 2 spec rows reify $a_i, u and v equal up to
-    position i, for i < n, then $d_i, u <=lex v up to i, each as the rows
-    of :func:`lex_row`; the order constraint is $d_n."""
-    u, v, a, d = ([None] + ["%s%d" % (x, i) for i in range(1, n + 1)]
+    rows and `def`.  The 4n - 2 spec rows are :func:`lex_spec` over u, v,
+    $a and $d; the order constraint is $d_n."""
+    u, v, a, d = (["%s%d" % (x, i) for i in range(1, n + 1)]
                   for x in ("u", "v", "$a", "$d"))
-    spec = []
-    for i in range(1, n):
-        spec += reification(a[i], a_pair(a[i], a[i - 1], u[i], v[i]))
-    for i in range(1, n + 1):
-        spec += reification(d[i], d_pair(d[i], d[i - 1], a[i - 1], u[i], v[i]))
-    return {"left": u[1:], "right": v[1:], "aux": a[1:n] + d[1:],
-            "spec": spec, "def": [pb.clause([d[n]])] if n else []}
+    return {"left": u, "right": v, "aux": a[:-1] + d,
+            "spec": lex_spec(u, v, a[:-1], d),
+            "def": [pb.clause(d[-1:])] if n else []}
 
 
 def lex_row(n, x, i, h):

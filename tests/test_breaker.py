@@ -1,6 +1,9 @@
 import collections
 import hashlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -839,7 +842,83 @@ def test_builder_ids_are_the_checkers(family, params, gens, method):
                                  method=method)
     chk = Checker(inst.constraints)
     assert chk.run(parsing.parse_proof(b.text())) == VERIFIED
-    assert chk.root.counter[0] == b.frame.counter[0]
+    assert chk.root.counter[0] == b.next_id
+
+
+# ------------------------------------------------- the circuit is lex<k>
+
+def _lex_renamed(xs, imgs, s, t):
+    """lex<k>'s spec rows, k = len(xs), under u -> xs, v -> imgs, $a -> s
+    and $d -> t, each witness renamed to match; only the $a rows if t is
+    empty."""
+    k = len(xs)
+    lex = orders.lex(k)
+    names = dict(zip(lex["aux"], list(s) + list(t)))
+    rename = dict(zip(lex["left"], xs))
+    rename.update(zip(lex["right"], imgs))
+    rename.update(names)
+    lits = pb.witness_lits(rename)
+    rows = lex["spec"] if t else lex["spec"][:2 * (k - 1)]
+    return [(pb.substitute(c, lits), {names[x]: h for x, h in w.items()})
+            for c, w in rows]
+
+
+def _exact(rows):
+    return [(list(c.terms.items()), c.degree, w) for c, w in rows]
+
+
+def _circuit_cases():
+    """(xs, imgs) pairs: k = 1..8 over fresh names, images a reversal with
+    every other image negated, and the support of every generator of every
+    family of FAMILY_SIZES, negation generators included."""
+    for k in range(1, 9):
+        xs = ["x%d" % i for i in range(1, k + 1)]
+        yield pytest.param(xs, [pb.neg(x) if i % 2 else x for i, x in
+                                enumerate(reversed(xs))], id="k%d" % k)
+    for family, params in FAMILY_SIZES:
+        for g, sym in enumerate(bench.generate(family, params).generators):
+            xs = sorted(sym)
+            yield pytest.param(xs, [sym[x] for x in xs],
+                               id="%s-gen%d" % (family, g + 1))
+
+
+@pytest.mark.parametrize("xs,imgs", _circuit_cases())
+def test_lex_spec_is_lex_renamed(xs, imgs):
+    k = len(xs)
+    s = ["s%d" % j for j in range(1, k)]
+    t = ["t%d" % j for j in range(1, k + 1)]
+    for d in (t, []):
+        assert (_exact(orders.lex_spec(xs, imgs, s, d))
+                == _exact(_lex_renamed(xs, imgs, s, d)))
+
+
+@pytest.mark.parametrize("method", ["new", "old"])
+@pytest.mark.parametrize("family,params", FAMILY_SIZES)
+def test_breaker_red_steps_are_lex_renamed(family, params, method):
+    # one generator's top-level red steps are its circuit, lex<k> between
+    # its support and their images: with `old`, the $a rows alone
+    inst = bench.generate(family, params)
+    sym = inst.generators[0]
+    b = breaker.break_symmetries(inst.constraints, inst.variables, [sym],
+                                 method=method)
+    fr = breaker._Fragment(b.binding, b.position, sym)
+    s = ["%s%d" % (b.s_prefix, j) for j in range(1, fr.k)]
+    t = (["%s%d" % (b.t_prefix, j) for j in range(1, fr.k + 1)]
+         if method == "new" else [])
+    reds = [(step["constraint"], step["witness"])
+            for step in parsing.parse_proof(b.text())["steps"]
+            if step["kind"] == "red"]
+    assert _exact(reds) == _exact(_lex_renamed(fr.xs, fr.imgs, s, t))
+
+
+def test_breaker_does_not_import_the_checker():
+    code = ("import sys, pbsym.breaker; "
+            "sys.exit('pbsym.checker' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(
+        breaker.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_stats_track_support_and_size():

@@ -470,6 +470,27 @@ def test_hinted_conclusion_is_checked(tmp_path, capsys):
     assert payload["error"].startswith("line:2 goal:- reason:bad-conclusion")
 
 
+@pytest.mark.parametrize("body,line,named", [
+    pytest.param("pol -99 ;\n", 2, "-99 (ID -96)", id="pol-operand"),
+    pytest.param("rup +1 x1 +1 x2 >= 1 : -5 ;\n", 2, "-5 (ID -2)",
+                 id="rup-hint"),
+    pytest.param(render.lex_order_text(1) + "\nload_order lex1 x1;\n"
+                 "dom +1 x1 >= 1 : x1 -> 1 : subproof\nscope leq\n"
+                 "proofgoal #1\nqed #1 : -50;\nend scope;\nscope geq\n"
+                 "end scope;\nqed dom;\n", 39, "-50 (ID -43)", id="qed-hint"),
+])
+def test_invisible_relative_id_is_named_as_written(tmp_path, capsys, body,
+                                                   line, named):
+    # a relative ID is named as the proof writes it, and by the ID it
+    # resolves to, which the proof never writes
+    rc, payload = _check_texts(
+        tmp_path, capsys, "+1 x1 +1 x2 >= 1 ;\n+1 ~x1 +1 x2 >= 1 ;\n", body)
+    assert rc == 1
+    assert payload["error"] == ("line:%d goal:- reason:invisible-id "
+                                "constraint %s is not visible here"
+                                % (line, named))
+
+
 def test_order_constraints_use_only_declared_variables(tmp_path, capsys):
     # the def constraint over the formula's x1 keeps x1 as it stands in
     # every order instance, which then refutes the satisfiable formula
@@ -641,6 +662,8 @@ def test_break_refuses_a_formula_over_a_dollar_name(tmp_path, capsys, syms):
     pytest.param("~x1 -> x3 x3 -> ~x1\n", 1, id="negated-key"),
     pytest.param("(x1 x3)\n* comment\n\nx1 -> x3 x1 -> x2\n", 4,
                  id="conflicting-images-after-comment"),
+    pytest.param("* comment\n(x1)\n", 2, id="one-literal-cycle"),
+    pytest.param("(x1 x3)\n\n(x1 x2) x3\n", 3, id="text-after-cycles"),
 ])
 def test_break_malformed_symmetry_file_is_a_parse_error(tmp_path, capsys,
                                                         text, line):
@@ -837,6 +860,18 @@ def test_gen_output_pinned(tmp_path, instance):
 def test_gen_bad_params(tmp_path, capsys):
     assert cli.main(["gen", "php", "1", "-o", str(tmp_path / "x")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params,message", [
+    (["rphp", "1"], "RPHP needs at least 2 pigeons"),
+    (["clqcl", "5"], "ClqCl needs n >= k"),
+    (["count", "2", "3"], "Count needs n >= k >= 2"),
+    (["tseitin", "1"], "TseitinGrid needs n >= 2"),
+])
+def test_gen_family_refuses_its_bad_params(tmp_path, capsys, params,
+                                           message):
+    assert cli.main(["gen", *params, "-o", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_gen_wrong_parameter_count(tmp_path, capsys):

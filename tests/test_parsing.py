@@ -27,6 +27,20 @@ def test_parse_opb_example_constraint():
     assert cons[0].terms == {"~x1": 2, "x2": 3, "x3": 2}
 
 
+def test_parse_opb_reads_a_semicolon_attached_to_the_degree():
+    attached = parsing.parse_opb("+1 x1 +2 x2 >= 1;\n")
+    assert attached == parsing.parse_opb("+1 x1 +2 x2 >= 1 ;\n")
+    assert attached[0] == [pb.normalize([(1, "x1"), (2, "x2")], 1)]
+
+
+def test_render_cnf_refuses_what_dimacs_cannot_say():
+    for text, message in [("+2 x1 >= 1 ;", "constraint +2 x1 >= 1 is not a "
+                           "clause"), ("+1 y1 >= 1 ;", "non-indexed variable y1")]:
+        with pytest.raises(parsing.ParseError) as e:
+            parsing.render_cnf(parsing.parse_opb(text + "\n")[0], 1)
+        assert str(e.value) == message
+
+
 def test_parse_opb_rejects_bad_coefficient():
     with pytest.raises(parsing.ParseError):
         parsing.parse_opb("+x x1 >= 1 ;\n")
@@ -88,6 +102,17 @@ def test_witness_pair_list_form():
     w = doc["steps"][0]["witness"]
     assert w == {"x5": "x4", "x6": "x3", "x1": "x6",
                  "x2": "x5", "x3": "x2", "x4": "x1"}
+
+
+@pytest.mark.parametrize("step,message", [
+    ("rup +1 x1 ;", "missing '>='"),
+    ("red +1 x1 >= 1 : x1 -> ;", "malformed arrow witness"),
+    ("red +1 x1 >= 1 : x1 x3 -> ;", "malformed arrow witness"),
+], ids=["rup-without-degree", "arrow-without-image", "arrow-misplaced"])
+def test_malformed_step_names_its_line(step, message):
+    with pytest.raises(parsing.ParseError) as e:
+        parsing.parse_proof(parsing.HEADER + "\n" + step + "\n")
+    assert str(e.value) == "line 2: " + message
 
 
 def test_rup_with_relative_hints():
