@@ -159,15 +159,15 @@ class Frame:
         """Nothing to undo: only a root frame's entries are removed."""
 
 
-class AliasFrame(Frame):
-    """A dom scope's frame under an alias map.  Hints and qed read its
-    `count` premises by their own names, from the list `premises` (or the
-    one it returns when first read; until then an entry is its index), and
-    the propagator gets the Constraints `fed` in their place."""
+class ContractedFrame(Frame):
+    """A contracted dom scope's frame.  Hints and qed read its `count`
+    premises, the full instance's, from the list `premises` (or the one it
+    returns when first read; until then an entry is its index), and the
+    propagator gets the Constraints `rows` in their place."""
 
-    def __init__(self, parent, count, premises, fed):
+    def __init__(self, parent, count, premises, rows):
         super().__init__(parent=parent, premises=range(count))
-        self.premises, self.fed, self.count = premises, fed, count
+        self.premises, self.rows, self.count = premises, rows, count
 
     def _read(self, cid, con):
         if isinstance(con, int):
@@ -178,7 +178,7 @@ class AliasFrame(Frame):
 
     def _feed(self, engine, start):
         if not start:
-            for con in self.fed:
+            for con in self.rows:
                 engine.add(con)
             start = self.count
         super()._feed(engine, start)
@@ -308,7 +308,11 @@ def _run_simple_steps(frame, steps):
 
 def _qed(frame, qed_hint, line, goal_key):
     if qed_hint is not None:
-        con = frame.get_rel(qed_hint, line)
+        try:
+            con = frame.get_rel(qed_hint, line)
+        except CheckError as e:
+            e.goal = goal_key
+            raise
         if not con.is_contradiction():
             raise CheckError("cited constraint %s is not contradictory"
                              % pb.render(con), line=line, goal=goal_key,
@@ -318,13 +322,12 @@ def _qed(frame, qed_hint, line, goal_key):
                          goal=goal_key, reason="qed-failed")
 
 
-def _prove_goals(frame, goals, blocks, label, line, auto=None, fed=()):
+def _prove_goals(frame, goals, blocks, label, line, auto=None):
     """Prove `goals` (key -> constraint) in subframes of `frame`: each
     proofgoal block, in textual order, adds the negation of the pending
     goal of its key (none for falsum), runs its steps and ends in the qed;
     a goal left without a block must be a tautology or pass `auto(key,
-    goal)`.  `line` is cited for a goal left undischarged.  The propagator
-    holds not(`fed[key]`), the goal renamed, where there is one."""
+    goal)`.  `line` is cited for a goal left undischarged."""
     pending = dict(goals)
     for block in blocks:
         key = block["key"]
@@ -334,9 +337,7 @@ def _prove_goals(frame, goals, blocks, label, line, auto=None, fed=()):
                              reason="unknown-goal")
         goalcon = pending.pop(key)
         premises = () if _is_falsum(goalcon) else [pb.negate(goalcon)]
-        g = (AliasFrame(frame, 1, premises, [pb.negate(fed[key])])
-             if premises and key in fed
-             else Frame(parent=frame, premises=premises))
+        g = Frame(parent=frame, premises=premises)
         _run_simple_steps(g, block["steps"])
         _qed(g, block["qed_hint"], block["line"], key)
     for key, goalcon in pending.items():
@@ -488,12 +489,12 @@ class Checker:
         if all(fixed):
             raise CheckError("witness acts as identity on the z-binding",
                              line=line, reason="identity-witness")
-        alias, moved = self._aliases(step, fixed)
+        moved = self._moved(step, left, fixed)
 
         sub = Frame(parent=self.root, premises=[pb.negate(c)])
 
         # --- leq scope: S(z|w, z) premises; goals C|w plus each order constraint
-        leqf, ogs, fed = self._scope(sub, left, self.z_binding, alias, moved)
+        leqf, ogs = self._scope(sub, left, self.z_binding, moved)
         # goals by key: "#k" for the order constraints, the ID for core ones;
         # an order goal without a block may be discharged by hint-free RUP
         pending = {"#%d" % k: og for k, og in enumerate(ogs, 1)}
@@ -511,58 +512,59 @@ class Checker:
                 pending[cid] = goal
         _prove_goals(leqf, pending, step["leq"], "leq scope", line,
                      lambda key, goal: isinstance(key, str)
-                     and _run_rup(leqf, fed.get(key, goal), None, line), fed)
+                     and _run_rup(leqf, goal, None, line))
 
         # --- geq scope: S(z, z|w) and O(z, z|w) premises; single falsum goal
-        geqf, _, _ = self._scope(sub, self.z_binding, left, alias, moved,
-                                 True)
+        geqf, _ = self._scope(sub, self.z_binding, left, moved, True)
         _prove_goals(geqf, {falsum_key: pb.FALSUM}, step["geq"],
                      "geq scope", line)
 
         self.root.add(c)
 
-    def _aliases(self, step, fixed):
-        """The alias literal map and the moved positions of a dom step
-        whose witness fixes the bound positions `fixed` marks; ({}, None)
+    def _moved(self, step, left, fixed):
+        """The positions a dom step's witness moves, given its images
+        `left` of the bound names and the positions `fixed` it fixes; None
         for the full instance: no lex<n> is loaded (:func:`orders.lex_size`),
-        a scope step is a pol (its result is unknown until it runs), or a
-        scope step or a live top-level entry mentions an aliased variable."""
+        the witness fixes no position or maps a moved one to 0/1, a scope
+        step is a pol (its result is unknown until it runs), or a scope step
+        or a live top-level entry names an aux variable that the rows of
+        :func:`orders.contract` do not."""
         steps = [s for b in step["leq"] + step["geq"] for s in b["steps"]]
         if not any(fixed) or any(s["kind"] != "rup" for s in steps):
-            return {}, None
+            return None
         if self.shape is None:
             self.shape = ordmod.lex_size(self.loaded) or 0
-        alias, moved = (ordmod.aliases(self.shape, fixed) if self.shape
-                        else ({}, None))
-        lits = pb.witness_lits(alias)
-        if any(self.root.occ.get(x) for x in alias) or any(
-                not lits.keys().isdisjoint(s["constraint"].terms)
+        moved = [p for p, fix in enumerate(fixed) if not fix]
+        if not self.shape or any(not isinstance(left[p], str) for p in moved):
+            return None
+        gone = set(self.loaded["aux"]).difference(
+            *ordmod.contracted_aux(self.shape, moved))
+        if any(self.root.occ.get(x) for x in gone) or any(
+                not gone.isdisjoint(s["constraint"].variables())
                 for s in steps):
-            return {}, None
-        return lits, moved
+            return None
+        return moved
 
-    def _scope(self, sub, left, right, alias, moved, with_defs=False):
+    def _scope(self, sub, left, right, moved, with_defs=False):
         """A dom scope's frame of spec rows under u -> left, v -> right (and
-        with `with_defs` the order constraints), the order constraints, and
-        these renamed by `alias`, by goal key.  Under `alias` the propagator
-        gets the rows of the `moved` positions and the order constraints,
-        which mention aux only, renamed."""
+        with `with_defs` the order constraints), and the order constraints.
+        With `moved`, the propagator gets the rows :func:`orders.contract`
+        builds for those positions in place of the spec rows."""
         order = self.loaded
-        if not alias:
+        if moved is None:
             spec, ogs = ordmod.instance(order, left, right)
             return (Frame(parent=sub, premises=spec + ogs if with_defs
-                          else spec), ogs, {})
+                          else spec), ogs)
         ogs, spec = order["def"], order["spec"]
-        fed = [pb.substitute(og, alias) for og in ogs]
-        rows = ordmod.contract(order, moved, alias, left, right)
+        rows = ordmod.contract(len(left), moved, left, right)
         self.counters["spec_materializations"] += len(rows)
         self.counters["spec_rows_aliased"] += len(spec) - len(rows)
         extra = ogs if with_defs else []
-        frame = AliasFrame(
+        frame = ContractedFrame(
             sub, len(spec) + len(extra),
             lambda: ordmod.instance(order, left, right)[0] + extra,
-            rows + (fed if with_defs else []))
-        return frame, ogs, {"#%d" % k: og for k, og in enumerate(fed, 1)}
+            rows + extra)
+        return frame, ogs
 
     def step_def_order(self, step):
         try:

@@ -14,7 +14,7 @@ An instance substitutes for u, v and aux once, in :func:`instance`; a
 proof builds only the spec rows it reads.  The module also states lex<n>,
 its rows over any names and their layout (:func:`lex`, :func:`lex_spec`,
 :func:`lex_row`); a dom scope of an order :func:`lex_size` recognizes
-contracts its rows (:func:`aliases`, :func:`contract`).
+builds lex<m> over the m positions its witness moves (:func:`contract`).
 """
 
 import collections
@@ -108,10 +108,11 @@ def _reification(cur, *halves):
 
 
 def lex_spec(u, v, a, d):
-    """lex<n>'s spec rows over the names `u` and `v` (n each), `a` (n - 1)
-    and `d` (n, or none for the `a` rows alone), laid out as
-    :func:`lex_row` says: a_i reifies u and v equal up to position i, and
-    d_i u <=lex v up to i."""
+    """lex<n>'s spec rows over the names `u` and `v` (n each), `a` (n - 1,
+    or n for an a at the last position too) and `d` (n, or none for the `a`
+    rows alone), all a rows first: a_i reifies u and v equal up to position
+    i, and d_i u <=lex v up to i.  With n - 1 `a`, the layout is
+    :func:`lex_row`'s."""
     a, d = [None, *a], [None, *d]
     spec = []
     for i in range(1, len(a)):
@@ -147,34 +148,25 @@ def lex_size(order):
     return n if all(order[k] == want[k] for k in want) else None
 
 
-def aliases(n, fixed):
-    """The alias map of a lex<n> scope that fixes each position i with
-    `fixed[i]` true, and the positions it moves.  Under u_i = v_i the rows
-    of i say $a_i = $a_{i-1} and $d_i = $d_{i-1}, or $a_1 = $d_1 = 1, and
-    the last position has no $a; so each aux of a fixed position maps to
-    1, or to the aux of its kind at the nearest moved position before it."""
-    alias, moved = {}, []
-    for p, fix in enumerate(fixed):
-        if not fix:
-            moved.append(p)
-            continue
-        for x in ("$a", "$d")[p == n - 1:]:
-            prev = "%s%d" % (x, p)
-            alias["%s%d" % (x, p + 1)] = alias.get(prev, prev) if p else 1
-    return alias, moved
+def contracted_aux(n, moved):
+    """The aux names of a lex<n> scope that moves the positions `moved`
+    (ascending, at least one): A, the $a of each moved position below the
+    last position, and D, the $d of each moved position but the last, then
+    $d_n.  Under u_i = v_i at the other positions each chain of lex<n>
+    collapses to one name, and these are the names it keeps: the last
+    $d is the order constraint's."""
+    a = ["$a%d" % (p + 1) for p in moved if p < n - 1]
+    d = ["$d%d" % (p + 1) for p in moved[:-1]] + ["$d%d" % n]
+    return a, d
 
 
-def contract(order, moved, rename, left, right):
-    """The spec rows of lex<n> `order` at the `moved` positions, no $a at
-    the last, under u -> left, v -> right and the aux literal map `rename`:
-    a scope's rows under its alias map."""
-    n, spec = len(left), order["spec"]
-    lits = dict(rename)
-    lits.update(pb.witness_lits(
-        {uv[p]: img[p] for p in moved
-         for uv, img in ((order["left"], left), (order["right"], right))}))
-    return [pb.substitute(spec[lex_row(n, x, p + 1, h)][0], lits)
-            for p in moved for x in ("$a", "$d")[p == n - 1:] for h in (1, 2)]
+def contract(n, moved, left, right):
+    """The rows of a lex<n> scope that moves the positions `moved`, under
+    u -> left and v -> right (literal lists of length n): lex<m> over the m
+    moved positions, on the names of :func:`contracted_aux`."""
+    a, d = contracted_aux(n, moved)
+    return [c for c, _w in lex_spec([left[p] for p in moved],
+                                    [right[p] for p in moved], a, d)]
 
 
 def check_transitivity(order, run):

@@ -354,7 +354,8 @@ def test_php32_document_counters():
     verdict, counters = checked(cons, b)
     assert verdict == VERIFIED
     # 88 spec rows in all: the order binds x5 x6 x1 x2 x3 x4, and sigma
-    # fixes x5 and x6, so its two scopes alias the 2 * 8 rows of those
+    # fixes x5 and x6, so its two scopes, lex4 over x1..x4, skip the
+    # 2 * 8 rows of those
     assert counters["spec_materializations"] == 72
     assert counters["spec_rows_aliased"] == 16
     assert counters["implicit_reflexivity_skips"] == 36

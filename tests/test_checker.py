@@ -190,6 +190,25 @@ def test_dom_identity_witness_rejected():
     assert e.value.reason == "identity-witness"
 
 
+def test_unknown_step_kind_rejected():
+    with pytest.raises(CheckError) as e:
+        Checker(php32()).run({"steps": [{"kind": "bogus", "line": 7}]})
+    assert (e.value.reason, e.value.line) == ("invalid-step", 7)
+    assert "unsupported step kind 'bogus'" in e.value.message
+
+
+def test_red_step_in_a_goal_block_rejected():
+    # a proofgoal block runs pol and rup steps only
+    red = {"kind": "red", "line": 4,
+           "constraint": pb.normalize([(1, "~s1")], 1), "witness": {"s1": 0}}
+    block = {"key": "#1", "line": 3, "steps": [red], "qed_hint": None}
+    with pytest.raises(CheckError) as e:
+        checker.run_obligation([], [pb.normalize([(1, "x1")], 1)], [block],
+                               "transitivity")
+    assert (e.value.reason, e.value.line) == ("invalid-step", 4)
+    assert "step 'red' not allowed inside a subproof" in e.value.message
+
+
 def _core_trace(trace):
     return [int(t.split()[2].rstrip(":")) for t in trace
             if t.startswith("core goal ")]
@@ -523,8 +542,9 @@ def _frozen_cp(name):
 # verdicts and counters of breaker proofs; a hint-free RUP reads every
 # spec row in scope, so spec_materializations does not depend on how many
 # lemmas a dom scope writes.  A scope whose witness fixes bound positions
-# builds only the rows of the positions it moves and aliases the rest
-# (1092 rows built on PHP(5) before scopes were contracted, 484 + 608 now);
+# builds only lex<m> over the m positions it moves and counts the rest
+# aliased (1092 rows built on PHP(5) before scopes were contracted,
+# 484 + 608 now);
 # the cutting-planes proofs have pol steps in scope, so they build all
 @pytest.mark.parametrize("source,counters", [
     ((_broken_php, 5, "new"), {"rup_calls": 461, "spec_materializations": 484,

@@ -470,25 +470,44 @@ def test_hinted_conclusion_is_checked(tmp_path, capsys):
     assert payload["error"].startswith("line:2 goal:- reason:bad-conclusion")
 
 
-@pytest.mark.parametrize("body,line,named", [
-    pytest.param("pol -99 ;\n", 2, "-99 (ID -96)", id="pol-operand"),
-    pytest.param("rup +1 x1 +1 x2 >= 1 : -5 ;\n", 2, "-5 (ID -2)",
+@pytest.mark.parametrize("body,line,goal,named", [
+    pytest.param("pol -99 ;\n", 2, "-", "-99 (ID -96)", id="pol-operand"),
+    pytest.param("rup +1 x1 +1 x2 >= 1 : -5 ;\n", 2, "-", "-5 (ID -2)",
                  id="rup-hint"),
+    # a qed hint names the goal of its block
     pytest.param(render.lex_order_text(1) + "\nload_order lex1 x1;\n"
                  "dom +1 x1 >= 1 : x1 -> 1 : subproof\nscope leq\n"
                  "proofgoal #1\nqed #1 : -50;\nend scope;\nscope geq\n"
-                 "end scope;\nqed dom;\n", 39, "-50 (ID -43)", id="qed-hint"),
+                 "end scope;\nqed dom;\n", 39, "#1", "-50 (ID -43)",
+                 id="qed-hint"),
 ])
 def test_invisible_relative_id_is_named_as_written(tmp_path, capsys, body,
-                                                   line, named):
+                                                   line, goal, named):
     # a relative ID is named as the proof writes it, and by the ID it
     # resolves to, which the proof never writes
     rc, payload = _check_texts(
         tmp_path, capsys, "+1 x1 +1 x2 >= 1 ;\n+1 ~x1 +1 x2 >= 1 ;\n", body)
     assert rc == 1
-    assert payload["error"] == ("line:%d goal:- reason:invisible-id "
+    assert payload["error"] == ("line:%d goal:%s reason:invisible-id "
                                 "constraint %s is not visible here"
-                                % (line, named))
+                                % (line, goal, named))
+
+
+def test_qed_hint_errors_name_their_goal(tmp_path, capsys):
+    # lexfix_lemma's transitivity proof, its qed citing first an ID that is
+    # not visible, then a visible one that is no contradiction: both errors
+    # name goal #1 at its proofgoal line
+    lines = (DATA / "lexfix_lemma.pbp").read_text().splitlines(True)
+    at = _line_of(lines, "qed #1 : -1;")
+    head = "line:%d goal:#1 reason:" % _line_of(lines, "proofgoal #1")
+    proof = tmp_path / "p.pbp"
+    for hint, error in (("-500", "invisible-id constraint -500 "),
+                        ("-2", "qed-not-contradiction ")):
+        lines[at - 1] = "qed #1 : %s;\n" % hint
+        proof.write_text("".join(lines))
+        rc, payload = _check_files(capsys, DATA / "lexfix.opb", proof)
+        assert rc == 1
+        assert payload["error"].startswith(head + error)
 
 
 def test_order_constraints_use_only_declared_variables(tmp_path, capsys):

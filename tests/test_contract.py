@@ -1,10 +1,11 @@
-"""Dom scopes under an alias map against the full order instance.
+"""Contracted dom scopes against the full order instance.
 
-A dom scope whose witness fixes bound positions feeds the propagator only
-the spec rows of the positions it moves, renamed by an alias map
-(:func:`pbsym.orders.aliases`); the rows of the fixed positions say no
-more than the map.  With :func:`pbsym.orders.lex_size` recognizing no
-lex<n>, every scope builds the full instance.  Every check here must end
+A dom scope of lex<n> whose witness fixes bound positions feeds the
+propagator lex<m> over the m positions it moves
+(:func:`pbsym.orders.contract`): under u_i = v_i at a fixed position i,
+each $a and $d chain of lex<n> collapses to one name.  With
+:func:`pbsym.orders.lex_size` recognizing no lex<n>, every scope builds the
+full instance.  Every check here must end
 the same on both paths: verdict, reason, line, `rup_calls` and
 `implicit_reflexivity_skips`.  Only the spec-row counters differ.
 """
@@ -95,8 +96,8 @@ def test_cycle_sets_end_as_the_full_instance(family, method):
 @pytest.mark.parametrize("family,params", FAMILY_SIZES)
 def test_breaker_proofs_end_as_the_full_instance(family, params, gens,
                                                  method):
-    # a scope builds the rows of the positions it moves and aliases the
-    # others: together, the rows the full instance builds
+    # a scope builds the rows of the positions it moves and counts the
+    # others aliased: together, the rows the full instance builds
     inst = bench.generate(family, params)
     syms = inst.generators[:1] if gens == "first" else inst.generators
     fast, full = _both_paths(inst.constraints, _broken(inst, syms, method))
@@ -127,9 +128,10 @@ def _lexfix(name):
 
 
 # lex4 binds x1 x2 x3 x4 and the dom swaps x1 and x3, so it fixes
-# positions 2 and 4: $a2 and $d2 alias $a1 and $d1, and $d4 aliases $d3
+# positions 2 and 4: its rows are lex<2> over positions 1 and 3, with aux
+# $a1 $a3 and $d1 $d4
 @pytest.mark.parametrize("name,ends,aliased", [
-    # the lemma names $a2: the full instance
+    # the lemma names $a2, which lex<2> does not: the full instance
     ("lemma", (VERIFIED,), 0),
     # hinted rups do not use the propagator, and the cited spec row of
     # fixed position 2 is built under its own names
@@ -138,8 +140,8 @@ def _lexfix(name):
     ("pol", (VERIFIED,), 0),
     # a live top-level row over $a2: the full instance
     ("toppol", (VERIFIED,), 0),
-    # $a3 -> $a2 -> $a1, so ~$a3 v ~$a1 does not follow; an alias of $a2
-    # to ~$a1 would prove it
+    # $a3 -> $a2 -> $a1, so ~$a3 v ~$a1 does not follow; a row pair that
+    # set $a3 to ~$a1 would prove it
     ("bogus", ("rejected", "rup-failed", 68), None),
 ])
 def test_dom_falls_back_where_the_alias_map_does_not_hold(name, ends,
@@ -156,3 +158,27 @@ def test_renamed_aux_end_as_the_canonical_order():
     renamed = _outcome(*_lexfix("renamed"))
     assert renamed == _outcome(*_lexfix("lemma"))
     assert renamed[0][0] == VERIFIED and renamed[1] == (28, 0)
+
+
+_LEMMA = "rup +1 ~$a2 +1 $a1 >= 1;"
+
+
+@pytest.mark.parametrize("old,new,ends,contracts", [
+    # $d4 is the last $d of lex<2>: the scope contracts
+    (_LEMMA, "rup +1 ~$d4 +1 $d1 >= 1;", (VERIFIED,), True),
+    (_LEMMA, "rup +1 $d4 >= 1;", ("rejected", "rup-failed", 68), True),
+    # $d3 is position 3's $d, which lex<2> names $d4: the full instance
+    (_LEMMA, "rup +1 ~$d3 +1 $d1 >= 1;", (VERIFIED,), False),
+    (_LEMMA, "rup +1 $d3 >= 1;", ("rejected", "rup-failed", 68), False),
+    # a moved position mapped to a constant: the full instance
+    ("x1 -> x3 x3 -> x1", "x1 -> 0",
+     ("rejected", "undischarged-goal", 65), False),
+])
+def test_lexfix_variants_end_as_the_full_instance(old, new, ends, contracts):
+    formula, text = _lexfix("lemma")
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    with mock.patch.object(orders, "contract", wraps=orders.contract) as spy:
+        fast, full = _both_paths(formula, text)
+    assert fast[0][:len(ends)] == ends
+    assert spy.called == contracts

@@ -343,58 +343,61 @@ def test_lex_row_names_the_row_its_witness_sets(n):
         assert orders.lex_row(n, name[:2], int(name[2:]), value + 1) == r
 
 
-def test_aliases_send_fixed_positions_to_the_nearest_moved_one_before():
-    # lex5 with positions 2 and 3 swapped: position 1 comes before every
-    # moved position, so its aux are constants; 4 and 5 follow position 3
-    alias, moved = orders.aliases(5, [True, False, False, True, True])
-    assert moved == [1, 2]
-    assert alias == {"$a1": 1, "$d1": 1, "$a4": "$a3", "$d4": "$d3",
-                     "$d5": "$d3"}
+def test_contracted_aux_keep_the_moved_positions_names():
+    # lex5 with positions 2 and 3 moved: $a and $d of each, but the last $d
+    # is $d5, the order constraint's
+    assert orders.contracted_aux(5, [1, 2]) == (["$a2", "$a3"],
+                                               ["$d2", "$d5"])
+    assert orders.contracted_aux(5, [0, 4]) == (["$a1"], ["$d1", "$d5"])
 
 
-def _lex_models(n):
-    """Each assignment of lex<n>'s u and v with the aux assignments that
-    satisfy its spec rows."""
-    order = orders.lex(n)
-    rows = [c for c, _w in order["spec"]]
-    return [(uv, [a for a in oracle.all_assignments(order["aux"])
-                  if all(oracle.con_holds(c, {**uv, **a}) for c in rows)])
-            for uv in oracle.all_assignments(order["left"] + order["right"])]
-
-
-def _value(image, rho):
-    return image if isinstance(image, int) else int(
-        oracle.lit_holds(image, rho))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_aliases_hold_on_every_model_of_the_rows(n):
-    # for every fixed pattern: (i) every model of the rows with u_i = v_i at
-    # the fixed positions i sets each aliased aux to its image, and (ii)
-    # every row of a fixed position holds under u_i = v_i and the map,
-    # whatever the other variables are
-    order = orders.lex(n)
-    models = _lex_models(n)
-    for fixed in itertools.product((False, True), repeat=n):
-        alias, moved = orders.aliases(n, list(fixed))
-        at = [i for i in range(1, n + 1) if fixed[i - 1]]
-        assert moved == [i - 1 for i in range(1, n + 1) if not fixed[i - 1]]
-        for uv, sols in models:
-            if all(uv["u%d" % i] == uv["v%d" % i] for i in at):
-                for a in sols:
-                    rho = {**uv, **a}
-                    assert all(rho[x] == _value(img, rho)
-                               for x, img in alias.items()), (fixed, rho)
-        for c, _w in order["spec"]:
-            i = next(int(y[1:]) for y in c.variables() if y[0] == "u")
-            if i not in at:
+def test_contract_is_the_projection_of_the_full_rows():
+    # for lex<n>, n <= 4, and every set of moved positions: the models of
+    # the contracted rows are those of lex<n>'s rows with u_i = v_i at each
+    # fixed position i, restricted to the contracted rows' variables
+    for n in range(1, 5):
+        lex = orders.lex(n)
+        u, v = lex["left"], lex["right"]
+        full = oracle.models([c for c, _w in lex["spec"]],
+                             u + v + lex["aux"])
+        for fixed in itertools.product((False, True), repeat=n):
+            moved = [p for p in range(n) if not fixed[p]]
+            if not moved:
                 continue
-            free = (c.variables() | {img for img in alias.values()
-                                     if isinstance(img, str)}) - set(alias)
-            for rho in oracle.all_assignments(free - {"v%d" % i}):
-                rho["v%d" % i] = rho["u%d" % i]
-                rho.update((x, _value(img, rho)) for x, img in alias.items())
-                assert oracle.con_holds(c, rho), (fixed, pb.render(c))
+            rows = orders.contract(n, moved, u, v)
+            names = sorted(oracle.vars_of(rows))
+            assert set(names) == {x for p in moved for x in (u[p], v[p])}.union(
+                *orders.contracted_aux(n, moved))
+            want = {tuple(rho[x] for x in names) for rho in full
+                    if all(rho[u[p]] == rho[v[p]]
+                           for p in range(n) if fixed[p])}
+            got = {tuple(rho[x] for x in names)
+                   for rho in oracle.models(rows, names)}
+            assert got == want, (n, moved)
+
+
+@pytest.mark.parametrize("tail", [0, 2])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_contract_is_lex_renamed(k, tail):
+    # k moved positions, every other one, then `tail` fixed ones: lex<k>'s
+    # rows under u and v -> the literals there and $a and $d -> the names
+    # of contracted_aux.  Followed by fixed positions, the last moved one
+    # keeps its $a, and the rows are those of lex<k + 1> but its last $d's
+    n, moved = 2 * k - 1 + tail, list(range(0, 2 * k, 2))
+    left = ["x%d" % i for i in range(1, n + 1)]
+    right = [pb.neg(x) if i % 2 else x for i, x in enumerate(reversed(left))]
+    a, d = orders.contracted_aux(n, moved)
+    m = len(a) + 1
+    lex = orders.lex(m)
+    rename = dict(zip(lex["left"], [left[p] for p in moved]))
+    rename.update(zip(lex["right"], [right[p] for p in moved]))
+    rename.update(zip(lex["aux"], a + d))
+    lits = pb.witness_lits(rename)
+    spec = lex["spec"][:2 * (m - 1)] + lex["spec"][2 * (m - 1):][:2 * k]
+    want = [pb.substitute(c, lits) for c, _w in spec]
+    assert ([(list(c.terms.items()), c.degree)
+             for c in orders.contract(n, moved, left, right)]
+            == [(list(c.terms.items()), c.degree) for c in want])
 
 
 def _lex3_with(row, index):

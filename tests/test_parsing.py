@@ -88,6 +88,14 @@ def test_single_pol_roundtrip():
     assert render.proof_text(doc).strip().splitlines()[1] == "pol 1 2 +;"
 
 
+def test_render_step_rejects_an_unknown_kind():
+    out = []
+    with pytest.raises(parsing.ParseError, match="cannot serialize step "
+                       "kind 'bogus'"):
+        parsing.render_step(out, {"kind": "bogus", "line": 1})
+    assert out == []
+
+
 def test_witness_arrow_form():
     doc = parsing.parse_proof(
         parsing.HEADER + "\nred +1 ~s1 +1 x1 >= 1 : s1 -> 0;\n")
