@@ -351,6 +351,62 @@ def test_contracted_aux_keep_the_moved_positions_names():
     assert orders.contracted_aux(5, [0, 4]) == (["$a1"], ["$d1", "$d5"])
 
 
+def _aliases(n, fixed):
+    """Each aux of a fixed position of lex<n>, with the value the rows give
+    it under u_i = v_i there: 1, or the aux of its kind at the nearest
+    moved position before it."""
+    alias = {}
+    for p in range(n):
+        if fixed[p]:
+            for x in ("$a", "$d")[p == n - 1:]:
+                prev = "%s%d" % (x, p)
+                alias["%s%d" % (x, p + 1)] = alias.get(prev, prev) if p else 1
+    return alias
+
+
+def _value(image, rho):
+    return image if isinstance(image, int) else int(
+        oracle.lit_holds(image, rho))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_aliases_hold_on_every_model_of_the_rows(n):
+    # for every fixed pattern: (i) every model of lex<n>'s rows with
+    # u_i = v_i at the fixed positions i sets each aux of a fixed position
+    # to its alias, (ii) every row of a fixed position holds under u_i = v_i
+    # and the aliases, whatever the other variables are, and (iii) the
+    # names contracted_aux keeps are the moved positions' aux, but $d_n,
+    # which stands for the last moved position's $d
+    lex = orders.lex(n)
+    rows = [c for c, _w in lex["spec"]]
+    full = oracle.models(rows, lex["left"] + lex["right"] + lex["aux"])
+    for fixed in itertools.product((False, True), repeat=n):
+        alias = _aliases(n, fixed)
+        at = [i for i in range(1, n + 1) if fixed[i - 1]]
+        for rho in full:
+            if all(rho["u%d" % i] == rho["v%d" % i] for i in at):
+                assert all(rho[x] == _value(img, rho)
+                           for x, img in alias.items()), (fixed, rho)
+        for c in rows:
+            i = next(int(y[1:]) for y in c.variables() if y[0] == "u")
+            if i not in at:
+                continue
+            free = (c.variables() | {img for img in alias.values()
+                                     if isinstance(img, str)}) - set(alias)
+            for rho in oracle.all_assignments(free - {"v%d" % i}):
+                rho["v%d" % i] = rho["u%d" % i]
+                rho.update((x, _value(img, rho)) for x, img in alias.items())
+                assert oracle.con_holds(c, rho), (fixed, pb.render(c))
+        moved = [p for p in range(n) if not fixed[p]]
+        if moved:
+            a, d = orders.contracted_aux(n, moved)
+            last = "$d%d" % n
+            kept = [alias.get(x, x) for x in a + d]
+            assert kept == ["$a%d" % (p + 1) for p in moved if p < n - 1] + [
+                "$d%d" % (p + 1) for p in moved], fixed
+            assert d[-1] == last and set(a + d[:-1]).isdisjoint(alias)
+
+
 def test_contract_is_the_projection_of_the_full_rows():
     # for lex<n>, n <= 4, and every set of moved positions: the models of
     # the contracted rows are those of lex<n>'s rows with u_i = v_i at each
