@@ -371,28 +371,33 @@ def redundance(root, c, w, order_goals=(), spec=(), trace=None):
     fails over a scope holding not(c) and the `spec` rows above `root`,
     where not(goal) may propagate far.  RUP is monotone, so the verdict is
     the scope's; each RUP goal counts once in the `rup_calls` of the root's
-    `state`.  `trace` gets "goal KEY: HOW" per goal that holds."""
-    negc, touched, lits = pb.negate(c), root.touched(w), pb.witness_lits(w)
-    local = [g for _cid, g in touched] + [negc]
+    `state`.  `trace` gets "goal KEY: HOW" per goal that holds.  not(c)
+    and the touched premises are listed at the first goal that is no
+    tautology, as many `red` steps have none."""
+    touched, lits = root.touched(w), pb.witness_lits(w)
     goals = itertools.chain(
         ((cid, pb.substitute(g, lits)) for cid, g in touched),
         [("self", pb.substitute(c, lits))], order_goals)
-    scope = None
+    negc = scope = None
     for key, goal in goals:
         if goal.is_tautology():
             how = "tautology"
-        elif goal in root.live or goal == negc:
-            how = "syntactic premise"
         else:
-            how = "rup"
-            if root.state is not None:
-                root.state.counters["rup_calls"] += 1
-            if not pb.rup_check(local, goal):
-                if scope is None:
-                    scope = Frame(parent=root, counter=[1],
-                                  premises=[negc, *spec])
-                if not scope.propagator().rup(goal):
-                    return key, goal
+            if negc is None:
+                negc = pb.negate(c)
+                local = [g for _cid, g in touched] + [negc]
+            if goal in root.live or goal == negc:
+                how = "syntactic premise"
+            else:
+                how = "rup"
+                if root.state is not None:
+                    root.state.counters["rup_calls"] += 1
+                if not pb.rup_check(local, goal):
+                    if scope is None:
+                        scope = Frame(parent=root, counter=[1],
+                                      premises=[negc, *spec])
+                    if not scope.propagator().rup(goal):
+                        return key, goal
         if trace is not None:
             trace.append("goal %s: %s" % (key, how))
     root.add(c)
@@ -405,10 +410,11 @@ def spec_rule():
 
 
 def _refuse_aux(c, line, reason):
-    aux = sorted(v for v in c.variables() if pb.is_aux_var(v))
+    aux = [v for v in c.variables() if pb.is_aux_var(v)]
     if aux:
         raise CheckError("constraint %s mentions order-aux variables %s"
-                         % (pb.render(c), aux), line=line, reason=reason)
+                         % (pb.render(c), sorted(aux)), line=line,
+                         reason=reason)
 
 
 class Checker:
@@ -419,11 +425,14 @@ class Checker:
         # core constraints cannot be deleted, so both sets stay valid
         self.core_ids, self.core = set(), set()
         for c in formula:
-            # `$` names are reserved for order-auxiliary variables, which
-            # the spec rows of dom scopes constrain
-            _refuse_aux(c, None, "aux-in-formula")
             self.core_ids.add(self.root.add(c))
             self.core.add(c)
+        # `$` names are reserved for order-auxiliary variables, which the
+        # spec rows of dom scopes constrain; the refusal names the first
+        # core constraint over one, in ID order
+        if any(pb.is_aux_var(v) for v in self.root.occ):
+            for c in self.root.cons.values():
+                _refuse_aux(c, None, "aux-in-formula")
         self.orders = {}
         self.loaded = ordmod.TRIVIAL
         # `bound` holds the names of `z_binding`, so a `red` step tests

@@ -55,14 +55,19 @@ def _number(text):
 
 
 def _load_formula(path):
+    """The formula's constraints and variables: an OPB file's variables in
+    order of first use, None for DIMACS, whose variables only `pbsym
+    break` reads (:func:`_cnf_variables`)."""
     text = _read(path)
     if path.lower().endswith(".cnf"):
-        cons = parsing.parse_cnf(text)
-        variables = ["x%d" % i for i in range(1, 1 + max(
-            (int(v[1:]) for c in cons for v in c.variables()), default=0))]
-        return cons, variables
-    cons, variables = parsing.parse_opb(text)
-    return cons, variables
+        return parsing.parse_cnf(text), None
+    return parsing.parse_opb(text)
+
+
+def _cnf_variables(cons):
+    """x1 .. x<the largest index the DIMACS clauses `cons` use>."""
+    return ["x%d" % i for i in range(1, 1 + max(
+        (int(v[1:]) for c in cons for v in c.variables()), default=0))]
 
 
 def _report(args, payload):
@@ -162,6 +167,8 @@ def cmd_break(args):
         print("warning: --cp-variant is ignored", file=sys.stderr)
     t0 = time.perf_counter()
     formula, variables = _load_formula(args.formula)
+    if variables is None:
+        variables = _cnf_variables(formula)
     syms = parsing.parse_symmetries(_read(args.symmetries))
     try:
         builder = breaker.break_symmetries(formula, variables, syms,

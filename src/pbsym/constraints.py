@@ -90,7 +90,8 @@ class Constraint:
     def variables(self):
         """The variables of the terms, as a frozenset built on first call."""
         if self._variables is None:
-            self._variables = frozenset(var_of(l) for l in self.terms)
+            self._variables = frozenset(l[1:] if l[0] == "~" else l
+                                        for l in self.terms)
         return self._variables
 
 
@@ -141,7 +142,7 @@ def negate(c):
     """Negation: sum a_i ~l_i >= sum a_i - A + 1.  Every literal of the
     normalized `c` flips in place, so this is what :func:`normalize`
     returns for the flipped terms."""
-    terms = {(l[1:] if l.startswith("~") else "~" + l): a
+    terms = {(l[1:] if l[0] == "~" else "~" + l): a
              for l, a in c.terms.items()}
     return Constraint(terms, max(sum(terms.values()) - c.degree + 1, 0))
 

@@ -56,10 +56,16 @@ def verify_specification(spec, aux_vars, derive):
 def instance(order, left, right, aux_map=None):
     """S and O under u -> left, v -> right (literal or 0/1 lists of length
     n) and the aux renaming `aux_map`, through one literal map: the spec
-    rows as :func:`spec_instance` returns them, and the order constraints."""
+    rows as :func:`spec_instance` returns them, and the order constraints.
+    Under the identity, `left` and `right` the order's own u and v and no
+    renaming, they are the order's own rows and `def`, unsubstituted; the
+    rows still come as zero-argument functions, so a row is counted where
+    it is read in either case."""
     n = len(order["left"])
     if len(left) != n or len(right) != n:
         raise OrderError("arity mismatch: expected %d variables" % n)
+    if not aux_map and left == order["left"] and right == order["right"]:
+        return spec_instance(order, None), order["def"]
     m = dict(zip(order["left"], left))
     m.update(zip(order["right"], right))
     if aux_map:
@@ -72,7 +78,10 @@ def instance(order, left, right, aux_map=None):
 def spec_instance(order, lits):
     """The spec rows under the literal map `lits`, as one zero-argument
     function per spec entry, in spec order, each building its row; building
-    is deferred so the checker builds, and counts, only the rows it reads."""
+    is deferred so the checker builds, and counts, only the rows it reads.
+    `lits` None is the identity: each function returns the order's row."""
+    if lits is None:
+        return [(lambda c=c: c) for c, _w in order["spec"]]
     return [(lambda c=c: pb.substitute(c, lits)) for c, _w in order["spec"]]
 
 
@@ -80,31 +89,38 @@ def _a_pair(cur, prev, u, v):
     """The rows reifying cur <-> (prev and u >= v); prev None at the top
     level."""
     if prev is None:
-        one = ([(1, pb.neg(cur)), (1, u), (1, pb.neg(v))], 1)
-        two = ([(2, cur), (1, pb.neg(u)), (1, v)], 2)
+        one = _row({pb.neg(cur): 1}, 1, u, pb.neg(v))
+        two = _row({cur: 2}, 2, pb.neg(u), v)
     else:
-        one = ([(3, pb.neg(cur)), (2, prev), (1, u), (1, pb.neg(v))], 3)
-        two = ([(2, cur), (2, pb.neg(prev)), (1, pb.neg(u)), (1, v)], 2)
-    return _reification(cur, one, two)
+        one = _row({pb.neg(cur): 3, prev: 2}, 3, u, pb.neg(v))
+        two = _row({cur: 2, pb.neg(prev): 2}, 2, pb.neg(u), v)
+    return [(one, {cur: 0}), (two, {cur: 1})]
 
 
 def _d_pair(cur, prevd, preva, u, v):
     """The rows reifying cur <-> (u < v or (u = v and prevd)), lex style."""
     if prevd is None:
-        one = ([(1, pb.neg(cur)), (1, pb.neg(u)), (1, v)], 1)
-        two = ([(2, cur), (1, u), (1, pb.neg(v))], 2)
+        one = _row({pb.neg(cur): 1}, 1, pb.neg(u), v)
+        two = _row({cur: 2}, 2, u, pb.neg(v))
     else:
-        one = ([(4, pb.neg(cur)), (3, prevd), (1, pb.neg(preva)),
-                (1, pb.neg(u)), (1, v)], 4)
-        two = ([(3, cur), (3, pb.neg(prevd)), (1, preva),
-                (1, u), (1, pb.neg(v))], 3)
-    return _reification(cur, one, two)
+        one = _row({pb.neg(cur): 4, prevd: 3, pb.neg(preva): 1}, 4,
+                   pb.neg(u), v)
+        two = _row({cur: 3, pb.neg(prevd): 3, preva: 1}, 3, u, pb.neg(v))
+    return [(one, {cur: 0}), (two, {cur: 1})]
 
 
-def _reification(cur, *halves):
-    """The two (constraint, witness) rows defining `cur` from its halves."""
-    return [(pb.normalize(*half), {cur: value})
-            for value, half in enumerate(halves)]
+def _row(terms, degree, x, y):
+    """The row `terms` + x + y >= `degree`, normalized: `terms` maps aux
+    literals to coefficients, and x and y are a position's u and v
+    literals, or their negations.  Only x and y may share a variable, as a
+    witness x -> ~x makes them; only then does the row go through
+    :func:`constraints.normalize`, else its terms are normalized as they
+    stand."""
+    if pb.var_of(x) == pb.var_of(y):
+        return pb.normalize([(a, l) for l, a in terms.items()]
+                            + [(1, x), (1, y)], degree)
+    terms[x] = terms[y] = 1
+    return pb.Constraint(terms, degree)
 
 
 def lex_spec(u, v, a, d):

@@ -868,14 +868,27 @@ def _exact(rows):
     return [(list(c.terms.items()), c.degree, w) for c, w in rows]
 
 
+def _negating_images(xs):
+    """Images of `xs` where every other position, from the first, maps
+    x -> ~x, so that its u and v share a variable, and the others map to
+    the variable before them."""
+    return [pb.neg(x) if i % 2 == 0 else xs[i - 1] for i, x in enumerate(xs)]
+
+
 def _circuit_cases():
     """(xs, imgs) pairs: k = 1..8 over fresh names, images a reversal with
-    every other image negated, and the support of every generator of every
+    every other image negated; k = 1..6 over fresh names, images
+    :func:`_negating_images` and every image negated, the rows that go
+    through `normalize`; and the support of every generator of every
     family of FAMILY_SIZES, negation generators included."""
     for k in range(1, 9):
         xs = ["x%d" % i for i in range(1, k + 1)]
         yield pytest.param(xs, [pb.neg(x) if i % 2 else x for i, x in
                                 enumerate(reversed(xs))], id="k%d" % k)
+    for k in range(1, 7):
+        xs = ["x%d" % i for i in range(1, k + 1)]
+        yield pytest.param(xs, _negating_images(xs), id="neg%d" % k)
+        yield pytest.param(xs, [pb.neg(x) for x in xs], id="negall%d" % k)
     for family, params in FAMILY_SIZES:
         for g, sym in enumerate(bench.generate(family, params).generators):
             xs = sorted(sym)

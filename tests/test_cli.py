@@ -331,6 +331,27 @@ def test_order_aux_variable_in_formula_is_refused(tmp_path, capsys):
     assert payload["error"].startswith(_leq_qed_failed())
 
 
+@pytest.mark.parametrize("formula,body,error", [
+    # a red step's constraint over an order-aux name
+    ("+1 x1 +1 x2 >= 1 ;\n", "red +1 $a1 +1 x1 >= 1 : x1 -> 1;\n",
+     "line:2 goal:- reason:aux-in-constraint constraint +1 $a1 +1 x1 >= 1 "
+     "mentions order-aux variables ['$a1']"),
+    # the refusal names the first formula constraint over one, the second
+    ("+1 x1 +1 x2 >= 1 ;\n+1 $a1 +1 ~x2 >= 1 ;\n+1 $b2 >= 1 ;\n",
+     "rup +1 x1 +1 x2 >= 1 ;\n",
+     "line:- goal:- reason:aux-in-formula constraint +1 $a1 +1 ~x2 >= 1 "
+     "mentions order-aux variables ['$a1']"),
+    # x2 >= 1, the goal of the touched ID 1, fails before the self goal
+    ("+1 x1 +1 x2 >= 1 ;\n", "red +1 x3 >= 1 : x1 -> 0;\n",
+     "line:2 goal:1 reason:undischarged-goal "),
+], ids=["aux-in-constraint", "aux-in-formula", "touched-goal"])
+def test_red_and_formula_refusals_name_line_goal_and_reason(
+        tmp_path, capsys, formula, body, error):
+    rc, payload = _check_texts(tmp_path, capsys, formula, body)
+    assert rc == 1
+    assert payload["error"].startswith(error)
+
+
 def test_order_aux_variable_without_dollar_is_refused(tmp_path, capsys):
     # lex1 with its aux $d1 renamed y1: the dom scope's spec rows then
     # constrained the formula's y1, and the satisfiable formula was refuted
@@ -754,6 +775,27 @@ def test_break_binding_lists_the_moved_variables(tmp_path, capsys, method):
             if l.startswith("load_order ")]
     assert load == ["load_order %s4 x1 x2 x3 x4;"
                     % ("lex" if method == "new" else "biglex")]
+
+
+def test_cnf_variables_are_the_ones_the_clauses_use(tmp_path, capsys,
+                                                    monkeypatch):
+    # the header declares 6 variables and the clauses use x1..x4: break
+    # gets x1..x4, and check builds no variable list
+    formula = tmp_path / "wide.cnf"
+    formula.write_text("p cnf 6 2\n1 2 0\n3 4 0\n")
+    seen = []
+    real = breaker.break_symmetries
+    monkeypatch.setattr(breaker, "break_symmetries",
+                        lambda f, v, *a, **k: seen.append(v) or real(f, v, *a,
+                                                                     **k))
+    out = str(tmp_path / "out")
+    assert cli.main(["break", str(formula), sym_file(tmp_path), "-o", out,
+                     "--selfcheck", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["selfcheck"] == (
+        "VERIFIED-DERIVATION")
+    assert seen == [["x1", "x2", "x3", "x4"]]
+    monkeypatch.setattr(cli, "_cnf_variables", None)
+    assert cli.main(["check", str(formula), out + ".pbp"]) == 0
 
 
 def test_cnf_suffix_in_any_case_is_dimacs(tmp_path, capsys):

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 
 from pbsym import bench, breaker, orders, parsing
+from pbsym import constraints as pb
 from pbsym.checker import CheckError, VERIFIED, check_document
 
-from test_breaker import FAMILY_SIZES, _cycle_set
+from test_breaker import FAMILY_SIZES, _cycle_set, _negating_images
 from test_checker import _DIFF_CASES
 from test_fuzz import mutated_proofs
 
@@ -182,3 +183,42 @@ def test_lexfix_variants_end_as_the_full_instance(old, new, ends, contracts):
         fast, full = _both_paths(formula, text)
     assert fast[0][:len(ends)] == ends
     assert spy.called == contracts
+
+
+def _lex_m_renamed(n, moved, left, right):
+    """The rows of a lex<n> scope that moves `moved`, by substitution:
+    lex<m>'s rows under u and v -> the literals at the moved positions and
+    $a and $d -> the names of contracted_aux.  With an $a at the last
+    moved position, m is one more than the moved positions, and the rows
+    are lex<m>'s but those of its last $d."""
+    a, d = orders.contracted_aux(n, moved)
+    m = len(a) + 1
+    lex = orders.lex(m)
+    rename = dict(zip(lex["left"], [left[p] for p in moved]))
+    rename.update(zip(lex["right"], [right[p] for p in moved]))
+    rename.update(zip(lex["aux"], a + d))
+    lits = pb.witness_lits(rename)
+    spec = (lex["spec"][:2 * (m - 1)]
+            + lex["spec"][2 * (m - 1):][:2 * len(moved)])
+    return [pb.substitute(c, lits) for c, _w in spec]
+
+
+@pytest.mark.parametrize("negate", ["every-other", "all"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_contract_under_negations_is_lex_renamed(n, negate):
+    # moved positions whose witness maps x -> ~x: their rows go through
+    # normalize, the others are built normalized; either way, term for
+    # term what substitution gives, for every set of moved positions
+    left = ["x%d" % i for i in range(1, n + 1)]
+    images = (_negating_images(left) if negate == "every-other"
+              else [pb.neg(x) for x in left])
+    for fixed in itertools.product((False, True), repeat=n):
+        moved = [p for p in range(n) if not fixed[p]]
+        if not moved:
+            continue
+        right = [x if fix else img
+                 for x, img, fix in zip(left, images, fixed)]
+        got = orders.contract(n, moved, left, right)
+        want = _lex_m_renamed(n, moved, left, right)
+        assert ([(list(c.terms.items()), c.degree) for c in got]
+                == [(list(c.terms.items()), c.degree) for c in want]), moved
