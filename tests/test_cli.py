@@ -352,6 +352,41 @@ def test_red_and_formula_refusals_name_line_goal_and_reason(
     assert payload["error"].startswith(error)
 
 
+def test_bad_polish_names_line_and_reason(tmp_path, capsys):
+    # `+` with one operand on the stack; `_check_files` asserts that no
+    # traceback is printed
+    rc, payload = _check_texts(tmp_path, capsys, "+1 x1 >= 1 ;\n",
+                               "pol 1 +;\n")
+    assert rc == 1
+    assert payload["error"].startswith(
+        "line:2 goal:- reason:bad-polish polish stack underflow at +")
+
+
+@pytest.mark.parametrize("name,rc,report", [
+    # every goal holds over the touched premises and not(c): no spec row
+    # is built
+    ("red_bound_local", 0, {"rup_calls": 1, "spec_materializations": 0}),
+    # the order goal needs the scope, which builds lex2's six spec rows
+    ("red_bound_scope", 0, {"rup_calls": 2, "spec_materializations": 6}),
+    # the order goal fails in the scope too
+    ("red_bound_undischarged", 1,
+     "line:47 goal:#1 reason:undischarged-goal goal +1 $d2 >= 1 "),
+])
+def test_red_steps_that_move_bound_variables(tmp_path, capsys, name, rc,
+                                             report):
+    got, payload, lines = _data_check(tmp_path, capsys, name)
+    assert got == rc
+    if rc:
+        assert payload["verdict"] == "REJECTED"
+        assert lines[46].startswith("red +1 x2 >= 1 : x2 -> 1;")
+        assert payload["error"].startswith(report)
+    else:
+        assert payload["verdict"] == checker.VERIFIED
+        assert payload["counters"] == dict(
+            report, implicit_reflexivity_skips=0, spec_rows_aliased=0,
+            proof_bytes=len("\n".join(lines).encode()) + 1)
+
+
 def test_order_aux_variable_without_dollar_is_refused(tmp_path, capsys):
     # lex1 with its aux $d1 renamed y1: the dom scope's spec rows then
     # constrained the formula's y1, and the satisfiable formula was refuted
