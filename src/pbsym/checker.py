@@ -24,6 +24,7 @@ from collections import Counter, defaultdict
 
 from . import constraints as pb
 from . import orders as ordmod
+from . import parsing
 
 UNSAT = "UNSAT"
 VERIFIED = "VERIFIED-DERIVATION"
@@ -50,11 +51,10 @@ def _is_falsum(c):
 
 class Frame:
     """One visibility scope, given its `premises` when built.  `cons` maps
-    each ID to a Constraint or to the zero-argument function that builds a
-    specification row; the row is built the first time it is read, and
-    counted in `spec_materializations` if the frame has a `state`.  The ID
-    counter may be shared with the parent (subproofs continue the global
-    numbering) or local (def_order blocks restart at 1).
+    each ID to its Constraint.  The ID counter may be shared with the
+    parent (subproofs continue the global numbering) or local (def_order
+    blocks restart at 1).  A frame runs the steps of
+    :data:`parsing.SUBPROOF_STEPS` on itself, as its `step_<kind>` methods.
 
     `ids` lists every ID added, in order, and never shrinks.  A root frame
     (no parent) owns the propagator of its chain, built on the first
@@ -84,10 +84,6 @@ class Frame:
 
     def _read(self, cid, con):
         """`con`, the entry of `cid` in this frame, as a Constraint."""
-        if not isinstance(con, pb.Constraint):
-            if self.state is not None:
-                self.state.counters["spec_materializations"] += 1
-            con = self.cons[cid] = con()
         return con
 
     def get(self, cid, line=None, written=None):
@@ -158,29 +154,62 @@ class Frame:
     def _rewind(self):
         """Nothing to undo: only a root frame's entries are removed."""
 
+    def step_pol(self, step):
+        line = step["line"]
+        try:
+            con = pb.evaluate_polish(step["tokens"],
+                                     lambda cid: self.get_rel(cid, line))
+        except pb.ConstraintError as e:
+            raise CheckError(str(e), line=line, reason="bad-polish")
+        self.add(con)
 
-class ContractedFrame(Frame):
-    """A contracted dom scope's frame.  Hints and qed read its `count`
-    premises, the full instance's, from the list `premises` (or the one it
-    returns when first read; until then an entry is its index), and the
-    propagator gets the Constraints `rows` in their place."""
+    def step_rup(self, step):
+        if not _run_rup(self, step["constraint"], step["hints"], step["line"]):
+            raise CheckError("RUP did not reach a conflict for %s"
+                             % pb.render(step["constraint"]),
+                             line=step["line"], reason="rup-failed")
+        self.add(step["constraint"])
 
-    def __init__(self, parent, count, premises, rows):
-        super().__init__(parent=parent, premises=range(count))
-        self.premises, self.rows, self.count = premises, rows, count
+
+class ScopeFrame(Frame):
+    """A dom scope's frame: the spec rows of `order` under u -> left and
+    v -> right, then with `with_defs` the order constraints `defs`.  A spec
+    row's entry is its index until a hint, pol, qed or the propagator reads
+    it; then the row is substituted and counted in `spec_materializations`.
+    With `moved`, the propagator gets the `rows` :func:`orders.contract`
+    builds for those positions in place of the spec rows, and the literal
+    map `lits` of u and v is built at the first spec row read: a scope
+    whose steps cite no spec row costs O(len(rows)), not O(n)."""
+
+    def __init__(self, parent, order, left, right, moved, with_defs=False):
+        self.order, self.sides, self.rows = order, (left, right), None
+        if moved is None:
+            self.lits, self.defs = ordmod.bind(order, left, right)
+        else:
+            self.rows = ordmod.contract(len(left), moved, left, right)
+            counters = parent.state.counters
+            counters["spec_materializations"] += len(self.rows)
+            counters["spec_rows_aliased"] += (len(order["spec"])
+                                              - len(self.rows))
+            # lex<n>'s order constraint names $d_n alone: its own image
+            self.lits, self.defs = None, order["def"]
+        super().__init__(parent=parent, premises=[
+            *range(len(order["spec"])), *(self.defs if with_defs else ())])
 
     def _read(self, cid, con):
         if isinstance(con, int):
-            if callable(self.premises):
-                self.premises = self.premises()
-            con = self.cons[cid] = self.premises[con]
-        return super()._read(cid, con)
+            if self.lits is None:
+                self.lits, _ = ordmod.bind(self.order, *self.sides)
+            self.state.counters["spec_materializations"] += 1
+            con = self.cons[cid] = pb.substitute(
+                self.order["spec"][con][0], self.lits)
+        return con
 
     def _feed(self, engine, start):
-        if not start:
+        if self.rows is not None and not start:
             for con in self.rows:
                 engine.add(con)
-            start = self.count
+            start = len(self.order["spec"])
         super()._feed(engine, start)
 
 
@@ -275,35 +304,13 @@ def _run_rup(frame, goal, hints, line):
     return pb.rup_check([frame.get_rel(h, line) for h in hints], goal)
 
 
-def _frame_pol(frame, step):
-    line = step["line"]
-    try:
-        con = pb.evaluate_polish(step["tokens"],
-                                 lambda cid: frame.get_rel(cid, line))
-    except pb.ConstraintError as e:
-        raise CheckError(str(e), line=line, reason="bad-polish")
-    frame.add(con)
-
-
-def _frame_rup(frame, step):
-    if not _run_rup(frame, step["constraint"], step["hints"], step["line"]):
-        raise CheckError("RUP did not reach a conflict for %s"
-                         % pb.render(step["constraint"]),
-                         line=step["line"], reason="rup-failed")
-    frame.add(step["constraint"])
-
-
-_SUBPROOF_STEPS = {"pol": _frame_pol, "rup": _frame_rup}
-
-
 def _run_simple_steps(frame, steps):
     for step in steps:
-        handler = _SUBPROOF_STEPS.get(step["kind"])
-        if handler is None:
+        if step["kind"] not in parsing.SUBPROOF_STEPS:
             raise CheckError("step %r not allowed inside a subproof"
                              % step["kind"], line=step["line"],
                              reason="invalid-step")
-        handler(frame, step)
+        getattr(frame, "step_" + step["kind"])(step)
 
 
 def _qed(frame, qed_hint, line, goal_key):
@@ -360,7 +367,7 @@ def run_obligation(premises, goals, blocks, label):
                  blocks, label, None)
 
 
-def redundance(root, c, w, order_goals=(), spec=(), trace=None):
+def redundance(root, c, w, order_goals=(), spec=None, trace=None):
     """Derive `c` under the witness `w` and add it to the root frame
     `root`; else return (key, goal) of the first goal that fails.
 
@@ -368,12 +375,13 @@ def redundance(root, c, w, order_goals=(), spec=(), trace=None):
     (the others are their own images), c|w keyed "self", `order_goals`.
     One holds as a tautology, a syntactic premise (a live entry or not(c))
     or by RUP: over the touched entries plus not(c) first, and only if that
-    fails over a scope holding not(c) and the `spec` rows above `root`,
-    where not(goal) may propagate far.  RUP is monotone, so the verdict is
-    the scope's; each RUP goal counts once in the `rup_calls` of the root's
-    `state`.  `trace` gets "goal KEY: HOW" per goal that holds.  not(c)
-    and the touched premises are listed at the first goal that is no
-    tautology, as many `red` steps have none."""
+    fails over a scope above `root` holding not(c) and the rows `spec()`
+    builds, where not(goal) may propagate far; those rows are built, and
+    counted in the `spec_materializations` of the root's `state`, with the
+    scope.  RUP is monotone, so the verdict is the scope's; each RUP goal
+    counts once in the state's `rup_calls`.  `trace` gets "goal KEY: HOW"
+    per goal that holds.  not(c) and the touched premises are listed at the
+    first goal that is no tautology, as many `red` steps have none."""
     touched, lits = root.touched(w), pb.witness_lits(w)
     goals = itertools.chain(
         ((cid, pb.substitute(g, lits)) for cid, g in touched),
@@ -394,8 +402,12 @@ def redundance(root, c, w, order_goals=(), spec=(), trace=None):
                     root.state.counters["rup_calls"] += 1
                 if not pb.rup_check(local, goal):
                     if scope is None:
+                        rows = spec() if spec else []
                         scope = Frame(parent=root, counter=[1],
-                                      premises=[negc, *spec])
+                                      premises=[negc, *rows])
+                        if rows:
+                            scope.state.counters[
+                                "spec_materializations"] += len(rows)
                     if not scope.propagator().rup(goal):
                         return key, goal
         if trace is not None:
@@ -466,20 +478,21 @@ class Checker:
     # ---------------------------------------------------------------- steps
 
     def step_pol(self, step):
-        _frame_pol(self.root, step)
+        self.root.step_pol(step)
 
     def step_rup(self, step):
-        _frame_rup(self.root, step)
+        self.root.step_rup(step)
 
     def step_red(self, step):
         c, w, line = step["constraint"], step["witness"], step["line"]
         self._check_rule_constraint(c, w, line)
-        spec, order_goals = [], []
+        spec, order_goals = None, []
         if self.bound.isdisjoint(w):
             self.counters["implicit_reflexivity_skips"] += 1
         else:
-            spec, ogs = ordmod.instance(self.loaded, self._witness_images(w),
-                                        self.z_binding)
+            lits, ogs = ordmod.bind(self.loaded, self._witness_images(w),
+                                    self.z_binding)
+            spec = functools.partial(ordmod.spec_instance, self.loaded, lits)
             order_goals = [("#%d" % k, og) for k, og in enumerate(ogs, 1)]
         failed = redundance(self.root, c, w, order_goals, spec, self.trace)
         if failed is not None:
@@ -503,10 +516,10 @@ class Checker:
         sub = Frame(parent=self.root, premises=[pb.negate(c)])
 
         # --- leq scope: S(z|w, z) premises; goals C|w plus each order constraint
-        leqf, ogs = self._scope(sub, left, self.z_binding, moved)
+        leqf = ScopeFrame(sub, self.loaded, left, self.z_binding, moved)
         # goals by key: "#k" for the order constraints, the ID for core ones;
         # an order goal without a block may be discharged by hint-free RUP
-        pending = {"#%d" % k: og for k, og in enumerate(ogs, 1)}
+        pending = {"#%d" % k: og for k, og in enumerate(leqf.defs, 1)}
         falsum_key = "#%d" % (len(pending) + 1)
         # a core constraint the witness does not touch is its own image
         lits = pb.witness_lits(w)
@@ -524,7 +537,8 @@ class Checker:
                      and _run_rup(leqf, goal, None, line))
 
         # --- geq scope: S(z, z|w) and O(z, z|w) premises; single falsum goal
-        geqf, _ = self._scope(sub, self.z_binding, left, moved, True)
+        geqf = ScopeFrame(sub, self.loaded, self.z_binding, left, moved,
+                          with_defs=True)
         _prove_goals(geqf, {falsum_key: pb.FALSUM}, step["geq"],
                      "geq scope", line)
 
@@ -553,27 +567,6 @@ class Checker:
                 for s in steps):
             return None
         return moved
-
-    def _scope(self, sub, left, right, moved, with_defs=False):
-        """A dom scope's frame of spec rows under u -> left, v -> right (and
-        with `with_defs` the order constraints), and the order constraints.
-        With `moved`, the propagator gets the rows :func:`orders.contract`
-        builds for those positions in place of the spec rows."""
-        order = self.loaded
-        if moved is None:
-            spec, ogs = ordmod.instance(order, left, right)
-            return (Frame(parent=sub, premises=spec + ogs if with_defs
-                          else spec), ogs)
-        ogs, spec = order["def"], order["spec"]
-        rows = ordmod.contract(len(left), moved, left, right)
-        self.counters["spec_materializations"] += len(rows)
-        self.counters["spec_rows_aliased"] += len(spec) - len(rows)
-        extra = ogs if with_defs else []
-        frame = ContractedFrame(
-            sub, len(spec) + len(extra),
-            lambda: ordmod.instance(order, left, right)[0] + extra,
-            rows + extra)
-        return frame, ogs
 
     def step_def_order(self, step):
         try:

@@ -10,8 +10,9 @@ constraints ``def``, and the transitivity and reflexivity proofs.
 and both proofs; the checker stores, and so loads, only orders that pass.
 The redundance rule and the subproof runner are the checker's, passed in,
 so a spec row is derived by the same code as a ``red`` step.
-An instance substitutes for u, v and aux once, in :func:`instance`; a
-proof builds only the spec rows it reads.  The module also states lex<n>,
+An instance substitutes for u, v and aux through one literal map
+(:func:`bind`); :func:`instance` builds every spec row under it, and a dom
+scope builds a row when it reads it.  The module also states lex<n>,
 its rows over any names and their layout (:func:`lex`, :func:`lex_spec`,
 :func:`lex_row`); a dom scope of an order :func:`lex_size` recognizes
 builds lex<m> over the m positions its witness moves (:func:`contract`).
@@ -53,36 +54,37 @@ def verify_specification(spec, aux_vars, derive):
     return True
 
 
-def instance(order, left, right, aux_map=None):
-    """S and O under u -> left, v -> right (literal or 0/1 lists of length
-    n) and the aux renaming `aux_map`, through one literal map: the spec
-    rows as :func:`spec_instance` returns them, and the order constraints.
-    Under the identity, `left` and `right` the order's own u and v and no
-    renaming, they are the order's own rows and `def`, unsubstituted; the
-    rows still come as zero-argument functions, so a row is counted where
-    it is read in either case."""
+def bind(order, left, right, aux_map=None):
+    """The literal map of u -> left, v -> right (literal or 0/1 lists of
+    length n) and the aux renaming `aux_map`, and the order constraints
+    under it."""
     n = len(order["left"])
     if len(left) != n or len(right) != n:
         raise OrderError("arity mismatch: expected %d variables" % n)
-    if not aux_map and left == order["left"] and right == order["right"]:
-        return spec_instance(order, None), order["def"]
     m = dict(zip(order["left"], left))
     m.update(zip(order["right"], right))
     if aux_map:
         m.update(aux_map)
     lits = pb.witness_lits(m)
-    return (spec_instance(order, lits),
-            [pb.substitute(c, lits) for c in order["def"]])
+    return lits, [pb.substitute(c, lits) for c in order["def"]]
+
+
+def instance(order, left, right, aux_map=None):
+    """S and O under :func:`bind`'s literal map: the spec rows and the order
+    constraints.  Under the identity, `left` and `right` the order's own u
+    and v and no renaming, they are the order's own rows and `def`."""
+    if not aux_map and left == order["left"] and right == order["right"]:
+        return spec_instance(order, None), order["def"]
+    lits, defs = bind(order, left, right, aux_map)
+    return spec_instance(order, lits), defs
 
 
 def spec_instance(order, lits):
-    """The spec rows under the literal map `lits`, as one zero-argument
-    function per spec entry, in spec order, each building its row; building
-    is deferred so the checker builds, and counts, only the rows it reads.
-    `lits` None is the identity: each function returns the order's row."""
+    """The spec rows under the literal map `lits`, in spec order; `lits`
+    None is the identity, the order's own rows."""
     if lits is None:
-        return [(lambda c=c: c) for c, _w in order["spec"]]
-    return [(lambda c=c: pb.substitute(c, lits)) for c, _w in order["spec"]]
+        return [c for c, _w in order["spec"]]
+    return [pb.substitute(c, lits) for c, _w in order["spec"]]
 
 
 def _a_pair(cur, prev, u, v):
@@ -187,10 +189,9 @@ def contract(n, moved, left, right):
 
 def check_transitivity(order, run):
     """Run the transitivity proof.  Its premises get IDs in this order:
-    S(u,v,a), S(v,w,b), S(u,w,c), O(u,v,a), O(v,w,b), the spec rows as the
-    zero-argument functions of :func:`instance`, so that only the rows a
-    step reads are built; its goals are O(u,w,c), where w, b and c are the
-    proof's fresh_right, fresh_aux_1 and fresh_aux_2 names."""
+    S(u,v,a), S(v,w,b), S(u,w,c), O(u,v,a), O(v,w,b), each as
+    :func:`instance` builds it; its goals are O(u,w,c), where w, b and c
+    are the proof's fresh_right, fresh_aux_1 and fresh_aux_2 names."""
     trans = order["transitivity"]
     u, v, w = order["left"], order["right"], trans["fresh_right"]
     spec_uv, o_uv = instance(order, u, v)
@@ -245,7 +246,7 @@ def validate(order, run, derive):
     """Full validation of a def_order step.  `derive` (constraint, witness)
     derives each spec row by the redundance rule, as
     :func:`verify_specification` takes it; `run` (premises, goals, blocks,
-    label) runs each obligation's subproof over lazy spec rows."""
+    label) runs each obligation's subproof over its built spec rows."""
     check_names(order)
     verify_specification(order["spec"], order["aux"], derive)
     check_transitivity(order, run)

@@ -474,7 +474,7 @@ def _parse_goal(lines, toks, lineno):
     steps = []
     qlineno, qtoks = lines.take()
     while qtoks[0] != "qed":
-        steps.append(_parse_step(lines, qlineno, qtoks, _SUBPROOF_PARSERS))
+        steps.append(_parse_step(lines, qlineno, qtoks, SUBPROOF_STEPS))
         qlineno, qtoks = lines.take()
     if len(qtoks) >= 2 and _parse_goal_key(qtoks[1], qlineno) != key:
         raise ParseError("qed key mismatch for proofgoal %s" % key, qlineno)
@@ -575,7 +575,9 @@ def _value_parser(kind):
                                         "value": args}
 
 
-_SUBPROOF_PARSERS = {"pol": _parse_pol, "rup": _parse_rup}
+# the steps a proofgoal block may hold, by kind; the checker's frames run
+# each as their step_<kind> method
+SUBPROOF_STEPS = {"pol": _parse_pol, "rup": _parse_rup}
 _PARSERS = {"pol": _parse_pol, "rup": _parse_rup, "red": _parse_red,
             "def_order": _parse_def_order, "load_order": _parse_load_order,
             "dom": _parse_dom, "del": _parse_del,

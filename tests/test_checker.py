@@ -651,7 +651,8 @@ def test_dom_scope_steps_follow_from_what_their_frame_sees(monkeypatch,
 
     def audit(handler):
         def run_step(frame, step):
-            if frame.state is None:  # a def_order obligation
+            # a def_order obligation, or a top-level step
+            if frame.state is None or frame.parent is None:
                 return handler(frame, step)
             seen, f = [], frame
             while f is not None:
@@ -662,8 +663,10 @@ def test_dom_scope_steps_follow_from_what_their_frame_sees(monkeypatch,
             audited.append(step)
         return run_step
 
-    for kind, handler in list(checker._SUBPROOF_STEPS.items()):
-        monkeypatch.setitem(checker._SUBPROOF_STEPS, kind, audit(handler))
+    for kind in parsing.SUBPROOF_STEPS:
+        name = "step_" + kind
+        monkeypatch.setattr(checker.Frame, name,
+                            audit(getattr(checker.Frame, name)))
     assert check_document(formula, doc)[0] == VERIFIED
     in_dom = sum(len(block["steps"]) for step in doc["steps"]
                  if step["kind"] == "dom"

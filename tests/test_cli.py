@@ -275,7 +275,8 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, formula, proof):
 
 
 def _check_files(capsys, formula, proof):
-    """`pbsym check --json` of two files; returns (exit code, report)."""
+    """`pbsym check --json` of two files, which prints no traceback;
+    returns (exit code, report)."""
     rc = cli.main(["check", str(formula), str(proof), "--json"])
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -344,22 +345,15 @@ def test_order_aux_variable_in_formula_is_refused(tmp_path, capsys):
     # x2 >= 1, the goal of the touched ID 1, fails before the self goal
     ("+1 x1 +1 x2 >= 1 ;\n", "red +1 x3 >= 1 : x1 -> 0;\n",
      "line:2 goal:1 reason:undischarged-goal "),
-], ids=["aux-in-constraint", "aux-in-formula", "touched-goal"])
+    # `+` with one operand on the stack
+    ("+1 x1 >= 1 ;\n", "pol 1 +;\n",
+     "line:2 goal:- reason:bad-polish polish stack underflow at +"),
+], ids=["aux-in-constraint", "aux-in-formula", "touched-goal", "bad-polish"])
 def test_red_and_formula_refusals_name_line_goal_and_reason(
         tmp_path, capsys, formula, body, error):
     rc, payload = _check_texts(tmp_path, capsys, formula, body)
     assert rc == 1
     assert payload["error"].startswith(error)
-
-
-def test_bad_polish_names_line_and_reason(tmp_path, capsys):
-    # `+` with one operand on the stack; `_check_files` asserts that no
-    # traceback is printed
-    rc, payload = _check_texts(tmp_path, capsys, "+1 x1 >= 1 ;\n",
-                               "pol 1 +;\n")
-    assert rc == 1
-    assert payload["error"].startswith(
-        "line:2 goal:- reason:bad-polish polish stack underflow at +")
 
 
 @pytest.mark.parametrize("name,rc,report", [
@@ -384,7 +378,7 @@ def test_red_steps_that_move_bound_variables(tmp_path, capsys, name, rc,
         assert payload["verdict"] == checker.VERIFIED
         assert payload["counters"] == dict(
             report, implicit_reflexivity_skips=0, spec_rows_aliased=0,
-            proof_bytes=len("\n".join(lines).encode()) + 1)
+            proof_bytes=(DATA / (name + ".pbp")).stat().st_size)
 
 
 def test_order_aux_variable_without_dollar_is_refused(tmp_path, capsys):

@@ -96,15 +96,14 @@ def test_specification_uses_earlier_entries_as_premises():
     assert orders.verify_specification(spec, ["$a1", "$a2"], spec_rule())
 
 
-def test_spec_instance_is_lazy_and_substitutes():
+def test_spec_instance_substitutes():
     order = order_step(
         "s", ["u1"], ["v1"], ["$a1"],
         [(con([(1, "$a1")], 1), {"$a1": 1}),
          (con([(1, "v1"), (1, "~u1")], 1), {})],
         [], (["w1"], ["$b1"], ["$c1"]))
-    thunks, _ = orders.instance(order, ["x2"], ["~x7"])
-    assert all(callable(t) for t in thunks)
-    assert thunks[1]() == con([(1, "~x7"), (1, "~x2")], 1)
+    spec, _ = orders.instance(order, ["x2"], ["~x7"])
+    assert spec[1] == con([(1, "~x7"), (1, "~x2")], 1)
 
 
 def test_spec_instance_arity_checked():
@@ -173,19 +172,18 @@ def test_instance_equals_the_old_two_map_bodies(args):
     order, left, right, aux_map = args
     want_spec, want_order = old_instance(order, left, right, aux_map)
     spec, got_order = orders.instance(order, left, right, aux_map)
-    assert _exact(c() for c in spec) == _exact(want_spec)
+    assert _exact(spec) == _exact(want_spec)
     assert _exact(got_order) == _exact(want_order)
 
 
 def obligation(check, order):
-    """The premises, each built, and the goals that `check` hands its
-    `run`, which records them and runs no proof."""
+    """The premises and the goals that `check` hands its `run`, which
+    records them and runs no proof."""
     seen = []
     check(order, lambda premises, goals, blocks, label:
           seen.append((premises, goals)))
     [(premises, goals)] = seen
-    built = [p if isinstance(p, pb.Constraint) else p() for p in premises]
-    return built, goals
+    return premises, goals
 
 
 def test_obligations_build_one_map_per_instance(monkeypatch):
@@ -249,34 +247,20 @@ def test_reflexivity_goal_is_tautological_here():
     assert orders.check_reflexivity(leq1(), run_obligation)
 
 
-def test_lex_transitivity_builds_only_the_spec_rows_it_cites():
-    # the hinted lemmas of lex56's transitivity proof cite half of the
-    # spec rows of its three instances, and only those are built
-    order = breaker.build_lex_order(56)
-    rows = 3 * len(order["spec"])
-    built = set()
-
-    def recorded(cid, premise):
-        if isinstance(premise, pb.Constraint):  # built before any read
-            built.add(cid)
-            return premise
-        return lambda: built.add(cid) or premise()
-
-    def run(premises, goals, blocks, label):
-        run_obligation([recorded(cid, p) for cid, p in
-                        enumerate(premises[:rows], 1)] + premises[rows:],
-                       goals, blocks, label)
-
-    assert orders.check_transitivity(order, run)
-    cited = set()
-    for block in order["transitivity"]["goals"]:
-        for step in block["steps"]:
-            ids = (step["hints"] if step["kind"] == "rup" else
-                   [int(t) for t in step["tokens"] if t.lstrip("-").isdigit()])
-            cited.update(cid for cid in ids if 0 < cid <= rows)
-    assert rows == 666
-    assert len(cited) == 333
-    assert built == cited
+def test_lexfix_hint_builds_the_contracted_rows_and_the_rows_it_cites():
+    # lex4 bound to x1..x4, and the dom swaps x1 and x3: each of its two
+    # scopes feeds the propagator lex<2>'s 8 rows, and the hinted rup of
+    # the leq scope builds the two spec rows it cites, IDs 14 and 12, under
+    # their own names; no other spec row is built
+    formula, _ = parsing.parse_opb((DATA / "lexfix.opb").read_text())
+    text = (DATA / "lexfix_hint.pbp").read_text()
+    assert "rup +1 ~$a3 +1 $a1 >= 1 : 14 12;\n" in text
+    _, counters = checker.check_document(formula, parsing.parse_proof(text))
+    rows = len(orders.contract(4, [0, 2], ["x3", "x2", "x1", "x4"],
+                               ["x1", "x2", "x3", "x4"]))
+    assert rows == 8
+    assert counters["spec_materializations"] == 2 * rows + 2 == 18
+    assert counters["spec_rows_aliased"] == 2 * (14 - rows) == 12
 
 
 @pytest.mark.parametrize("order", [
@@ -303,8 +287,10 @@ def test_obligation_steps_follow_from_what_their_frame_sees(monkeypatch,
             audited.append(step)
         return run_step
 
-    for kind, handler in list(checker._SUBPROOF_STEPS.items()):
-        monkeypatch.setitem(checker._SUBPROOF_STEPS, kind, audit(handler))
+    for kind in parsing.SUBPROOF_STEPS:
+        name = "step_" + kind
+        monkeypatch.setattr(checker.Frame, name,
+                            audit(getattr(checker.Frame, name)))
     assert orders.validate(order, run_obligation, spec_rule()) is order
     blocks = order["transitivity"]["goals"] + order["reflexivity"]["goals"]
     assert len(audited) == sum(len(b["steps"]) for b in blocks) > 0
